@@ -15,6 +15,7 @@ the coherent/incoherent error split combining both.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from . import braid_space
 from ._linalg import dagger, phase_distance
@@ -43,10 +43,19 @@ Channel = Callable[[np.ndarray], np.ndarray]
 
 def pauli_basis(n_qubits: int) -> list[np.ndarray]:
     """Unnormalized Pauli operators, identity first, lexicographic order."""
+    return list(_pauli_stack(n_qubits))
+
+
+@functools.lru_cache(maxsize=None)
+def _pauli_stack(n_qubits: int) -> np.ndarray:
+    """The Pauli basis as one read-only ``(4^n, 2^n, 2^n)`` array, built once
+    per register size."""
     basis = list(PAULI_1Q)
     for _ in range(n_qubits - 1):
         basis = [np.kron(a, b) for a in basis for b in PAULI_1Q]
-    return basis
+    stack = np.array(basis)
+    stack.flags.writeable = False
+    return stack
 
 
 def pauli_labels(n_qubits: int) -> list[str]:
@@ -94,26 +103,25 @@ class PauliTransferMap:
 
 
 def state_coefficients(rho: np.ndarray) -> np.ndarray:
+    """Pauli coefficients ``r_j = tr(P_j rho)`` of a Hermitian matrix."""
     rho = np.asarray(rho, dtype=complex)
-    basis = pauli_basis(_n_qubits(rho.shape[0]))
-    return np.array([np.trace(p @ rho).real for p in basis])
+    basis = _pauli_stack(_n_qubits(rho.shape[0]))
+    return np.einsum("jab,ba->j", basis, rho).real
 
 
 def matrix_from_coefficients(coeffs: np.ndarray, dim: int) -> np.ndarray:
-    basis = pauli_basis(_n_qubits(dim))
-    out = np.zeros((dim, dim), dtype=complex)
-    for c, p in zip(coeffs, basis):
-        out += c * p
-    return out / dim
+    """Inverse of :func:`state_coefficients`: ``sum_j r_j P_j / d``."""
+    basis = _pauli_stack(_n_qubits(dim))
+    return np.einsum("j,jab->ab", coeffs, basis) / dim
 
 
 def ptm_of_unitary(u: np.ndarray) -> PauliTransferMap:
+    """Transfer map ``R[i, j] = tr(P_i U P_j U†) / d`` of a unitary gate."""
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
-    basis = pauli_basis(_n_qubits(d))
-    mat = np.array(
-        [[np.trace(p_i @ u @ p_j @ dagger(u)).real / d for p_j in basis] for p_i in basis]
-    )
+    basis = _pauli_stack(_n_qubits(d))
+    conjugated = u @ basis @ dagger(u)
+    mat = np.einsum("iab,jba->ij", basis, conjugated).real / d
     return PauliTransferMap(mat, d)
 
 
@@ -125,7 +133,7 @@ def qpt(channel: Channel, dim: int, linearity_tol: float | None = 1e-8) -> Pauli
     traceless Pauli ``P``.  A residual check on two fixed non-Pauli probe
     states rejects channels that are not linear maps.
     """
-    basis = pauli_basis(_n_qubits(dim))
+    basis = _pauli_stack(_n_qubits(dim))
     mixed_out = np.asarray(channel(np.eye(dim, dtype=complex) / dim))
     columns = [state_coefficients(dim * mixed_out)]
     for p in basis[1:]:
@@ -196,7 +204,7 @@ def project_to_logical(ptm_ps: PauliTransferMap, iso: np.ndarray | None = None) 
     if ptm_ps.dim != 4:
         raise ValueError("expected a physical-space (dimension 4) transfer map")
     iso = braid_space.logical_encoding() if iso is None else iso
-    ps_basis = pauli_basis(2)
+    ps_basis = _pauli_stack(2)
     embedded = [iso @ p @ dagger(iso) for p in PAULI_1Q]
     coords = np.array(
         [[np.trace(p_k @ e).conj() / 4 for p_k in ps_basis] for e in embedded]
@@ -420,6 +428,9 @@ def fit_decay(
 ) -> DecayFit:
     """Nonlinear least squares of ``A + B r^m`` (or ``A + B r^(m-1)`` for
     purity curves) with the documented initial guesses."""
+    # imported here: scipy.optimize dominates the package import time
+    from scipy.optimize import OptimizeWarning, curve_fit
+
     m = np.asarray(m_values, dtype=float)
     y = np.asarray(means, dtype=float)
     exponent = m if model == "rb" else m - 1.0

@@ -365,10 +365,15 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _noise_model(args: argparse.Namespace) -> noise_engine.NoiseModel:
-    if args.noise:
+def _noise_model(args: argparse.Namespace) -> noise_engine.NoiseModel | None:
+    """The ``--noise`` model, or None after reporting why it is unusable."""
+    if not args.noise:
+        return noise_engine.NoiseModel()
+    try:
         return noise_engine.NoiseModel.from_json(Path(args.noise))
-    return noise_engine.NoiseModel()
+    except (OSError, ValueError, TypeError) as exc:
+        print(f"cannot use noise model {args.noise}: {exc}", file=sys.stderr)
+        return None
 
 
 def _gate_noise_ptm(noise: noise_engine.NoiseModel, dim: int) -> bench.PauliTransferMap:
@@ -381,10 +386,8 @@ def _gate_noise_ptm(noise: noise_engine.NoiseModel, dim: int) -> bench.PauliTran
     ptm = bench.identity_ptm(dim)
     rates = noise.rates()
     if dim == 4 and any(rates):
-        channel = lambda rho: noise_engine.apply_dephasing(
-            noise_engine.DensityMatrix(rho), rates, noise.clifford_duration
-        ).matrix
-        ptm = bench.qpt(channel, 4).compose(ptm)
+        decay = np.exp(-noise.clifford_duration * noise_engine.pauli_dephasing_rates(rates))
+        ptm = bench.PauliTransferMap(np.diag(decay), 4).compose(ptm)
     if dim == 2 and any(rates):
         # a logical qubit has no direct physical-qubit dephasing; expose the
         # summed rate as an effective logical dephasing channel
@@ -421,9 +424,11 @@ def _hadamard_target(space: str, noise: noise_engine.NoiseModel) -> bench.NoisyG
 
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
+    noise = _noise_model(args)
+    if noise is None:
+        return 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    noise = _noise_model(args)
     m_grid = tuple(args.m_grid)
     group = bench.CliffordGroup()
     space = args.space
@@ -543,10 +548,19 @@ def _cmd_dump_matrices(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
+    targets = (("t2", args.target), ("t2_star", args.star_target))
+    for label, target in targets:
+        if not 0.0 < target < 1.0:
+            print(f"{label} target fidelity must lie in (0, 1), got {target!r}", file=sys.stderr)
+            return 2
     word = braid_compiler.hadamard_word()
     results = {}
-    for label, target in (("t2", args.target), ("t2_star", args.star_target)):
-        cal = noise_engine.calibrate_t2(word, target)
+    for label, target in targets:
+        try:
+            cal = noise_engine.calibrate_t2(word, target)
+        except noise_engine.UnbracketedTargetError as exc:
+            print(f"{label}: {exc}", file=sys.stderr)
+            return 2
         results[label] = {"t2_seconds": cal.t2, "fidelity": cal.fidelity, "target": cal.target}
         print(f"{label}: T2={cal.t2:.6f} s reproduces fidelity {cal.fidelity:.6f} "
               f"(target {target:.4f})")

@@ -10,21 +10,24 @@ quantum numbers differ between the bra and ket index.
 
 Braiding operations are realized at gate granularity: one squared-generator
 operation takes :data:`BRAIDING_STEP_SECONDS`, so an elementary crossing
-accounts for half of that.
+accounts for half of that.  A braid word is simulated as the composition of
+per-letter Pauli transfer maps (:func:`word_ptm`); :class:`DensityMatrix`
+validation happens once, where a state enters :func:`word_channel`.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
-from . import braid_compiler, braid_space
+from . import benchmark_suite, braid_compiler, braid_space
 from ._linalg import dagger, expm_hermitian, phase_aligned_defect
 from .braid_compiler import BraidWord
 
@@ -121,9 +124,20 @@ class NoiseModel:
     over_rotation_axis: str = "z"
 
     def __post_init__(self) -> None:
+        for times in (self.t2, self.t2_star):
+            if times is not None and len(times) != 2:
+                raise ValueError(f"expected one T2 time per qubit (2 entries), got {len(times)}")
         for t in self.t2 + (self.t2_star or ()):
-            if t is not None and t <= 0:
-                raise ValueError("T2 times must be positive")
+            if t is None:
+                continue
+            if not _is_real(t) or not math.isfinite(t) or t <= 0:
+                raise ValueError(f"T2 times must be positive and finite (or null), got {t!r}")
+        for name in ("braiding_step", "clifford_duration", "state_prep_duration"):
+            value = getattr(self, name)
+            if not _is_real(value) or not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be a finite non-negative duration, got {value!r}")
+        if not _is_real(self.over_rotation_angle) or not math.isfinite(self.over_rotation_angle):
+            raise ValueError("over-rotation angle must be finite")
         if not 0.0 <= self.depolarizing_prob <= 1.0:
             raise ValueError("depolarizing probability must lie in [0, 1]")
         if self.over_rotation_axis not in _AXES:
@@ -139,6 +153,8 @@ class NoiseModel:
     @classmethod
     def from_json(cls, path: str | Path) -> "NoiseModel":
         data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise ValueError("a noise model must be a JSON object")
         def _pair(key: str):
             raw = data.get(key)
             return None if raw is None else tuple(raw)
@@ -160,6 +176,10 @@ class NoiseModel:
             "over_rotation_axis": self.over_rotation_axis,
         }
         Path(path).write_text(json.dumps(data, indent=2, sort_keys=True))
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def control_slices_from_json(path: str | Path) -> list[ControlSlice]:
@@ -208,14 +228,22 @@ def dephasing_factors(rates: Sequence[float], dt: float) -> np.ndarray:
     ``exp(-dt * sum of rates over qubits whose bit differs between a and b)``.
     """
     n = len(rates)
-    dim = 2**n
-    factors = np.ones((dim, dim))
-    for a in range(dim):
-        for b in range(dim):
-            diff = a ^ b
-            gamma = sum(rates[q] for q in range(n) if (diff >> (n - 1 - q)) & 1)
-            factors[a, b] = math.exp(-dt * gamma)
-    return factors
+    index = np.arange(2**n)
+    differing = ((index[:, None] ^ index[None, :])[..., None] >> np.arange(n - 1, -1, -1)) & 1
+    return np.exp(-dt * (differing @ np.asarray(rates, dtype=float)))
+
+
+def pauli_dephasing_rates(rates: Sequence[float]) -> np.ndarray:
+    """Decay rate of every Pauli string under the z-basis dephasing channel.
+
+    The channel is diagonal in the Pauli basis (lexicographic order, qubit 0
+    leftmost): a string decays as ``exp(-dt * rate)``, where its rate sums
+    ``rates`` over the qubits on which it holds X or Y.
+    """
+    n = len(rates)
+    digits = (np.arange(4**n)[:, None] // 4 ** np.arange(n - 1, -1, -1)) % 4
+    transverse = (digits == 1) | (digits == 2)
+    return transverse @ np.asarray(rates, dtype=float)
 
 
 def apply_dephasing(rho: DensityMatrix, rates: Sequence[float], dt: float) -> DensityMatrix:
@@ -274,32 +302,60 @@ def apply_noisy_unitary(
     return rho
 
 
+@functools.lru_cache(maxsize=64)
+def _letter_ptm(generator: int, power: int) -> np.ndarray:
+    """Read-only transfer matrix of the ideal unitary of one braid letter."""
+    u = np.linalg.matrix_power(braid_space.sigma(generator), power)
+    matrix = benchmark_suite.ptm_of_unitary(u).matrix
+    matrix.flags.writeable = False
+    return matrix
+
+
+def word_ptm(
+    word: BraidWord, noise: NoiseModel, star: bool = False
+) -> benchmark_suite.PauliTransferMap:
+    """Physical-space transfer map of a braid word simulated letter by letter.
+
+    Each letter is its ideal unitary followed by z-basis dephasing over the
+    letter's duration and then the depolarizing channel; both noise channels
+    are diagonal in the Pauli basis, so a letter is a row-scaled copy of the
+    cached transfer matrix of its unitary.  This is the composition of
+    :func:`apply_noisy_unitary` steps, in transfer-map form.
+    """
+    gamma = pauli_dephasing_rates(noise.rates(star))
+    mixing = np.full(gamma.shape, 1.0 - noise.depolarizing_prob)
+    mixing[0] = 1.0
+    total = np.eye(gamma.size)
+    for letter in word.letters:
+        decay = np.exp(-letter_duration(letter, noise) * gamma) * mixing
+        total = (decay[:, None] * _letter_ptm(letter.generator, letter.power)) @ total
+    return benchmark_suite.PauliTransferMap(total, 4)
+
+
 def word_channel(
     word: BraidWord, noise: NoiseModel, star: bool = False
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Density-matrix map of a braid word simulated letter by letter."""
-    gens = {
-        letter: np.linalg.matrix_power(braid_space.sigma(letter.generator), letter.power)
-        for letter in set(word.letters)
-    }
+    """Density-matrix map of a braid word: the closure validates its input as
+    a :class:`DensityMatrix` and applies the composed :func:`word_ptm`."""
+    ptm = word_ptm(word, noise, star)
 
     def channel(matrix: np.ndarray) -> np.ndarray:
-        rho = DensityMatrix(matrix)
-        for letter in word.letters:
-            rho = apply_noisy_unitary(rho, gens[letter], letter_duration(letter, noise), noise, star)
-        return rho.matrix
+        return ptm.apply(DensityMatrix(matrix).matrix)
 
     return channel
 
 
 def predict_gate_fidelity(word: BraidWord, noise: NoiseModel, star: bool = False) -> float:
     """Average gate fidelity of the noisy word against its ideal unitary,
-    computed from the reconstructed physical-space transfer map."""
-    from . import benchmark_suite
-
+    computed from the transfer map that process tomography reconstructs from
+    :func:`word_channel` (which also probes the channel for linearity)."""
     ideal = braid_compiler.evaluate(word, "physical4")
     ptm = benchmark_suite.qpt(word_channel(word, noise, star), dim=4)
     return benchmark_suite.average_gate_fidelity(ptm, ideal)
+
+
+class UnbracketedTargetError(ValueError):
+    """The target fidelity is not reached between the T2 search bounds."""
 
 
 @dataclass(frozen=True)
@@ -318,6 +374,9 @@ def calibrate_t2(
     """Find a common per-qubit T2 at which the simulated word fidelity hits a
     target.  Fidelity is monotone in T2, so a bracketing root search on the
     log scale suffices."""
+    # imported here: scipy.optimize dominates the package import time
+    from scipy.optimize import brentq
+
     template = template or NoiseModel()
 
     def gap(log_t2: float) -> float:
@@ -327,7 +386,10 @@ def calibrate_t2(
 
     lo, hi = (math.log(t2_bounds[0]), math.log(t2_bounds[1]))
     if gap(lo) > 0 or gap(hi) < 0:
-        raise ValueError("target fidelity is not bracketed by the T2 bounds")
+        raise UnbracketedTargetError(
+            f"target fidelity {target_fidelity!r} lies outside the fidelities "
+            f"reached between T2 = {t2_bounds[0]:g} s and {t2_bounds[1]:g} s"
+        )
     root = brentq(gap, lo, hi, xtol=1e-12, rtol=1e-12)
     t2 = math.exp(root)
     noise = replace(template, t2=(t2, t2))

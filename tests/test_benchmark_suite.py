@@ -83,6 +83,59 @@ class TestQpt:
         np.testing.assert_allclose(ptm.apply(rho), u @ rho @ dagger(u), atol=1e-12)
 
 
+def kron_basis(n_qubits):
+    basis = list(bench.PAULI_1Q)
+    for _ in range(n_qubits - 1):
+        basis = [np.kron(a, b) for a in basis for b in bench.PAULI_1Q]
+    return basis
+
+
+def ptm_trace_loop(u):
+    """Reference definition ``R[i, j] = tr(P_i U P_j U†) / d``, entry by entry."""
+    d = u.shape[0]
+    basis = kron_basis(int(math.log2(d)))
+    return np.array([[np.trace(p_i @ u @ p_j @ dagger(u)).real / d for p_j in basis]
+                     for p_i in basis])
+
+
+def random_state(dim, rng):
+    """Density matrix of a Haar-random pure state mixed with the identity."""
+    vec = haar_unitary(dim, rng)[:, 0]
+    weight = rng.uniform()
+    return weight * np.outer(vec, vec.conj()) + (1 - weight) * np.eye(dim) / dim
+
+
+class TestPauliBasisVectorization:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((2, 4)))
+    @settings(max_examples=25, deadline=None)
+    def test_ptm_of_unitary_matches_trace_loop(self, seed, dim):
+        u = haar_unitary(dim, bench.rng_for(seed, 1))
+        np.testing.assert_allclose(bench.ptm_of_unitary(u).matrix, ptm_trace_loop(u), atol=1e-14)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((2, 4)))
+    @settings(max_examples=25, deadline=None)
+    def test_coefficients_match_trace_loop_and_round_trip(self, seed, dim):
+        rng = bench.rng_for(seed, 2)
+        rho = random_state(dim, rng)
+        basis = kron_basis(int(math.log2(dim)))
+        coeffs = bench.state_coefficients(rho)
+        np.testing.assert_allclose(coeffs, [np.trace(p @ rho).real for p in basis], atol=1e-14)
+        np.testing.assert_allclose(bench.matrix_from_coefficients(coeffs, dim), rho, atol=1e-14)
+
+        weights = rng.normal(size=dim**2)
+        expected = sum(c * p for c, p in zip(weights, basis)) / dim
+        np.testing.assert_allclose(bench.matrix_from_coefficients(weights, dim), expected,
+                                   atol=1e-14)
+
+    def test_basis_order_and_immutability(self):
+        basis = bench.pauli_basis(2)
+        assert len(basis) == 16
+        for p, q in zip(basis, kron_basis(2)):
+            np.testing.assert_array_equal(p, q)
+        with pytest.raises(ValueError):
+            basis[0][0, 0] = 2.0
+
+
 class TestAverageGateFidelity:
     def test_self_fidelity_is_one(self):
         u = bs.sigma_logical(23)

@@ -178,6 +178,26 @@ class TestBenchmark:
             run(["benchmark", "--protocol", "nope", "--out", "/tmp/x"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("content,message", [
+        (None, "No such file"),
+        ("{not json", "Expecting property name"),
+        ('[0.5, 0.5]', "JSON object"),
+        ('{"t2": [0.5]}', "2 entries"),
+        ('{"t2": [NaN, 0.5]}', "finite"),
+        ('{"t2": [0.5, 0.5], "t2_star": [0.1, 0.1, 0.1]}', "2 entries"),
+    ])
+    def test_bad_noise_file_exits_2(self, tmp_path, capsys, content, message):
+        noise = tmp_path / "noise.json"
+        if content is not None:
+            noise.write_text(content)
+        out_dir = tmp_path / "out"
+        assert run(["benchmark", "--protocol", "qpt", "--noise", str(noise),
+                    "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert message in err and str(noise) in err
+        assert not out_dir.exists()
+
 
 class TestRobustness:
     @pytest.mark.parametrize("q", ["1", "2"])
@@ -242,3 +262,18 @@ class TestCalibrate:
         data = json.loads(out.read_text())
         assert abs(data["t2"]["fidelity"] - 0.9823) < 5e-4
         assert abs(data["t2_star"]["fidelity"] - 0.9463) < 5e-4
+
+    @pytest.mark.parametrize("flags", [
+        ["--target", "1.5"],
+        ["--target", "0"],
+        ["--star-target", "nan"],
+        ["--target", "0.1"],           # below the fidelity at T2 = 1 ms
+        ["--star-target", "0.99999"],  # above the fidelity at T2 = 1000 s
+    ])
+    def test_bad_target_exits_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "cal.json"
+        assert run(["calibrate", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "target" in err
+        assert not out.exists()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibanyon import benchmark_suite as bench
 from fibanyon import braid_compiler as bc
 from fibanyon import braid_space as bs
 from fibanyon import noise_engine as ne
@@ -153,6 +154,118 @@ class TestDephasing:
             ne.NoiseModel(depolarizing_prob=1.5)
         with pytest.raises(ValueError):
             ne.NoiseModel(over_rotation_axis="w")
+
+    @pytest.mark.parametrize("kwargs", [
+        {"t2": (math.nan, 0.5)},
+        {"t2": (0.5, math.inf)},
+        {"t2": (0.5, 0.5), "t2_star": (math.nan, None)},
+        {"t2": (0.5, "0.5")},
+        {"t2": (True, 0.5)},
+        {"t2": (0.5,)},
+        {"t2": (0.5, 0.5, 0.5)},
+        {"t2": (0.5, 0.5), "t2_star": (0.1,)},
+        {"braiding_step": math.nan},
+        {"clifford_duration": -1e-3},
+        {"over_rotation_angle": math.inf},
+    ])
+    def test_malformed_noise_rejected(self, kwargs):
+        # a NaN T2 would otherwise simulate to a NaN fidelity without error
+        with pytest.raises(ValueError):
+            ne.NoiseModel(**kwargs)
+
+
+def dephasing_factors_loop(rates, dt):
+    """Reference definition of :func:`ne.dephasing_factors`, entry by entry."""
+    n = len(rates)
+    dim = 2**n
+    factors = np.ones((dim, dim))
+    for a in range(dim):
+        for b in range(dim):
+            diff = a ^ b
+            gamma = sum(rates[q] for q in range(n) if (diff >> (n - 1 - q)) & 1)
+            factors[a, b] = math.exp(-dt * gamma)
+    return factors
+
+
+rate_values = st.floats(0.0, 50.0)
+
+
+class TestDephasingForms:
+    @given(st.lists(rate_values, min_size=1, max_size=4), st.floats(0.0, 0.1))
+    @settings(max_examples=40, deadline=None)
+    def test_factors_match_loop_definition(self, rates, dt):
+        np.testing.assert_allclose(
+            ne.dephasing_factors(rates, dt), dephasing_factors_loop(rates, dt), rtol=1e-14, atol=0
+        )
+
+    @given(st.tuples(rate_values, rate_values), st.floats(0.0, 0.1))
+    @settings(max_examples=20, deadline=None)
+    def test_pauli_diagonal_matches_tomography(self, rates, dt):
+        channel = lambda rho: ne.apply_dephasing(ne.DensityMatrix(rho), rates, dt).matrix
+        expected = bench.qpt(channel, 4).matrix
+        np.testing.assert_allclose(
+            np.diag(np.exp(-dt * ne.pauli_dephasing_rates(rates))), expected, atol=1e-14
+        )
+
+
+def stepped_word_state(word, noise, rho, star=False):
+    """Reference simulation: validated density matrices, letter by letter."""
+    for letter in word.letters:
+        u = np.linalg.matrix_power(bs.sigma(letter.generator), letter.power)
+        rho = ne.apply_noisy_unitary(rho, u, ne.letter_duration(letter, noise), noise, star)
+    return rho.matrix
+
+
+@st.composite
+def canonical_words(draw, max_letters=12):
+    powers = draw(st.lists(st.sampled_from((1, -1, 2, -2, 3, -3, 4, -4)), max_size=max_letters))
+    first, second = draw(st.sampled_from(((12, 23), (23, 12))))
+    gens = [(first, second)[i % 2] for i in range(len(powers))]
+    return bc.BraidWord(tuple(bc.BraidLetter(g, p) for g, p in zip(gens, powers)))
+
+
+t2_entries = st.one_of(st.none(), st.floats(0.01, 10.0))
+
+
+@st.composite
+def noise_models(draw):
+    return ne.NoiseModel(
+        t2=(draw(t2_entries), draw(t2_entries)),
+        t2_star=(draw(t2_entries), draw(t2_entries)),
+        braiding_step=draw(st.floats(1e-4, 1e-2)),
+        depolarizing_prob=draw(st.sampled_from((0.0, 0.01, 0.2))),
+    )
+
+
+class TestWordTransferMap:
+    @given(canonical_words(), noise_models(), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_stepped_simulation(self, word, noise, star, seed):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 5], dtype=np.uint64)))
+        vec = rng.normal(size=4) + 1j * rng.normal(size=4)
+        mixture = rng.uniform()
+        rho = ne.DensityMatrix(
+            mixture * np.outer(vec, vec.conj()) / np.vdot(vec, vec).real
+            + (1 - mixture) * np.eye(4) / 4
+        )
+        expected = stepped_word_state(word, noise, rho, star)
+        ptm = ne.word_ptm(word, noise, star)
+        np.testing.assert_allclose(ptm.apply(rho.matrix), expected, atol=1e-12)
+        np.testing.assert_allclose(ne.word_channel(word, noise, star)(rho.matrix), expected,
+                                   atol=1e-12)
+
+    def test_empty_word_is_identity(self):
+        ptm = ne.word_ptm(bc.BraidWord(()), ne.NoiseModel(t2=(0.1, 0.1), depolarizing_prob=0.5))
+        np.testing.assert_array_equal(ptm.matrix, np.eye(16))
+
+    def test_channel_validates_input_state(self):
+        channel = ne.word_channel(bc.hadamard_word(), ne.NoiseModel(t2=(1.0, 1.0)))
+        with pytest.raises(ValueError):
+            channel(np.eye(4))
+
+    def test_missing_t2_star_rejected(self):
+        with pytest.raises(ValueError):
+            ne.word_ptm(bc.hadamard_word(), ne.NoiseModel(t2=(1.0, 1.0)), star=True)
 
 
 class TestNoiseModelSerialization:
