@@ -60,10 +60,9 @@ def phase_aligned_defect(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.abs(u - phase * v).max())
 
 
-def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
-    """``exp(-i h t)`` for Hermitian ``h`` via eigendecomposition."""
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * vals * t)) @ dagger(vecs)
+def complex_pairs(matrix: np.ndarray) -> list:
+    """JSON form of a complex matrix: nested row lists with ``[re, im]`` leaves."""
+    return [[[v.real, v.imag] for v in row] for row in np.asarray(matrix, dtype=complex)]
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

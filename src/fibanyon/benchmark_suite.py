@@ -278,7 +278,6 @@ class CliffordGroup:
         if len(seen) != 24:
             raise AssertionError(f"Clifford closure produced {len(seen)} elements, expected 24")
         self.elements: tuple[np.ndarray, ...] = tuple(seen)
-        self._inverse = tuple(self.find(dagger(u)) for u in self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -294,9 +293,6 @@ class CliffordGroup:
     def nearest(self, u: np.ndarray) -> int:
         """Index of the closest group element (no tolerance check)."""
         return int(np.argmin([phase_distance(u, v) for v in self.elements]))
-
-    def inverse_index(self, index: int) -> int:
-        return self._inverse[index]
 
     def ps_extension(self, index: int, iso: np.ndarray | None = None) -> np.ndarray:
         iso = braid_space.logical_encoding() if iso is None else iso

@@ -1,10 +1,10 @@
 """Command-line driver.
 
 Subcommands: ``verify``, ``compile``, ``benchmark``, ``robustness``,
-``dump-matrices``.  Exit codes: 0 on success, 1 when a verification check
-fails, 2 on usage errors.  All randomness flows from ``--seed`` through
-counter-based generator streams, so identical invocations produce identical
-output bytes.
+``dump-matrices``, ``calibrate``.  Exit codes: 0 on success, 1 when a
+verification check fails, 2 on usage errors.  All randomness flows from
+``--seed`` through counter-based generator streams, so identical invocations
+produce identical output bytes.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import (
     noise_engine,
     robustness_lab,
 )
-from ._linalg import phase_aligned_defect, unitarity_defect
+from ._linalg import complex_pairs, phase_aligned_defect, unitarity_defect
 
 DEFAULT_SEED = 20230517
 
@@ -39,10 +39,6 @@ T2_STAR_FIDELITY_TARGET = 0.9463
 
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _complex_matrix_payload(matrix: np.ndarray) -> list:
-    return [[[v.real, v.imag] for v in row] for row in np.asarray(matrix, dtype=complex)]
 
 
 def _matrix_csv(matrix: np.ndarray) -> str:
@@ -300,8 +296,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             "letters": len(word),
             "crossings": word.crossing_count,
             "leakage": leakage,
-            "logical_unitary": _complex_matrix_payload(logical),
-            "physical_unitary": _complex_matrix_payload(physical),
+            "logical_unitary": complex_pairs(logical),
+            "physical_unitary": complex_pairs(physical),
         }
         print(f"word: {payload['word'] or '(empty)'}")
         print(f"letters: {payload['letters']}  crossings: {payload['crossings']}  "
@@ -542,7 +538,7 @@ def _cmd_dump_matrices(args: argparse.Namespace) -> int:
         if args.format == "csv":
             (out_dir / f"{name}.csv").write_text(_matrix_csv(matrix))
         else:
-            _write_json(out_dir / f"{name}.json", _complex_matrix_payload(matrix))
+            _write_json(out_dir / f"{name}.json", complex_pairs(matrix))
     print(f"wrote {len(braid_space.dump_matrices())} matrices to {out_dir}")
     return 0
 
@@ -574,6 +570,30 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+class _SequenceLengths(argparse.Action):
+    """``--m-grid``: a decay fit needs at least three distinct lengths."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if len(set(values)) < 3:
+            raise argparse.ArgumentError(
+                self, f"needs at least 3 distinct sequence lengths, got {' '.join(map(str, values))}"
+            )
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fibanyon",
@@ -584,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
     p_verify.add_argument("--list", action="store_true", help="print check names without running")
-    p_verify.add_argument("--leakage-words", type=int, default=100)
+    p_verify.add_argument("--leakage-words", type=_int_at_least(0), default=100)
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--tolerance", type=float, default=1.0,
                           help="scale factor applied to every check tolerance")
@@ -599,8 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--named", help=f"named gate target: {', '.join(NAMED_GATES)}")
     target.add_argument("--target", help="JSON file with a 2x2 matrix of [re, im] pairs")
     target.add_argument("--word", help='evaluate a braid word, e.g. "s12^4 s23^-2"')
-    p_compile.add_argument("--max-letters", type=int, default=5)
-    p_compile.add_argument("--budget", type=int, default=1_000_000)
+    p_compile.add_argument("--max-letters", type=_int_at_least(0), default=5)
+    p_compile.add_argument("--budget", type=_int_at_least(1), default=1_000_000)
     p_compile.add_argument("--out", help="write the result to this JSON file")
     p_compile.set_defaults(func=_cmd_compile)
 
@@ -608,8 +628,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--protocol", choices=("qpt", "rb", "pb"), required=True)
     p_bench.add_argument("--space", choices=("ps", "ls"), default="ls")
     p_bench.add_argument("--noise", help="NoiseModel JSON file")
-    p_bench.add_argument("--m-grid", type=int, nargs="+", default=list(bench.DEFAULT_M_GRID))
-    p_bench.add_argument("--k", type=int, default=bench.DEFAULT_SEQUENCES)
+    p_bench.add_argument("--m-grid", type=_int_at_least(1), nargs="+", action=_SequenceLengths,
+                         default=list(bench.DEFAULT_M_GRID))
+    p_bench.add_argument("--k", type=_int_at_least(2), default=bench.DEFAULT_SEQUENCES)
     p_bench.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_bench.add_argument("--interleave-hadamard", action="store_true")
     p_bench.add_argument("--format", choices=("json", "csv"), default="json")

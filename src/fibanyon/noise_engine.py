@@ -1,12 +1,10 @@
 """Open-system simulator for the two-qubit realization of the braided gates.
 
-The physical register is two spin qubits with the always-on coupling
-Hamiltonian of :func:`nmr_hamiltonian` and per-qubit transverse-relaxation
-times.  Evolution follows a split-step scheme: each slice (or gate) applies
-its unitary, then a pure-dephasing channel for the slice duration.  The
-dephasing channel multiplies every off-diagonal density-matrix element by
-``exp(-dt * sum_q 1/T2_q)`` where the sum runs over the qubits whose z
-quantum numbers differ between the bra and ket index.
+The physical register is two spin qubits with per-qubit transverse-relaxation
+times.  Every gate applies its unitary, then a pure-dephasing channel for the
+gate duration.  The dephasing channel multiplies every off-diagonal
+density-matrix element by ``exp(-dt * sum_q 1/T2_q)`` where the sum runs over
+the qubits whose z quantum numbers differ between the bra and ket index.
 
 Braiding operations are realized at gate granularity: one squared-generator
 operation takes :data:`BRAIDING_STEP_SECONDS`, so an elementary crossing
@@ -21,18 +19,15 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import benchmark_suite, braid_compiler, braid_space
-from ._linalg import dagger, expm_hermitian, phase_aligned_defect
+from ._linalg import dagger, phase_aligned_defect
 from .braid_compiler import BraidWord
-
-NMR_COUPLING_HZ = 215.0
-"""Qubit-qubit coupling J of the two-spin register."""
 
 BRAIDING_STEP_SECONDS = 2e-3
 """Control time of one squared-generator braiding operation."""
@@ -40,13 +35,7 @@ BRAIDING_STEP_SECONDS = 2e-3
 CLIFFORD_SECONDS = 5e-3
 """Control time of one logical Clifford pulse."""
 
-STATE_PREP_SECONDS = 4e-3
-"""Control time of the logical-state preparation stage."""
-
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_AXES = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
+_AXES = dict(zip("xyz", benchmark_suite.PAULI_1Q[1:]))
 
 
 class DensityMatrix:
@@ -73,12 +62,6 @@ class DensityMatrix:
         return cls(np.outer(state, state.conj()))
 
     @classmethod
-    def computational(cls, index: int, dim: int) -> "DensityMatrix":
-        state = np.zeros(dim, dtype=complex)
-        state[index] = 1.0
-        return cls.pure(state)
-
-    @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
         return cls(np.eye(dim, dtype=complex) / dim)
 
@@ -88,19 +71,6 @@ class DensityMatrix:
 
     def evolved(self, unitary: np.ndarray) -> "DensityMatrix":
         return DensityMatrix(unitary @ self.matrix @ dagger(unitary))
-
-
-@dataclass(frozen=True)
-class ControlSlice:
-    """One piecewise-constant control segment of the two-qubit register."""
-
-    duration: float            # seconds
-    amplitudes: tuple[float, float] = (0.0, 0.0)   # per-qubit rf amplitude, Hz
-    phases: tuple[float, float] = (0.0, 0.0)       # per-qubit rf phase, rad
-
-    def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError("slice duration must be positive")
 
 
 @dataclass(frozen=True)
@@ -118,7 +88,6 @@ class NoiseModel:
     t2_star: tuple[float | None, ...] | None = None
     braiding_step: float = BRAIDING_STEP_SECONDS
     clifford_duration: float = CLIFFORD_SECONDS
-    state_prep_duration: float = STATE_PREP_SECONDS
     depolarizing_prob: float = 0.0
     over_rotation_angle: float = 0.0
     over_rotation_axis: str = "z"
@@ -132,7 +101,7 @@ class NoiseModel:
                 continue
             if not _is_real(t) or not math.isfinite(t) or t <= 0:
                 raise ValueError(f"T2 times must be positive and finite (or null), got {t!r}")
-        for name in ("braiding_step", "clifford_duration", "state_prep_duration"):
+        for name in ("braiding_step", "clifford_duration"):
             value = getattr(self, name)
             if not _is_real(value) or not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be a finite non-negative duration, got {value!r}")
@@ -155,70 +124,22 @@ class NoiseModel:
         data = json.loads(Path(path).read_text())
         if not isinstance(data, dict):
             raise ValueError("a noise model must be a JSON object")
-        def _pair(key: str):
-            raw = data.get(key)
-            return None if raw is None else tuple(raw)
-        kwargs = {k: data[k] for k in (
-            "braiding_step", "clifford_duration", "state_prep_duration",
-            "depolarizing_prob", "over_rotation_angle", "over_rotation_axis",
-        ) if k in data}
-        return cls(t2=_pair("t2") or (None, None), t2_star=_pair("t2_star"), **kwargs)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown noise model keys: {', '.join(unknown)}")
+        if data.get("t2", ()) is None:
+            del data["t2"]  # null means no dephasing, as when the key is absent
+        for key in ("t2", "t2_star"):
+            if data.get(key) is not None:
+                data[key] = tuple(data[key])
+        return cls(**data)
 
     def to_json(self, path: str | Path) -> None:
-        data = {
-            "t2": list(self.t2),
-            "t2_star": None if self.t2_star is None else list(self.t2_star),
-            "braiding_step": self.braiding_step,
-            "clifford_duration": self.clifford_duration,
-            "state_prep_duration": self.state_prep_duration,
-            "depolarizing_prob": self.depolarizing_prob,
-            "over_rotation_angle": self.over_rotation_angle,
-            "over_rotation_axis": self.over_rotation_axis,
-        }
-        Path(path).write_text(json.dumps(data, indent=2, sort_keys=True))
+        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True))
 
 
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def control_slices_from_json(path: str | Path) -> list[ControlSlice]:
-    """Load a pulse program: a JSON list of slice objects with ``duration``
-    (seconds) and optional per-qubit ``amplitudes`` (Hz) / ``phases`` (rad)."""
-    data = json.loads(Path(path).read_text())
-    slices = []
-    for entry in data:
-        slices.append(ControlSlice(
-            duration=float(entry["duration"]),
-            amplitudes=tuple(entry.get("amplitudes", (0.0, 0.0))),
-            phases=tuple(entry.get("phases", (0.0, 0.0))),
-        ))
-    return slices
-
-
-def state_to_csv(rho: DensityMatrix | np.ndarray) -> str:
-    """Density-matrix entries as CSV rows of alternating re, im columns."""
-    matrix = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
-    lines = []
-    for row in matrix:
-        lines.append(",".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def nmr_hamiltonian(slice_: ControlSlice, coupling_hz: float = NMR_COUPLING_HZ) -> np.ndarray:
-    """Two-qubit control Hamiltonian in angular units (rad/s).
-
-    ``(pi J / 2) Z (x) Z`` plus per-qubit transverse drive terms
-    ``pi B_i (cos(phi_i) X_i + sin(phi_i) Y_i)``.
-    """
-    h = (math.pi * coupling_hz / 2.0) * np.kron(PAULI_Z, PAULI_Z)
-    eye = np.eye(2)
-    for qubit in (0, 1):
-        b = slice_.amplitudes[qubit]
-        phi = slice_.phases[qubit]
-        drive = math.pi * b * (math.cos(phi) * PAULI_X + math.sin(phi) * PAULI_Y)
-        h = h + (np.kron(drive, eye) if qubit == 0 else np.kron(eye, drive))
-    return h
 
 
 def dephasing_factors(rates: Sequence[float], dt: float) -> np.ndarray:
@@ -263,19 +184,6 @@ def over_rotation_unitary(axis: str, angle: float) -> np.ndarray:
     """Single-qubit systematic-error unitary exp(-i angle sigma_axis / 2)."""
     sigma = _AXES[axis]
     return math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * sigma
-
-
-def evolve_with_dephasing(
-    rho: DensityMatrix, slices: Iterable[ControlSlice], noise: NoiseModel,
-    coupling_hz: float = NMR_COUPLING_HZ,
-) -> DensityMatrix:
-    """Split-step evolution: per slice, the Hamiltonian propagator followed by
-    dephasing over the slice duration."""
-    rates = noise.rates()
-    for slice_ in slices:
-        u = expm_hermitian(nmr_hamiltonian(slice_, coupling_hz), slice_.duration)
-        rho = apply_dephasing(rho.evolved(u), rates, slice_.duration)
-    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -400,17 +308,6 @@ def calibrate_t2(
 # Two-CNOT circuit decomposition of squared-generator braiding operations
 # ---------------------------------------------------------------------------
 
-REFERENCE_ROTATION_ANGLES = {
-    (12, 2): (0.314, -0.628, -1.179, 1.179, -2.1991, 1.885),
-    (12, -2): (2.827, -2.513, -1.179, 1.179, 2.1991, 2.827),
-    (23, 2): (0.314, -0.628, -1.179, 1.179, -2.1991, 1.885),
-    (23, -2): (2.827, -2.513, -1.179, 1.179, 2.1991, 2.827),
-}
-"""Rotation-angle sets used by a hardware realization of these circuits,
-kept as reference data; the synthesizer below derives its own angles and is
-judged by unitary equivalence."""
-
-
 @dataclass(frozen=True)
 class CNOT:
     control: int
@@ -449,7 +346,6 @@ class CircuitDecomposition:
 
     operation: tuple[int, int]          # (generator index, power)
     gates: tuple[Gate, ...]
-    reference_angles: tuple[float, ...]
 
     def compose(self) -> np.ndarray:
         u = np.eye(4, dtype=complex)
@@ -515,11 +411,7 @@ def decompose_braiding(generator: int, power: int) -> CircuitDecomposition:
         Rotation(target, "y", c0),
         Rotation(target, "z", b0),
     ]
-    circuit = CircuitDecomposition(
-        operation=(generator, power),
-        gates=tuple(gates),
-        reference_angles=REFERENCE_ROTATION_ANGLES[(generator, power)],
-    )
+    circuit = CircuitDecomposition(operation=(generator, power), gates=tuple(gates))
     residual = phase_aligned_defect(circuit.compose(), u)
     if residual > 1e-10:
         raise AssertionError(f"decomposition failed to reproduce the braiding operation ({residual:.2e})")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import braid_space, noise_engine
-from ._linalg import dagger, project_psd
+from ._linalg import complex_pairs, dagger, project_psd
 
 ENV_PAIR_INDEX = 2  # lexicographic index of (i1, i2) = (1, 0)
 SCENARIOS = (1, 2)
@@ -62,7 +62,7 @@ class ScenarioResult:
     def to_dict(self) -> dict:
         return {
             "q": self.q,
-            "matrix": [[[v.real, v.imag] for v in row] for row in self.matrix],
+            "matrix": complex_pairs(self.matrix),
             "proportionality_deviation": self.proportionality_deviation,
             "theta": self.theta,
             "modulus": self.modulus,

@@ -259,9 +259,7 @@ def test_criterion_08_fidelity_formula_cross_check():
 def test_criterion_09_noise_model_analytics():
     t2, dt = 0.23, 0.017
     plus = ne.DensityMatrix.pure(np.kron(np.array([1, 1]) / math.sqrt(2), np.array([1, 0])))
-    out = ne.evolve_with_dephasing(
-        plus, [ne.ControlSlice(duration=dt)], ne.NoiseModel(t2=(t2, None)), coupling_hz=0.0
-    )
+    out = ne.apply_dephasing(plus, ne.NoiseModel(t2=(t2, None)).rates(), dt)
     analytic_err = abs(out.matrix[0, 2] - 0.5 * math.exp(-dt / t2))
 
     # purity never increases along simulated trajectories

@@ -226,8 +226,8 @@ class TestCliffordGroup:
                 group.find(a @ b)  # raises if absent
 
     def test_inverses_in_group(self, group):
-        for i in range(len(group)):
-            j = group.inverse_index(i)
+        for i, u in enumerate(group.elements):
+            j = group.find(dagger(u))
             prod = group.elements[i] @ group.elements[j]
             assert bc.distance_up_to_phase(prod, np.eye(2)) < 1e-6
 

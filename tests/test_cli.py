@@ -183,8 +183,11 @@ class TestBenchmark:
         ("{not json", "Expecting property name"),
         ('[0.5, 0.5]', "JSON object"),
         ('{"t2": [0.5]}', "2 entries"),
+        ('{"t2": []}', "2 entries"),
         ('{"t2": [NaN, 0.5]}', "finite"),
         ('{"t2": [0.5, 0.5], "t2_star": [0.1, 0.1, 0.1]}', "2 entries"),
+        ('{"t2": [0.5, 0.5], "depolarising_prob": 0.3}', "unknown noise model keys: depolarising_prob"),
+        ('{"t2": [0.5, 0.5], "T2": [0.1, 0.1]}', "unknown noise model keys: T2"),
     ])
     def test_bad_noise_file_exits_2(self, tmp_path, capsys, content, message):
         noise = tmp_path / "noise.json"
@@ -197,6 +200,24 @@ class TestBenchmark:
         assert len(err.strip().splitlines()) == 1
         assert message in err and str(noise) in err
         assert not out_dir.exists()
+
+
+class TestDegenerateNumericInput:
+    @pytest.mark.parametrize("argv,message", [
+        (["benchmark", "--protocol", "rb", "--k", "1"], "--k: must be at least 2"),
+        (["benchmark", "--protocol", "pb", "--m-grid", "4"], "at least 3 distinct"),
+        (["benchmark", "--protocol", "rb", "--m-grid", "1", "2", "2", "1"], "at least 3 distinct"),
+        (["benchmark", "--protocol", "rb", "--m-grid", "0", "1", "2"], "--m-grid: must be at least 1"),
+        (["compile", "--named", "hadamard", "--budget", "-5"], "--budget: must be at least 1"),
+        (["compile", "--named", "hadamard", "--budget", "0"], "--budget: must be at least 1"),
+        (["compile", "--named", "hadamard", "--max-letters", "-1"], "--max-letters: must be at least 0"),
+        (["verify", "--leakage-words", "-3"], "--leakage-words: must be at least 0"),
+    ])
+    def test_exits_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestRobustness:
