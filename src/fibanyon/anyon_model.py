@@ -21,12 +21,9 @@ transform used by :mod:`fibanyon.braid_space` entry for entry.
 from __future__ import annotations
 
 import cmath
-import json
+import itertools
 import math
 from dataclasses import dataclass, field, replace
-from enum import IntEnum
-from pathlib import Path
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -34,15 +31,10 @@ PHI = (1.0 + math.sqrt(5.0)) / 2.0
 """Golden ratio, the quantum dimension of the tau anyon."""
 
 
-class AnyonLabel(IntEnum):
-    VACUUM = 0
-    TAU = 1
+VACUUM = 0
+TAU = 1
 
-
-VACUUM = AnyonLabel.VACUUM
-TAU = AnyonLabel.TAU
-
-Label = int  # AnyonLabel or plain 0/1
+Label = int
 FKey = tuple[int, int, int, int, int, int]
 RKey = tuple[int, int, int]
 
@@ -54,26 +46,23 @@ class FusionData:
     labels: tuple[int, ...]
     fusion_table: dict[tuple[int, int], frozenset[int]]
     qdim: dict[int, float]
-    phi: float = PHI
 
     def __post_init__(self) -> None:
-        if abs(self.phi**2 - self.phi - 1.0) > 1e-12:
-            raise ValueError("phi does not satisfy phi^2 = phi + 1")
         for (a, b), out in self.fusion_table.items():
             if a not in self.labels or b not in self.labels or not out <= set(self.labels):
                 raise ValueError(f"fusion rule {(a, b)} -> {set(out)} uses unknown labels")
 
     def fuse(self, a: Label, b: Label) -> frozenset[int]:
         """Set of possible fusion outcomes of ``a x b``."""
-        return self.fusion_table[(int(a), int(b))]
+        return self.fusion_table[(a, b)]
 
     def admissible(self, a: Label, b: Label, c: Label) -> bool:
         """Whether ``c`` is a channel of ``a x b``."""
-        return int(c) in self.fuse(a, b)
+        return c in self.fuse(a, b)
 
     @classmethod
     def fibonacci(cls) -> "FusionData":
-        v, t = int(VACUUM), int(TAU)
+        v, t = VACUUM, TAU
         table = {
             (v, v): frozenset({v}),
             (v, t): frozenset({t}),
@@ -85,7 +74,7 @@ class FusionData:
     @classmethod
     def trivial(cls) -> "FusionData":
         """Category with only the vacuum label (used as a degenerate control)."""
-        v = int(VACUUM)
+        v = VACUUM
         return cls(labels=(v,), fusion_table={(v, v): frozenset({v})}, qdim={v: 1.0})
 
 
@@ -110,7 +99,7 @@ class FSymbolTable:
         )
 
     def get(self, i: Label, j: Label, m: Label, k: Label, l: Label, n: Label) -> complex:
-        return self.entries.get((int(i), int(j), int(m), int(k), int(l), int(n)), 0.0 + 0.0j)
+        return self.entries.get((i, j, m, k, l, n), 0.0 + 0.0j)
 
     def f_matrix(self, i: Label, j: Label, k: Label, l: Label) -> tuple[np.ndarray, list[int], list[int]]:
         """The block ``[F^{ijk}_l]_{mn}`` over admissible ``(m, n)``.
@@ -135,28 +124,21 @@ class FSymbolTable:
     @classmethod
     def fibonacci(cls, fusion: FusionData | None = None) -> "FSymbolTable":
         fusion = fusion or FusionData.fibonacci()
-        phi = fusion.phi
         golden = {
-            (0, 0): 1.0 / phi,
-            (0, 1): 1.0 / math.sqrt(phi),
-            (1, 0): 1.0 / math.sqrt(phi),
-            (1, 1): -1.0 / phi,
+            (0, 0): 1.0 / PHI,
+            (0, 1): 1.0 / math.sqrt(PHI),
+            (1, 0): 1.0 / math.sqrt(PHI),
+            (1, 1): -1.0 / PHI,
         }
         entries: dict[FKey, complex] = {}
-        labels = fusion.labels
         table = cls(fusion)
-        for i in labels:
-            for j in labels:
-                for k in labels:
-                    for l in labels:
-                        for m in labels:
-                            for n in labels:
-                                if not table.admissible(i, j, m, k, l, n):
-                                    continue
-                                if (i, j, k, l) == (1, 1, 1, 1):
-                                    entries[(i, j, m, k, l, n)] = complex(golden[(m, n)])
-                                else:
-                                    entries[(i, j, m, k, l, n)] = 1.0 + 0.0j
+        for i, j, k, l, m, n in itertools.product(fusion.labels, repeat=6):
+            if not table.admissible(i, j, m, k, l, n):
+                continue
+            if (i, j, k, l) == (1, 1, 1, 1):
+                entries[(i, j, m, k, l, n)] = complex(golden[(m, n)])
+            else:
+                entries[(i, j, m, k, l, n)] = 1.0 + 0.0j
         return replace(table, entries=entries)
 
 
@@ -168,7 +150,7 @@ class RSymbolTable:
     entries: dict[RKey, complex] = field(default_factory=dict)
 
     def get(self, a: Label, b: Label, c: Label) -> complex:
-        return self.entries.get((int(a), int(b), int(c)), 0.0 + 0.0j)
+        return self.entries.get((a, b, c), 0.0 + 0.0j)
 
     def with_entry(self, key: RKey, value: complex) -> "RSymbolTable":
         new = dict(self.entries)
@@ -202,22 +184,6 @@ class ConsistencyReport:
         return self.max_residual < 1e-12
 
 
-def _label_tuples(labels: Iterable[int], repeat: int) -> Iterator[tuple[int, ...]]:
-    labels = tuple(labels)
-    idx = [0] * repeat
-    while True:
-        yield tuple(labels[i] for i in idx)
-        pos = repeat - 1
-        while pos >= 0:
-            idx[pos] += 1
-            if idx[pos] < len(labels):
-                break
-            idx[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return
-
-
 def verify_pentagon(ftable: FSymbolTable) -> ConsistencyReport:
     """Exhaustive pentagon identity over all label assignments.
 
@@ -228,7 +194,7 @@ def verify_pentagon(ftable: FSymbolTable) -> ConsistencyReport:
     labels = ftable.fusion.labels
     worst = 0.0
     checked = 0
-    for a, b, c, d, e, p, g, k, l in _label_tuples(labels, 9):
+    for a, b, c, d, e, p, g, k, l in itertools.product(labels, repeat=9):
         lhs = f(p, c, g, d, e, l) * f(a, b, p, l, e, k)
         rhs = sum(
             f(a, b, p, c, g, h) * f(a, h, g, d, e, k) * f(b, c, h, d, k, l) for h in labels
@@ -250,7 +216,7 @@ def verify_hexagon(ftable: FSymbolTable, rtable: RSymbolTable) -> ConsistencyRep
         val = r(a, b, c)
         return 1.0 / val if val != 0 else 0.0
 
-    for a, b, c, d, e, g in _label_tuples(labels, 6):
+    for a, b, c, d, e, g in itertools.product(labels, repeat=6):
         lhs = r(c, a, e) * f(a, c, e, b, d, g) * r(c, b, g)
         rhs = sum(f(c, a, e, b, d, p) * r(c, p, d) * f(a, b, p, c, d, g) for p in labels)
         worst = max(worst, abs(lhs - rhs))
@@ -266,7 +232,7 @@ def verify_f_unitarity(ftable: FSymbolTable) -> ConsistencyReport:
     labels = ftable.fusion.labels
     worst = 0.0
     checked = 0
-    for i, j, k, l in _label_tuples(labels, 4):
+    for i, j, k, l in itertools.product(labels, repeat=4):
         mat, ms, ns = ftable.f_matrix(i, j, k, l)
         if not ms or not ns:
             continue
@@ -276,74 +242,3 @@ def verify_f_unitarity(ftable: FSymbolTable) -> ConsistencyReport:
         worst = max(worst, float(np.abs(mat @ mat.conj().T - np.eye(len(ms))).max()))
         checked += 1
     return ConsistencyReport("f-unitarity", worst, checked)
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization (complex numbers as [re, im] pairs)
-# ---------------------------------------------------------------------------
-
-_LABEL_NAMES = {0: "vacuum", 1: "tau"}
-_NAME_LABELS = {v: k for k, v in _LABEL_NAMES.items()}
-
-
-def _key_str(key: tuple[int, ...]) -> str:
-    return ",".join(str(x) for x in key)
-
-
-def _parse_key(s: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in s.split(","))
-
-
-def category_to_dict(
-    fusion: FusionData, ftable: FSymbolTable, rtable: RSymbolTable
-) -> dict:
-    return {
-        "labels": [_LABEL_NAMES.get(l, str(l)) for l in fusion.labels],
-        "fusion": {
-            _key_str(k): sorted(v) for k, v in sorted(fusion.fusion_table.items())
-        },
-        "qdim": {str(k): v for k, v in sorted(fusion.qdim.items())},
-        "f_symbols": {
-            _key_str(k): [v.real, v.imag] for k, v in sorted(ftable.entries.items())
-        },
-        "r_symbols": {
-            _key_str(k): [v.real, v.imag] for k, v in sorted(rtable.entries.items())
-        },
-    }
-
-
-def category_from_dict(data: dict) -> tuple[FusionData, FSymbolTable, RSymbolTable]:
-    labels = tuple(
-        _NAME_LABELS[name] if name in _NAME_LABELS else int(name)
-        for name in data["labels"]
-    )
-    fusion = FusionData(
-        labels=labels,
-        fusion_table={
-            _parse_key(k)[:2]: frozenset(v) for k, v in data["fusion"].items()
-        },
-        qdim={int(k): float(v) for k, v in data["qdim"].items()},
-    )
-    ftable = FSymbolTable(
-        fusion,
-        {
-            _parse_key(k): complex(re, im)
-            for k, (re, im) in data["f_symbols"].items()
-        },
-    )
-    rtable = RSymbolTable(
-        fusion,
-        {
-            _parse_key(k): complex(re, im)
-            for k, (re, im) in data["r_symbols"].items()
-        },
-    )
-    return fusion, ftable, rtable
-
-
-def save_category(path: str | Path, fusion: FusionData, ftable: FSymbolTable, rtable: RSymbolTable) -> None:
-    Path(path).write_text(json.dumps(category_to_dict(fusion, ftable, rtable), indent=2, sort_keys=True))
-
-
-def load_category(path: str | Path) -> tuple[FusionData, FSymbolTable, RSymbolTable]:
-    return category_from_dict(json.loads(Path(path).read_text()))

@@ -125,7 +125,7 @@ def ptm_of_unitary(u: np.ndarray) -> PauliTransferMap:
     return PauliTransferMap(mat, d)
 
 
-def qpt(channel: Channel, dim: int, linearity_tol: float | None = 1e-8) -> PauliTransferMap:
+def qpt(channel: Channel, dim: int) -> PauliTransferMap:
     """Reconstruct the transfer map of a black-box channel on density matrices.
 
     Each Pauli basis operator is propagated through the channel via valid
@@ -143,19 +143,14 @@ def qpt(channel: Channel, dim: int, linearity_tol: float | None = 1e-8) -> Pauli
     mat = np.stack(columns, axis=1) / dim
     ptm = PauliTransferMap(mat, dim)
 
-    if linearity_tol is not None:
-        rng = np.random.Generator(np.random.Philox(key=[17, 29]))
-        for _ in range(2):
-            vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            vec /= np.linalg.norm(vec)
-            probe = 0.7 * np.outer(vec, vec.conj()) + 0.3 * np.eye(dim) / dim
-            predicted = ptm.apply(probe)
-            actual = np.asarray(channel(probe))
-            residual = float(np.abs(predicted - actual).max())
-            if residual > linearity_tol:
-                raise ValueError(
-                    f"channel is not linear: reconstruction residual {residual:.3e}"
-                )
+    rng = np.random.Generator(np.random.Philox(key=[17, 29]))
+    for _ in range(2):
+        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        vec /= np.linalg.norm(vec)
+        probe = 0.7 * np.outer(vec, vec.conj()) + 0.3 * np.eye(dim) / dim
+        residual = float(np.abs(ptm.apply(probe) - np.asarray(channel(probe))).max())
+        if residual > 1e-8:
+            raise ValueError(f"channel is not linear: reconstruction residual {residual:.3e}")
     return ptm
 
 
@@ -282,11 +277,11 @@ class CliffordGroup:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def find(self, u: np.ndarray, tol: float = 1e-6) -> int:
+    def find(self, u: np.ndarray) -> int:
         """Index of the group element equal to ``u`` up to phase."""
         dists = [phase_distance(u, v) for v in self.elements]
         i = int(np.argmin(dists))
-        if dists[i] > tol:
+        if dists[i] > 1e-6:
             raise ValueError(f"matrix is not a Clifford element (distance {dists[i]:.3e})")
         return i
 
@@ -600,7 +595,6 @@ def error_budget(
     pb_ref: PurityResult,
     pb_int: PurityResult,
     dim: int = 2,
-    tolerance: float = 5e-3,
 ) -> ErrorBudget:
     """Split the interleaved-RB infidelity into incoherent and coherent parts.
 
@@ -615,6 +609,7 @@ def error_budget(
     total = 1.0 - rb_int.f_rb
     coherent = total - incoherent
     warnings = tuple(rb_int.warnings)
+    tolerance = 5e-3
     if ratio > 1.0 + tolerance:
         warnings += ("interleaved purity decays slower than reference beyond tolerance",)
     if coherent < -tolerance:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,9 @@ SEARCH_POWERS = (1, -1, 2, -2, 3, -3, 4, -4)
 
 HADAMARD_WORD_DISTANCE = 0.009286841417763554958337478
 """Phase-quotient Frobenius distance of the braided Hadamard from the exact
-Hadamard, measured once at 60 decimal digits by
-:func:`measure_hadamard_distance` and pinned for regression."""
+Hadamard, measured once at 60 decimal digits and pinned for regression; the
+acceptance suite checks it against an independent extended-precision oracle
+(``tests/test_acceptance.py``, ``_independent_hadamard_distance_oracle``)."""
 
 
 class BraidLetter(NamedTuple):
@@ -165,41 +166,6 @@ def hadamard_gate() -> np.ndarray:
     return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
-def measure_hadamard_distance(dps: int = 60) -> float:
-    """Distance of the braided Hadamard from the exact gate, in extended
-    precision.
-
-    Rebuilds the logical generators from exact golden-ratio and phase
-    expressions with ``mpmath`` at ``dps`` digits and evaluates the word
-    there; the double-precision pipeline is checked against the pinned
-    result in the acceptance suite.
-    """
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        phi = (1 + mp.sqrt(5)) / 2
-        r_vac = mp.e ** (-4j * mp.pi / 5)
-        r_tau = mp.e ** (3j * mp.pi / 5)
-        g12 = mp.matrix([[r_vac, 0], [0, r_tau]])
-        off = mp.e ** (7j * mp.pi / 5) / mp.sqrt(phi)
-        g23 = mp.matrix([[mp.e ** (4j * mp.pi / 5) / phi, off], [off, -1 / phi]])
-
-        def power(mat: "mp.matrix", p: int) -> "mp.matrix":
-            base = mat if p > 0 else mat.H
-            out = mp.eye(2)
-            for _ in range(abs(p)):
-                out = out * base
-            return out
-
-        u = mp.eye(2)
-        for gen, p in hadamard_word().letters:
-            u = power(g12 if gen == 12 else g23, p) * u
-        h = mp.matrix([[1, 1], [1, -1]]) / mp.sqrt(2)
-        prod = h.H * u
-        distance = mp.sqrt(4 - 2 * abs(prod[0, 0] + prod[1, 1]))
-        return float(distance)
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive gate search
 # ---------------------------------------------------------------------------
@@ -226,7 +192,6 @@ def search_word(
     target: np.ndarray,
     max_letters: int,
     budget: int | None = 10_000_000,
-    on_progress: Callable[[int, float], None] | None = None,
 ) -> SearchResult:
     """Exhaustive enumeration of canonical braid words approximating a gate.
 
@@ -292,8 +257,6 @@ def search_word(
                     rest //= n_powers
                 digits.reverse()
                 best_word = _letters_from_digits(start_gen, digits)
-                if on_progress:
-                    on_progress(evaluated, best_dist)
         if length == max_letters or (budget is not None and evaluated >= budget):
             break
         for start_gen in braid_space.GENERATOR_INDICES:

@@ -45,7 +45,6 @@ from typing import Iterable
 
 import numpy as np
 
-from . import anyon_model
 from ._linalg import check_unitary, dagger
 from .anyon_model import PHI, FSymbolTable, FusionData, RSymbolTable
 

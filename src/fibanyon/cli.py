@@ -430,15 +430,9 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     space = args.space
 
     if args.protocol == "qpt":
-        word = braid_compiler.hadamard_word()
-        ptm_ps = bench.qpt(noise_engine.word_channel(word, noise), 4)
-        if space == "ps":
-            ptm = ptm_ps
-            ideal = braid_compiler.evaluate(word, "physical4")
-        else:
-            ptm = bench.project_to_logical(ptm_ps)
-            ideal = braid_compiler.evaluate(word, "logical2")
-        fidelity = bench.average_gate_fidelity(ptm, ideal)
+        target = _hadamard_target(space, noise)
+        ptm = target.ptm
+        fidelity = bench.average_gate_fidelity(ptm, target.unitary)
         if args.format == "csv":
             (out_dir / "transfer_map.csv").write_text(
                 "\n".join(",".join(repr(float(v)) for v in row) for row in ptm.matrix) + "\n"
@@ -570,8 +564,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
+def _int_at_least(low: int, high: int | None = None):
+    """argparse type: an integer no smaller than ``low`` (and, when given, no
+    larger than ``high``)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -579,8 +574,15 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     return parse
+
+
+_SEED = _int_at_least(0, 2**64 - 4)
+"""argparse type of ``--seed``: a uint64 generator key, with room for the
+``seed + 3`` stream of the interleaved purity run."""
 
 
 class _SequenceLengths(argparse.Action):
@@ -605,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the invariant suite")
     p_verify.add_argument("--list", action="store_true", help="print check names without running")
     p_verify.add_argument("--leakage-words", type=_int_at_least(0), default=100)
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_verify.add_argument("--seed", type=_SEED, default=DEFAULT_SEED)
     p_verify.add_argument("--tolerance", type=float, default=1.0,
                           help="scale factor applied to every check tolerance")
     p_verify.add_argument("--json", help="write the report to this JSON file")
@@ -631,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--m-grid", type=_int_at_least(1), nargs="+", action=_SequenceLengths,
                          default=list(bench.DEFAULT_M_GRID))
     p_bench.add_argument("--k", type=_int_at_least(2), default=bench.DEFAULT_SEQUENCES)
-    p_bench.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_bench.add_argument("--seed", type=_SEED, default=DEFAULT_SEED)
     p_bench.add_argument("--interleave-hadamard", action="store_true")
     p_bench.add_argument("--format", choices=("json", "csv"), default="json")
     p_bench.add_argument("--out", required=True, help="output directory")

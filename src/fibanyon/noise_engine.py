@@ -19,7 +19,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -41,7 +41,7 @@ _AXES = dict(zip("xyz", benchmark_suite.PAULI_1Q[1:]))
 class DensityMatrix:
     """Validated mixed state on a 2^n-dimensional register."""
 
-    def __init__(self, matrix: np.ndarray, *, tol: float = 1e-10):
+    def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("density matrix must be square")
@@ -50,7 +50,7 @@ class DensityMatrix:
         if abs(np.trace(matrix).real - 1.0) > 1e-12:
             raise ValueError("density matrix must have unit trace")
         min_eig = float(np.linalg.eigvalsh(matrix).min())
-        if min_eig < -tol:
+        if min_eig < -1e-10:
             raise ValueError(f"density matrix not positive semidefinite (min eig {min_eig:.3e})")
         self.matrix = matrix
         self.dim = matrix.shape[0]
@@ -78,14 +78,12 @@ class NoiseModel:
     """Decoherence and synthetic gate-noise parameters.
 
     ``t2`` holds one transverse-relaxation time per qubit (``None`` entries
-    mean no dephasing).  ``t2_star`` optionally carries the inhomogeneous
-    counterpart for pessimistic predictions.  The gate-level depolarizing
-    probability and systematic over-rotation exist purely as synthetic noise
-    sources for benchmarking tests.
+    mean no dephasing).  The gate-level depolarizing probability and
+    systematic over-rotation exist purely as synthetic noise sources for
+    benchmarking tests.
     """
 
     t2: tuple[float | None, ...] = (None, None)
-    t2_star: tuple[float | None, ...] | None = None
     braiding_step: float = BRAIDING_STEP_SECONDS
     clifford_duration: float = CLIFFORD_SECONDS
     depolarizing_prob: float = 0.0
@@ -93,10 +91,9 @@ class NoiseModel:
     over_rotation_axis: str = "z"
 
     def __post_init__(self) -> None:
-        for times in (self.t2, self.t2_star):
-            if times is not None and len(times) != 2:
-                raise ValueError(f"expected one T2 time per qubit (2 entries), got {len(times)}")
-        for t in self.t2 + (self.t2_star or ()):
+        if len(self.t2) != 2:
+            raise ValueError(f"expected one T2 time per qubit (2 entries), got {len(self.t2)}")
+        for t in self.t2:
             if t is None:
                 continue
             if not _is_real(t) or not math.isfinite(t) or t <= 0:
@@ -112,12 +109,9 @@ class NoiseModel:
         if self.over_rotation_axis not in _AXES:
             raise ValueError("over-rotation axis must be one of x, y, z")
 
-    def rates(self, star: bool = False) -> tuple[float, ...]:
+    def rates(self) -> tuple[float, ...]:
         """Per-qubit dephasing rates 1/T2 (0 for missing entries)."""
-        times = self.t2_star if star else self.t2
-        if times is None:
-            raise ValueError("this noise model carries no T2* values")
-        return tuple(0.0 if t is None else 1.0 / t for t in times)
+        return tuple(0.0 if t is None else 1.0 / t for t in self.t2)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "NoiseModel":
@@ -129,9 +123,8 @@ class NoiseModel:
             raise ValueError(f"unknown noise model keys: {', '.join(unknown)}")
         if data.get("t2", ()) is None:
             del data["t2"]  # null means no dephasing, as when the key is absent
-        for key in ("t2", "t2_star"):
-            if data.get(key) is not None:
-                data[key] = tuple(data[key])
+        if "t2" in data:
+            data["t2"] = tuple(data["t2"])
         return cls(**data)
 
     def to_json(self, path: str | Path) -> None:
@@ -197,12 +190,11 @@ def letter_duration(letter: braid_compiler.BraidLetter, noise: NoiseModel) -> fl
 
 
 def apply_noisy_unitary(
-    rho: DensityMatrix, unitary: np.ndarray, duration: float, noise: NoiseModel,
-    star: bool = False,
+    rho: DensityMatrix, unitary: np.ndarray, duration: float, noise: NoiseModel
 ) -> DensityMatrix:
     """One noisy gate: the ideal unitary followed by dephasing for its duration."""
     rho = rho.evolved(unitary)
-    rates = noise.rates(star)
+    rates = noise.rates()
     if any(rates):
         rho = apply_dephasing(rho, rates, duration)
     if noise.depolarizing_prob:
@@ -219,9 +211,7 @@ def _letter_ptm(generator: int, power: int) -> np.ndarray:
     return matrix
 
 
-def word_ptm(
-    word: BraidWord, noise: NoiseModel, star: bool = False
-) -> benchmark_suite.PauliTransferMap:
+def word_ptm(word: BraidWord, noise: NoiseModel) -> benchmark_suite.PauliTransferMap:
     """Physical-space transfer map of a braid word simulated letter by letter.
 
     Each letter is its ideal unitary followed by z-basis dephasing over the
@@ -230,7 +220,7 @@ def word_ptm(
     cached transfer matrix of its unitary.  This is the composition of
     :func:`apply_noisy_unitary` steps, in transfer-map form.
     """
-    gamma = pauli_dephasing_rates(noise.rates(star))
+    gamma = pauli_dephasing_rates(noise.rates())
     mixing = np.full(gamma.shape, 1.0 - noise.depolarizing_prob)
     mixing[0] = 1.0
     total = np.eye(gamma.size)
@@ -240,12 +230,10 @@ def word_ptm(
     return benchmark_suite.PauliTransferMap(total, 4)
 
 
-def word_channel(
-    word: BraidWord, noise: NoiseModel, star: bool = False
-) -> Callable[[np.ndarray], np.ndarray]:
+def word_channel(word: BraidWord, noise: NoiseModel) -> Callable[[np.ndarray], np.ndarray]:
     """Density-matrix map of a braid word: the closure validates its input as
     a :class:`DensityMatrix` and applies the composed :func:`word_ptm`."""
-    ptm = word_ptm(word, noise, star)
+    ptm = word_ptm(word, noise)
 
     def channel(matrix: np.ndarray) -> np.ndarray:
         return ptm.apply(DensityMatrix(matrix).matrix)
@@ -253,13 +241,17 @@ def word_channel(
     return channel
 
 
-def predict_gate_fidelity(word: BraidWord, noise: NoiseModel, star: bool = False) -> float:
+def predict_gate_fidelity(word: BraidWord, noise: NoiseModel) -> float:
     """Average gate fidelity of the noisy word against its ideal unitary,
     computed from the transfer map that process tomography reconstructs from
     :func:`word_channel` (which also probes the channel for linearity)."""
     ideal = braid_compiler.evaluate(word, "physical4")
-    ptm = benchmark_suite.qpt(word_channel(word, noise, star), dim=4)
+    ptm = benchmark_suite.qpt(word_channel(word, noise), dim=4)
     return benchmark_suite.average_gate_fidelity(ptm, ideal)
+
+
+T2_BOUNDS = (1e-3, 1e3)
+"""Bracket, in seconds, of the common T2 that :func:`calibrate_t2` searches."""
 
 
 class UnbracketedTargetError(ValueError):
@@ -273,35 +265,26 @@ class CalibrationResult:
     target: float
 
 
-def calibrate_t2(
-    word: BraidWord,
-    target_fidelity: float,
-    t2_bounds: tuple[float, float] = (1e-3, 1e3),
-    template: NoiseModel | None = None,
-) -> CalibrationResult:
+def calibrate_t2(word: BraidWord, target_fidelity: float) -> CalibrationResult:
     """Find a common per-qubit T2 at which the simulated word fidelity hits a
     target.  Fidelity is monotone in T2, so a bracketing root search on the
     log scale suffices."""
     # imported here: scipy.optimize dominates the package import time
     from scipy.optimize import brentq
 
-    template = template or NoiseModel()
-
     def gap(log_t2: float) -> float:
         t2 = math.exp(log_t2)
-        noise = replace(template, t2=(t2, t2))
-        return predict_gate_fidelity(word, noise) - target_fidelity
+        return predict_gate_fidelity(word, NoiseModel(t2=(t2, t2))) - target_fidelity
 
-    lo, hi = (math.log(t2_bounds[0]), math.log(t2_bounds[1]))
+    lo, hi = math.log(T2_BOUNDS[0]), math.log(T2_BOUNDS[1])
     if gap(lo) > 0 or gap(hi) < 0:
         raise UnbracketedTargetError(
             f"target fidelity {target_fidelity!r} lies outside the fidelities "
-            f"reached between T2 = {t2_bounds[0]:g} s and {t2_bounds[1]:g} s"
+            f"reached between T2 = {T2_BOUNDS[0]:g} s and {T2_BOUNDS[1]:g} s"
         )
-    root = brentq(gap, lo, hi, xtol=1e-12, rtol=1e-12)
-    t2 = math.exp(root)
-    noise = replace(template, t2=(t2, t2))
-    return CalibrationResult(t2=t2, fidelity=predict_gate_fidelity(word, noise), target=target_fidelity)
+    t2 = math.exp(brentq(gap, lo, hi, xtol=1e-12, rtol=1e-12))
+    fidelity = predict_gate_fidelity(word, NoiseModel(t2=(t2, t2)))
+    return CalibrationResult(t2=t2, fidelity=fidelity, target=target_fidelity)
 
 
 # ---------------------------------------------------------------------------

@@ -171,11 +171,6 @@ class TestHadamardDistance:
         delta = bc.distance_up_to_phase(u, bc.hadamard_gate())
         assert abs(delta - bc.HADAMARD_WORD_DISTANCE) < 1e-8
 
-    def test_high_precision_measurement_matches_pinned_constant(self):
-        measured = bc.measure_hadamard_distance(dps=40)
-        rel = abs(measured - bc.HADAMARD_WORD_DISTANCE) / bc.HADAMARD_WORD_DISTANCE
-        assert rel < 1e-12
-
     def test_physical_evaluation_is_leakage_free(self):
         u4 = bc.evaluate(bc.hadamard_word(), "physical4")
         iso = bs.logical_encoding()

@@ -185,7 +185,7 @@ class TestBenchmark:
         ('{"t2": [0.5]}', "2 entries"),
         ('{"t2": []}', "2 entries"),
         ('{"t2": [NaN, 0.5]}', "finite"),
-        ('{"t2": [0.5, 0.5], "t2_star": [0.1, 0.1, 0.1]}', "2 entries"),
+        ('{"t2": [0.5, 0.5], "t2_star": [0.1, 0.1, 0.1]}', "unknown noise model keys: t2_star"),
         ('{"t2": [0.5, 0.5], "depolarising_prob": 0.3}', "unknown noise model keys: depolarising_prob"),
         ('{"t2": [0.5, 0.5], "T2": [0.1, 0.1]}', "unknown noise model keys: T2"),
     ])
@@ -212,12 +212,21 @@ class TestDegenerateNumericInput:
         (["compile", "--named", "hadamard", "--budget", "0"], "--budget: must be at least 1"),
         (["compile", "--named", "hadamard", "--max-letters", "-1"], "--max-letters: must be at least 0"),
         (["verify", "--leakage-words", "-3"], "--leakage-words: must be at least 0"),
+        (["verify", "--seed", "-1"], "--seed: must be at least 0"),
+        (["verify", "--seed", str(2**64)], "--seed: must be at most"),
+        (["benchmark", "--protocol", "pb", "--seed", "-1"], "--seed: must be at least 0"),
+        # pb draws from the seed + 3 stream, which must still fit a uint64 key
+        (["benchmark", "--protocol", "pb", "--seed", str(2**64 - 3)], "--seed: must be at most"),
     ])
     def test_exits_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_largest_seed_runs(self, tmp_path, capsys):
+        assert run(["benchmark", "--protocol", "pb", "--seed", str(2**64 - 4), "--k", "2",
+                    "--m-grid", "1", "2", "3", "--out", str(tmp_path)]) == 0
 
 
 class TestRobustness:

@@ -90,12 +90,10 @@ class TestDephasing:
     @pytest.mark.parametrize("kwargs", [
         {"t2": (math.nan, 0.5)},
         {"t2": (0.5, math.inf)},
-        {"t2": (0.5, 0.5), "t2_star": (math.nan, None)},
         {"t2": (0.5, "0.5")},
         {"t2": (True, 0.5)},
         {"t2": (0.5,)},
         {"t2": (0.5, 0.5, 0.5)},
-        {"t2": (0.5, 0.5), "t2_star": (0.1,)},
         {"braiding_step": math.nan},
         {"clifford_duration": -1e-3},
         {"over_rotation_angle": math.inf},
@@ -140,11 +138,11 @@ class TestDephasingForms:
         )
 
 
-def stepped_word_state(word, noise, rho, star=False):
+def stepped_word_state(word, noise, rho):
     """Reference simulation: validated density matrices, letter by letter."""
     for letter in word.letters:
         u = np.linalg.matrix_power(bs.sigma(letter.generator), letter.power)
-        rho = ne.apply_noisy_unitary(rho, u, ne.letter_duration(letter, noise), noise, star)
+        rho = ne.apply_noisy_unitary(rho, u, ne.letter_duration(letter, noise), noise)
     return rho.matrix
 
 
@@ -163,16 +161,15 @@ t2_entries = st.one_of(st.none(), st.floats(0.01, 10.0))
 def noise_models(draw):
     return ne.NoiseModel(
         t2=(draw(t2_entries), draw(t2_entries)),
-        t2_star=(draw(t2_entries), draw(t2_entries)),
         braiding_step=draw(st.floats(1e-4, 1e-2)),
         depolarizing_prob=draw(st.sampled_from((0.0, 0.01, 0.2))),
     )
 
 
 class TestWordTransferMap:
-    @given(canonical_words(), noise_models(), st.booleans(), st.integers(0, 2**32 - 1))
+    @given(canonical_words(), noise_models(), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_matches_stepped_simulation(self, word, noise, star, seed):
+    def test_matches_stepped_simulation(self, word, noise, seed):
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, 5], dtype=np.uint64)))
         vec = rng.normal(size=4) + 1j * rng.normal(size=4)
         mixture = rng.uniform()
@@ -180,11 +177,10 @@ class TestWordTransferMap:
             mixture * np.outer(vec, vec.conj()) / np.vdot(vec, vec).real
             + (1 - mixture) * np.eye(4) / 4
         )
-        expected = stepped_word_state(word, noise, rho, star)
-        ptm = ne.word_ptm(word, noise, star)
+        expected = stepped_word_state(word, noise, rho)
+        ptm = ne.word_ptm(word, noise)
         np.testing.assert_allclose(ptm.apply(rho.matrix), expected, atol=1e-12)
-        np.testing.assert_allclose(ne.word_channel(word, noise, star)(rho.matrix), expected,
-                                   atol=1e-12)
+        np.testing.assert_allclose(ne.word_channel(word, noise)(rho.matrix), expected, atol=1e-12)
 
     def test_empty_word_is_identity(self):
         ptm = ne.word_ptm(bc.BraidWord(()), ne.NoiseModel(t2=(0.1, 0.1), depolarizing_prob=0.5))
@@ -195,23 +191,14 @@ class TestWordTransferMap:
         with pytest.raises(ValueError):
             channel(np.eye(4))
 
-    def test_missing_t2_star_rejected(self):
-        with pytest.raises(ValueError):
-            ne.word_ptm(bc.hadamard_word(), ne.NoiseModel(t2=(1.0, 1.0)), star=True)
-
 
 class TestNoiseModelSerialization:
     def test_round_trip(self, tmp_path):
-        noise = ne.NoiseModel(t2=(0.3, 1.2), t2_star=(0.05, 0.08), depolarizing_prob=0.01)
+        noise = ne.NoiseModel(t2=(0.3, 1.2), depolarizing_prob=0.01)
         path = tmp_path / "noise.json"
         noise.to_json(path)
         loaded = ne.NoiseModel.from_json(path)
         assert loaded == noise
-
-    def test_missing_t2_star_raises_on_use(self):
-        noise = ne.NoiseModel(t2=(0.3, 0.3))
-        with pytest.raises(ValueError):
-            noise.rates(star=True)
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "noise.json"
@@ -301,5 +288,6 @@ class TestCalibration:
         assert abs(cal.fidelity - 0.9463) < 5e-4
 
     def test_unbracketed_target_rejected(self):
-        with pytest.raises(ValueError):
-            ne.calibrate_t2(bc.hadamard_word(), 0.9999, t2_bounds=(1e-3, 2e-3))
+        # above the fidelity at the T2_BOUNDS upper end
+        with pytest.raises(ne.UnbracketedTargetError):
+            ne.calibrate_t2(bc.hadamard_word(), 0.99999)
