@@ -46,6 +46,13 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
+def phase_distances(stack: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """:func:`phase_distance` from every matrix of an ``(n, d, d)`` stack to
+    ``v``, in one contraction."""
+    tr = np.abs(np.einsum("nij,ji->n", stack, v.conj().T))
+    return np.sqrt(np.maximum(2.0 * v.shape[0] - 2.0 * tr, 0.0))
+
+
 def phase_aligned_defect(u: np.ndarray, v: np.ndarray) -> float:
     """Max-entry deviation of ``u`` from ``v`` after aligning the global phase.
 

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import braid_space
-from ._linalg import dagger, phase_distance
+from ._linalg import dagger, phase_distances
 
 PAULI_1Q = (
     np.eye(2, dtype=complex),
@@ -190,15 +190,16 @@ def _purity_from_coefficients(coeffs: np.ndarray, dim: int) -> float:
     return (dim * plain - 1.0) / (dim - 1.0)
 
 
-def project_to_logical(ptm_ps: PauliTransferMap, iso: np.ndarray | None = None) -> PauliTransferMap:
+def project_to_logical(ptm_ps: PauliTransferMap) -> PauliTransferMap:
     """Compress a physical-space transfer map to the logical qubit.
 
     For a leakage-free channel this commutes with computing the logical map
-    directly.  The logical Pauli operators are the encoded ``iso sigma iso†``.
+    directly.  The logical Pauli operators are the encoded ``iso sigma iso†``
+    of :func:`fibanyon.braid_space.logical_encoding`.
     """
     if ptm_ps.dim != 4:
         raise ValueError("expected a physical-space (dimension 4) transfer map")
-    iso = braid_space.logical_encoding() if iso is None else iso
+    iso = braid_space.logical_encoding()
     ps_basis = _pauli_stack(2)
     embedded = [iso @ p @ dagger(iso) for p in PAULI_1Q]
     coords = np.array(
@@ -251,35 +252,31 @@ def _phase_canonical(u: np.ndarray) -> np.ndarray:
 class CliffordGroup:
     """The 24-element single-qubit Clifford group modulo global phase.
 
-    Generated by closure from the Hadamard and the quarter-phase gate; each
-    element also carries a physical-space extension acting as the identity on
-    the complement of the logical subspace.
+    Generated breadth-first from the Hadamard and the quarter-phase gate;
+    that order fixes the element indices RB sequences draw.  ``elements`` is
+    a read-only ``(24, 2, 2)`` array.
     """
 
     def __init__(self) -> None:
-        seen: list[np.ndarray] = [np.eye(2, dtype=complex)]
-        frontier = [np.eye(2, dtype=complex)]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for g in (_HADAMARD, _PHASE_S):
-                    cand = _phase_canonical(g @ u)
-                    # dedup tolerance must sit well above the sqrt noise
-                    # floor of the phase distance (~1e-8 for equal matrices)
-                    if all(phase_distance(cand, v) > 1e-6 for v in seen):
-                        seen.append(cand)
-                        nxt.append(cand)
-            frontier = nxt
+        seen = [np.eye(2, dtype=complex)]
+        for u in seen:  # seen grows while it is read: a breadth-first queue
+            for g in (_HADAMARD, _PHASE_S):
+                cand = _phase_canonical(g @ u)
+                # dedup tolerance must sit well above the sqrt noise
+                # floor of the phase distance (~1e-8 for equal matrices)
+                if phase_distances(np.array(seen), cand).min() > 1e-6:
+                    seen.append(cand)
         if len(seen) != 24:
             raise AssertionError(f"Clifford closure produced {len(seen)} elements, expected 24")
-        self.elements: tuple[np.ndarray, ...] = tuple(seen)
+        self.elements = np.array(seen)
+        self.elements.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def find(self, u: np.ndarray) -> int:
         """Index of the group element equal to ``u`` up to phase."""
-        dists = [phase_distance(u, v) for v in self.elements]
+        dists = phase_distances(self.elements, u)
         i = int(np.argmin(dists))
         if dists[i] > 1e-6:
             raise ValueError(f"matrix is not a Clifford element (distance {dists[i]:.3e})")
@@ -287,12 +284,7 @@ class CliffordGroup:
 
     def nearest(self, u: np.ndarray) -> int:
         """Index of the closest group element (no tolerance check)."""
-        return int(np.argmin([phase_distance(u, v) for v in self.elements]))
-
-    def ps_extension(self, index: int, iso: np.ndarray | None = None) -> np.ndarray:
-        iso = braid_space.logical_encoding() if iso is None else iso
-        c = self.elements[index]
-        return iso @ c @ dagger(iso) + (np.eye(4) - iso @ dagger(iso))
+        return int(np.argmin(phase_distances(self.elements, u)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +294,9 @@ class CliffordGroup:
 
 @dataclass(frozen=True)
 class NoisyGate:
-    """A gate as simulated in a benchmarking sequence: its ideal unitary (for
-    recovery bookkeeping) and the transfer map actually applied."""
+    """An interleaving target: its ideal unitary, 2x2 logical or 4x4
+    physical (RB recovery reads its logical block), and the transfer map
+    actually applied."""
 
     unitary: np.ndarray
     ptm: PauliTransferMap
@@ -323,13 +316,24 @@ class GateSet:
 
     dim: int
     group: CliffordGroup
-    gates: tuple[NoisyGate, ...]          # one per group element, same order
-    prep: np.ndarray                      # Pauli coefficients of the initial state
-    measure: np.ndarray                   # Pauli coefficients of the survival effect
+    ptms: tuple[np.ndarray, ...]  # noisy transfer matrix per group element, same order
+    prep: np.ndarray              # Pauli coefficients of the initial state and survival effect
     spam_ptm: PauliTransferMap | None = None
 
     def survival(self, coeffs: np.ndarray) -> float:
-        return float(self.measure @ coeffs) / self.dim
+        return float(self.prep @ coeffs) / self.dim
+
+
+def _gateset(encode: Callable[[np.ndarray], np.ndarray], zero: np.ndarray,
+             noise: PauliTransferMap | None, group: CliffordGroup | None,
+             spam_ptm: PauliTransferMap | None) -> GateSet:
+    """Each Clifford runs as ``encode(c)`` followed by ``noise``; ``zero``
+    is the state vector prepared and read out, and sets the dimension."""
+    dim = len(zero)
+    group = group or CliffordGroup()
+    noise = noise or identity_ptm(dim)
+    ptms = tuple(noise.matrix @ ptm_of_unitary(encode(c)).matrix for c in group.elements)
+    return GateSet(dim, group, ptms, state_coefficients(np.outer(zero, zero.conj())), spam_ptm)
 
 
 def logical_gateset(
@@ -338,13 +342,7 @@ def logical_gateset(
     spam_ptm: PauliTransferMap | None = None,
 ) -> GateSet:
     """Gate set acting directly on the logical qubit (d = 2)."""
-    group = group or CliffordGroup()
-    noise = noise or identity_ptm(2)
-    gates = tuple(NoisyGate.with_noise(u, noise) for u in group.elements)
-    zero = np.zeros((2, 2), dtype=complex)
-    zero[0, 0] = 1.0
-    coeffs = state_coefficients(zero)
-    return GateSet(2, group, gates, coeffs, coeffs, spam_ptm)
+    return _gateset(lambda c: c, np.eye(2, dtype=complex)[0], noise, group, spam_ptm)
 
 
 def physical_gateset(
@@ -358,15 +356,8 @@ def physical_gateset(
     identity on its complement; preparation and readout use the encoded
     ``|0_L>``.
     """
-    group = group or CliffordGroup()
-    noise = noise or identity_ptm(4)
-    iso = braid_space.logical_encoding()
-    gates = tuple(
-        NoisyGate.with_noise(group.ps_extension(i, iso), noise) for i in range(len(group))
-    )
-    zero_l = np.outer(iso[:, 0], iso[:, 0].conj())
-    coeffs = state_coefficients(zero_l)
-    return GateSet(4, group, gates, coeffs, coeffs, spam_ptm)
+    zero_l = braid_space.logical_encoding()[:, 0]
+    return _gateset(braid_space.logical_extension, zero_l, noise, group, spam_ptm)
 
 
 def rng_for(seed: int, task_index: int) -> np.random.Generator:
@@ -474,9 +465,19 @@ def _run_sequences(
     """Survival (or purity) statistics over random Clifford sequences.
 
     Returns per-length means and standard deviations: survival probabilities
-    when ``recovery`` is set (RB), rescaled purities otherwise (PB).
+    when ``recovery`` is set (RB), rescaled purities otherwise (PB).  In
+    either space the RB recovery gate inverts the logical frame: the product
+    of 2x2 group elements and the interleaved target's logical block.  Raises
+    ``ValueError`` for k < 2, fewer than 3 distinct lengths or a length < 1.
     """
+    if k < 2:
+        raise ValueError(f"need at least 2 sequences per length, got {k}")
+    if len(set(m_values)) < 3 or min(m_values) < 1:
+        raise ValueError(f"need at least 3 distinct sequence lengths of at least 1, got {tuple(m_values)}")
     group = gateset.group
+    target = None if interleave is None else interleave.unitary
+    if target is not None and target.shape == (4, 4):
+        target, _ = braid_space.logical_restrict(target)
     means, stds = [], []
     for mi, m in enumerate(m_values):
         values = []
@@ -486,28 +487,23 @@ def _run_sequences(
             coeffs = gateset.prep.copy()
             if gateset.spam_ptm is not None:
                 coeffs = gateset.spam_ptm.matrix @ coeffs
-            ideal = np.eye(gateset.dim, dtype=complex)
+            ideal = np.eye(2, dtype=complex)
             for idx in indices:
-                gate = gateset.gates[idx]
-                coeffs = gate.ptm.matrix @ coeffs
-                ideal = gate.unitary @ ideal
+                coeffs = gateset.ptms[idx] @ coeffs
                 if interleave is not None:
                     coeffs = interleave.ptm.matrix @ coeffs
-                    ideal = interleave.unitary @ ideal
+                if recovery:
+                    ideal = group.elements[idx] @ ideal
+                    if target is not None:
+                        ideal = target @ ideal
             if recovery:
-                if gateset.dim == 2:
-                    rec_idx = group.nearest(dagger(ideal))
-                else:
-                    iso = braid_space.logical_encoding()
-                    rec_idx = group.nearest(dagger(dagger(iso) @ ideal @ iso))
-                rec = gateset.gates[rec_idx]
-                coeffs = rec.ptm.matrix @ coeffs
+                coeffs = gateset.ptms[group.nearest(dagger(ideal))] @ coeffs
                 values.append(gateset.survival(coeffs))
             else:
                 values.append(_purity_from_coefficients(coeffs, gateset.dim))
         values = np.asarray(values)
         means.append(values.mean())
-        stds.append(values.std(ddof=1) if k > 1 else 0.0)
+        stds.append(values.std(ddof=1))
     return np.asarray(means), np.asarray(stds)
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import braid_space
-from ._linalg import phase_distance, unitarity_defect
+from ._linalg import phase_distance, phase_distances, unitarity_defect
 
 SPACES = ("physical4", "logical2", "extended16")
 
@@ -200,13 +200,16 @@ def search_word(
     length-lexicographic order and evaluated in the logical space.  The
     search stops after ``budget`` evaluated words (``None`` = no cap) and
     reports whether the cap cut the enumeration short.  The result is never
-    worse than the empty word.
+    worse than the empty word.  A negative ``max_letters`` or ``budget``
+    raises ``ValueError``.
     """
     target = np.asarray(target, dtype=complex)
     if target.shape != (2, 2):
         raise ValueError("search target must be a 2x2 matrix")
     if unitarity_defect(target) > 1e-8:
         raise ValueError("search target must be unitary")
+    if max_letters < 0 or (budget is not None and budget < 0):
+        raise ValueError(f"max_letters and budget must be non-negative, got {max_letters} and {budget}")
 
     g = {
         (gen, p): np.linalg.matrix_power(
@@ -225,10 +228,6 @@ def search_word(
     n_powers = len(SEARCH_POWERS)
     total_words = 2 * sum(n_powers**length for length in range(1, max_letters + 1))
 
-    def distances(mats: np.ndarray) -> np.ndarray:
-        tr = np.abs(np.einsum("nij,ji->n", mats, target.conj().T))
-        return np.sqrt(np.maximum(4.0 - 2.0 * tr, 0.0))
-
     # levels[start_gen] holds the unitaries of all budget-reachable words of
     # the current length beginning with start_gen
     levels: dict[int, np.ndarray] = {
@@ -243,7 +242,7 @@ def search_word(
                 levels[start_gen] = current
             if current.shape[0] == 0:
                 continue
-            d = distances(current)
+            d = phase_distances(current, target)
             evaluated += current.shape[0]
             i = int(np.argmin(d))
             # ties within 1e-10 keep the earlier (shorter) word

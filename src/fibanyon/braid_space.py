@@ -280,6 +280,14 @@ def logical_restrict(u: np.ndarray) -> tuple[np.ndarray, float]:
     return logical, float(leak)
 
 
+def logical_extension(u: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`logical_restrict`: the 4x4 edge-basis operator
+    acting as the 2x2 ``u`` on the logical subspace and as the identity on
+    its complement."""
+    iso = _logical_encoding()
+    return iso @ u @ dagger(iso) + (np.eye(4) - iso @ dagger(iso))
+
+
 def sigma_logical(index: int) -> np.ndarray:
     """Logical-space representation of a braid generator."""
     logical, leak = logical_restrict(sigma(index))

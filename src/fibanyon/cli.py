@@ -394,18 +394,14 @@ def _gate_noise_ptm(noise: noise_engine.NoiseModel, dim: int) -> bench.PauliTran
     if noise.over_rotation_angle:
         u = noise_engine.over_rotation_unitary(noise.over_rotation_axis, noise.over_rotation_angle)
         if dim == 4:
-            iso = braid_space.logical_encoding()
-            u = iso @ u @ iso.conj().T + (np.eye(4) - iso @ iso.conj().T)
+            u = braid_space.logical_extension(u)
         ptm = bench.ptm_of_unitary(u).compose(ptm)
     return ptm
 
 
 def _gateset_for(space: str, noise: noise_engine.NoiseModel, group: bench.CliffordGroup) -> bench.GateSet:
-    dim = 4 if space == "ps" else 2
-    noise_ptm = _gate_noise_ptm(noise, dim)
-    if space == "ps":
-        return bench.physical_gateset(noise=noise_ptm, group=group)
-    return bench.logical_gateset(noise=noise_ptm, group=group)
+    make = bench.physical_gateset if space == "ps" else bench.logical_gateset
+    return make(noise=_gate_noise_ptm(noise, 4 if space == "ps" else 2), group=group)
 
 
 def _hadamard_target(space: str, noise: noise_engine.NoiseModel) -> bench.NoisyGate:

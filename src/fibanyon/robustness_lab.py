@@ -37,17 +37,18 @@ def build_scenario_operator(q: int) -> np.ndarray:
     return np.linalg.matrix_power(crossing, q)
 
 
-def _embedded_logical(column: int) -> np.ndarray:
-    """State |column>_L ⊗ |10>_E in the extended edge basis."""
-    iso = braid_space.logical_encoding()
+def _sector(env_index: int = ENV_PAIR_INDEX) -> np.ndarray:
+    """16x2 isometry onto ``|e>_E ⊗ logical qubit`` in the extended edge
+    basis, ``e`` the environment configuration ``env_index``."""
     env = np.zeros(4, dtype=complex)
-    env[ENV_PAIR_INDEX] = 1.0
-    return np.kron(env, iso[:, column])
+    env[env_index] = 1.0
+    return np.kron(env[:, None], braid_space.logical_encoding())
 
 
 def logical_environment_state(a: complex, b: complex) -> np.ndarray:
     """(a|0_L> + b|1_L>) ⊗ |10>_E, normalized."""
-    vec = a * _embedded_logical(0) + b * _embedded_logical(1)
+    sector = _sector()
+    vec = a * sector[:, 0] + b * sector[:, 1]
     return vec / np.linalg.norm(vec)
 
 
@@ -92,18 +93,7 @@ def extract_M(q: int, env_index: int = ENV_PAIR_INDEX) -> ScenarioResult:
     ``env_index`` may be overridden to project onto a different environment
     configuration (negative controls); the block may then vanish.
     """
-    op = build_scenario_operator(q)
-    iso = braid_space.logical_encoding()
-    env_out = np.zeros(4, dtype=complex)
-    env_out[env_index] = 1.0
-    env_in = np.zeros(4, dtype=complex)
-    env_in[ENV_PAIR_INDEX] = 1.0
-    m = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        bra = np.kron(env_out, iso[:, i])
-        for j in range(2):
-            ket = np.kron(env_in, iso[:, j])
-            m[i, j] = bra.conj() @ op @ ket
+    m = dagger(_sector(env_index)) @ build_scenario_operator(q) @ _sector()
     return _result_from_matrix(q, m)
 
 
@@ -127,10 +117,7 @@ def verify_global_phase(q: int, n_states: int = 20, seed: int = 7) -> GlobalPhas
     op = build_scenario_operator(q)
     reference = extract_M(q)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, q], dtype=np.uint64)))
-    iso = braid_space.logical_encoding()
-    proj_rows = np.zeros((2, 16), dtype=complex)
-    for i in range(2):
-        proj_rows[i] = np.kron(np.eye(4, dtype=complex)[ENV_PAIR_INDEX], iso[:, i]).conj()
+    proj_rows = dagger(_sector())
 
     worst_state = 0.0
     thetas = []
@@ -159,15 +146,6 @@ def verify_global_phase(q: int, n_states: int = 20, seed: int = 7) -> GlobalPhas
 # ---------------------------------------------------------------------------
 
 
-def _projected_block(rho: np.ndarray, iso: np.ndarray) -> np.ndarray:
-    """2x2 logical block of a 16-dim state with the environment projected on
-    the created pair."""
-    rows = np.zeros((2, 16), dtype=complex)
-    for i in range(2):
-        rows[i] = np.kron(np.eye(4, dtype=complex)[ENV_PAIR_INDEX], iso[:, i]).conj()
-    return rows @ rho @ dagger(rows)
-
-
 def extract_M_noisy(
     q: int,
     t2: tuple[float, float, float, float] = (0.5, 0.5, 0.5, 0.5),
@@ -182,19 +160,21 @@ def extract_M_noisy(
     a tomography-with-projection workflow.
     """
     op = build_scenario_operator(q)
-    iso = braid_space.logical_encoding()
+    sector = _sector()
     rates = tuple(1.0 / t for t in t2)
 
     def run(a: complex, b: complex) -> np.ndarray:
+        """Logical block of the decohered output, environment projected on
+        the created pair."""
         psi = logical_environment_state(a, b)
         rho = np.outer(psi, psi.conj())
         rho = op @ rho @ dagger(op)
         rho = rho * noise_engine.dephasing_factors(rates, pulse_duration)
-        return project_psd(rho)
+        return dagger(sector) @ project_psd(rho) @ sector
 
-    rho0 = _projected_block(run(1.0, 0.0), iso)
-    rho1 = _projected_block(run(0.0, 1.0), iso)
-    rho_plus = _projected_block(run(1.0 / np.sqrt(2), 1.0 / np.sqrt(2)), iso)
+    rho0 = run(1.0, 0.0)
+    rho1 = run(0.0, 1.0)
+    rho_plus = run(1.0 / np.sqrt(2), 1.0 / np.sqrt(2))
 
     m = np.zeros((2, 2), dtype=complex)
     m00 = np.sqrt(max(rho0[0, 0].real, 0.0))

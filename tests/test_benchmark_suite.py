@@ -238,7 +238,7 @@ class TestCliffordGroup:
     def test_ps_extension_preserves_logical_structure(self, group):
         iso = bs.logical_encoding()
         for i in (0, 5, 11):
-            ext = group.ps_extension(i, iso)
+            ext = bs.logical_extension(group.elements[i])
             assert np.abs(ext @ dagger(ext) - np.eye(4)).max() < 1e-12
             np.testing.assert_allclose(dagger(iso) @ ext @ iso, group.elements[i], atol=1e-12)
             p_l = iso @ dagger(iso)
@@ -247,6 +247,19 @@ class TestCliffordGroup:
     def test_non_clifford_rejected(self, group):
         with pytest.raises(ValueError):
             group.find(bs.sigma_logical(12))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 64))
+    @settings(max_examples=30, deadline=None)
+    def test_nearest_is_argmin_of_phase_distance(self, group, seed, m):
+        # an interleaved-RB ideal: random Cliffords, each followed by the
+        # braided Hadamard, so the product drifts away from the group
+        hadamard = bc.evaluate(bc.hadamard_word(), "logical2")
+        ideal = np.eye(2, dtype=complex)
+        for idx in bench.rng_for(seed, m).integers(0, len(group), size=m):
+            ideal = hadamard @ group.elements[idx] @ ideal
+        u = dagger(ideal)
+        expected = int(np.argmin([bc.distance_up_to_phase(u, v) for v in group.elements]))
+        assert group.nearest(u) == expected
 
 
 class TestDecayFit:
@@ -280,6 +293,18 @@ class TestDecayFit:
 
 
 class TestRandomizedBenchmarking:
+    @pytest.mark.parametrize("m_values, k, message", [
+        (M_GRID, 1, "at least 2 sequences"),
+        ((1, 2, 2, 1), 5, "3 distinct sequence lengths"),
+        ((0, 1, 2), 5, "at least 1"),
+    ])
+    def test_degenerate_sequences_rejected(self, group, m_values, k, message):
+        gateset = bench.logical_gateset(group=group)
+        with pytest.raises(ValueError, match=message):
+            bench.rb_reference(gateset, m_values, k)
+        with pytest.raises(ValueError, match=message):
+            bench.pb_run(gateset, None, m_values, k)
+
     def test_noiseless_reference(self, group):
         gateset = bench.logical_gateset(group=group)
         fit = bench.rb_reference(gateset, M_GRID, k=5, seed=2)
@@ -417,10 +442,9 @@ class TestErrorBudget:
 class TestSpaceConsistency:
     def test_projected_fidelity_matches_direct(self, group):
         # leakage-free PS channel: encoded Clifford conjugation
-        iso = bs.logical_encoding()
-        u_ps = group.ps_extension(7, iso)
+        u_ps = bs.logical_extension(group.elements[7])
         ptm_ps = bench.qpt(unitary_channel(u_ps), 4)
-        ptm_ls = bench.project_to_logical(ptm_ps, iso)
+        ptm_ls = bench.project_to_logical(ptm_ps)
         direct = bench.ptm_of_unitary(group.elements[7])
         np.testing.assert_allclose(ptm_ls.matrix, direct.matrix, atol=1e-10)
         f_proj = bench.average_gate_fidelity(ptm_ls, group.elements[7])
@@ -434,8 +458,7 @@ class TestSpaceConsistency:
     def test_projected_fidelity_matches_direct_for_mixed_unitary_channel(self, group):
         # leakage-free but non-unitary: a probabilistic mixture of two
         # encoded Cliffords
-        iso = bs.logical_encoding()
-        u1, u2 = group.ps_extension(3, iso), group.ps_extension(9, iso)
+        u1, u2 = bs.logical_extension(group.elements[3]), bs.logical_extension(group.elements[9])
 
         def channel_ps(rho):
             return 0.7 * u1 @ rho @ dagger(u1) + 0.3 * u2 @ rho @ dagger(u2)
@@ -444,7 +467,7 @@ class TestSpaceConsistency:
             a, b = group.elements[3], group.elements[9]
             return 0.7 * a @ rho @ dagger(a) + 0.3 * b @ rho @ dagger(b)
 
-        projected = bench.project_to_logical(bench.qpt(channel_ps, 4), iso)
+        projected = bench.project_to_logical(bench.qpt(channel_ps, 4))
         direct = bench.qpt(channel_ls, 2)
         np.testing.assert_allclose(projected.matrix, direct.matrix, atol=1e-10)
         ideal = group.elements[3]

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fibanyon import braid_compiler as bc
 from fibanyon import braid_space as bs
+from fibanyon._linalg import haar_unitary, phase_distance, phase_distances
 
 letters_strategy = st.lists(
     st.tuples(st.sampled_from([12, 23]), st.integers(-4, 4).filter(lambda p: p != 0)),
@@ -235,6 +236,11 @@ class TestSearch:
         with pytest.raises(ValueError):
             bc.search_word(np.array([[1, 0], [0, 2]]), max_letters=1)
 
+    @pytest.mark.parametrize("max_letters, budget", [(-1, None), (3, -5)])
+    def test_negative_arguments_rejected(self, max_letters, budget):
+        with pytest.raises(ValueError, match="non-negative"):
+            bc.search_word(bc.hadamard_gate(), max_letters=max_letters, budget=budget)
+
     def test_deterministic(self):
         a = bc.search_word(bc.hadamard_gate(), max_letters=4, budget=2000)
         b = bc.search_word(bc.hadamard_gate(), max_letters=4, budget=2000)
@@ -257,3 +263,13 @@ def test_measure_hadamard_distance_runtime():
     start = time.perf_counter()
     bc.evaluate(bc.hadamard_word(), "logical2")
     assert time.perf_counter() - start < 0.1
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from((2, 4)))
+@settings(max_examples=30, deadline=None)
+def test_phase_distances_match_pairwise_distance(seed, n, dim):
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, n], dtype=np.uint64)))
+    stack = np.array([haar_unitary(dim, rng) for _ in range(n)])
+    v = haar_unitary(dim, rng)
+    expected = [phase_distance(u, v) for u in stack]
+    np.testing.assert_allclose(phase_distances(stack, v), expected, rtol=0, atol=1e-12)

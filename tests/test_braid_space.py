@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibanyon import braid_space as bs
-from fibanyon._linalg import dagger, unitarity_defect
+from fibanyon._linalg import dagger, haar_unitary, unitarity_defect
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -122,6 +124,14 @@ class TestLogicalRestriction:
             [np.exp(7j * np.pi / 5) / math.sqrt(PHI), -1 / PHI],
         ])
         np.testing.assert_allclose(logical, expected, atol=1e-12)
+        assert leak < 1e-12
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_extension_inverts_restriction(self, seed):
+        u = haar_unitary(2, np.random.Generator(np.random.Philox(key=[seed, 3])))
+        logical, leak = bs.logical_restrict(bs.logical_extension(u))
+        np.testing.assert_allclose(logical, u, atol=1e-12)
         assert leak < 1e-12
 
     def test_identity(self):
