@@ -48,9 +48,10 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
 
 def phase_distances(stack: np.ndarray, v: np.ndarray) -> np.ndarray:
     """:func:`phase_distance` from every matrix of an ``(n, d, d)`` stack to
-    ``v``, in one contraction."""
-    tr = np.abs(np.einsum("nij,ji->n", stack, v.conj().T))
-    return np.sqrt(np.maximum(2.0 * v.shape[0] - 2.0 * tr, 0.0))
+    ``v``, in one contraction.  ``v`` may carry leading axes: a ``(..., d, d)``
+    array gives ``(..., n)`` distances."""
+    tr = np.abs(np.einsum("nij,...ji->...n", stack, v.conj().swapaxes(-1, -2)))
+    return np.sqrt(np.maximum(2.0 * v.shape[-1] - 2.0 * tr, 0.0))
 
 
 def phase_aligned_defect(u: np.ndarray, v: np.ndarray) -> float:

@@ -58,6 +58,19 @@ def _pauli_stack(n_qubits: int) -> np.ndarray:
     return stack
 
 
+@functools.lru_cache(maxsize=None)
+def _logical_pauli_coords() -> np.ndarray:
+    """Read-only 4x16 table: row i holds the PS-Pauli coordinates of the
+    encoded logical Pauli i, built once."""
+    iso = braid_space.logical_encoding()
+    embedded = [iso @ p @ dagger(iso) for p in PAULI_1Q]
+    coords = np.array(
+        [[np.trace(p_k @ e).conj() / 4 for p_k in _pauli_stack(2)] for e in embedded]
+    )
+    coords.flags.writeable = False
+    return coords
+
+
 def pauli_labels(n_qubits: int) -> list[str]:
     return ["".join(t) for t in itertools.product(PAULI_LABELS_1Q, repeat=n_qubits)]
 
@@ -185,11 +198,6 @@ def purity_of(rho) -> float:
     return (d * plain - 1.0) / (d - 1.0)
 
 
-def _purity_from_coefficients(coeffs: np.ndarray, dim: int) -> float:
-    plain = float(np.sum(coeffs**2)) / dim
-    return (dim * plain - 1.0) / (dim - 1.0)
-
-
 def project_to_logical(ptm_ps: PauliTransferMap) -> PauliTransferMap:
     """Compress a physical-space transfer map to the logical qubit.
 
@@ -199,14 +207,10 @@ def project_to_logical(ptm_ps: PauliTransferMap) -> PauliTransferMap:
     """
     if ptm_ps.dim != 4:
         raise ValueError("expected a physical-space (dimension 4) transfer map")
-    iso = braid_space.logical_encoding()
-    ps_basis = _pauli_stack(2)
-    embedded = [iso @ p @ dagger(iso) for p in PAULI_1Q]
-    coords = np.array(
-        [[np.trace(p_k @ e).conj() / 4 for p_k in ps_basis] for e in embedded]
-    )  # coords[i, k]: PS-Pauli coordinates of embedded logical Pauli i
+    coords = _logical_pauli_coords()
     mat = np.real(2.0 * coords.conj() @ ptm_ps.matrix @ coords.T)
     return PauliTransferMap(mat, 2)
+
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +286,11 @@ class CliffordGroup:
             raise ValueError(f"matrix is not a Clifford element (distance {dists[i]:.3e})")
         return i
 
-    def nearest(self, u: np.ndarray) -> int:
-        """Index of the closest group element (no tolerance check)."""
-        return int(np.argmin(phase_distances(self.elements, u)))
+    def nearest(self, u: np.ndarray) -> int | np.ndarray:
+        """Index of the closest group element (no tolerance check); a
+        ``(k, 2, 2)`` stack gives an array of k indices."""
+        nearest = np.argmin(phase_distances(self.elements, u), axis=-1)
+        return int(nearest) if nearest.ndim == 0 else nearest
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +322,9 @@ class GateSet:
 
     dim: int
     group: CliffordGroup
-    ptms: tuple[np.ndarray, ...]  # noisy transfer matrix per group element, same order
-    prep: np.ndarray              # Pauli coefficients of the initial state and survival effect
+    ptms: np.ndarray  # read-only (24, d^2, d^2): noisy transfer matrix per group element, same order
+    prep: np.ndarray  # Pauli coefficients of the initial state and survival effect
     spam_ptm: PauliTransferMap | None = None
-
-    def survival(self, coeffs: np.ndarray) -> float:
-        return float(self.prep @ coeffs) / self.dim
 
 
 def _gateset(encode: Callable[[np.ndarray], np.ndarray], zero: np.ndarray,
@@ -332,7 +335,8 @@ def _gateset(encode: Callable[[np.ndarray], np.ndarray], zero: np.ndarray,
     dim = len(zero)
     group = group or CliffordGroup()
     noise = noise or identity_ptm(dim)
-    ptms = tuple(noise.matrix @ ptm_of_unitary(encode(c)).matrix for c in group.elements)
+    ptms = np.array([noise.matrix @ ptm_of_unitary(encode(c)).matrix for c in group.elements])
+    ptms.flags.writeable = False
     return GateSet(dim, group, ptms, state_coefficients(np.outer(zero, zero.conj())), spam_ptm)
 
 
@@ -364,6 +368,30 @@ def rng_for(seed: int, task_index: int) -> np.random.Generator:
     """Counter-based generator stream for task ``task_index`` of a master
     seed; identical whether tasks run serially or in parallel."""
     return np.random.Generator(np.random.Philox(key=np.array([seed, task_index], dtype=np.uint64)))
+
+
+class _Streams:
+    """The :func:`rng_for` streams of one master seed, read through a single
+    Philox generator whose state is reset for each stream: constructing a
+    generator per stream pulls OS entropy for a seed sequence it never uses."""
+
+    def __init__(self, seed: int) -> None:
+        self._seed = seed
+        self._bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+        self._rng = np.random.Generator(self._bitgen)
+
+    def integers(self, task_index: int, high: int, size: int) -> np.ndarray:
+        """Same draws as ``rng_for(seed, task_index).integers(0, high, size=size)``."""
+        self._bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64),
+                      "key": np.array([self._seed, task_index], dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,  # empty: the first draw generates a block
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._rng.integers(0, high, size=size)
 
 
 @dataclass(frozen=True)
@@ -469,39 +497,44 @@ def _run_sequences(
     either space the RB recovery gate inverts the logical frame: the product
     of 2x2 group elements and the interleaved target's logical block.  Raises
     ``ValueError`` for k < 2, fewer than 3 distinct lengths or a length < 1.
+
+    Sequence ``ki`` of the ``mi``-th length draws its Clifford indices from
+    the stream ``rng_for(seed, mi * 100_000 + ki)``.  The k sequences of one
+    length advance together: each step applies a gathered ``(k, d^2, d^2)``
+    stack of transfer matrices to the ``(k, d^2, 1)`` coefficient stack, and
+    multiplies the ``(k, 2, 2)`` stack of ideal logical frames.
     """
     if k < 2:
         raise ValueError(f"need at least 2 sequences per length, got {k}")
     if len(set(m_values)) < 3 or min(m_values) < 1:
         raise ValueError(f"need at least 3 distinct sequence lengths of at least 1, got {tuple(m_values)}")
-    group = gateset.group
+    group, ptms, d = gateset.group, gateset.ptms, gateset.dim
     target = None if interleave is None else interleave.unitary
     if target is not None and target.shape == (4, 4):
         target, _ = braid_space.logical_restrict(target)
+    start = gateset.prep
+    if gateset.spam_ptm is not None:
+        start = gateset.spam_ptm.matrix @ start
+    streams = _Streams(seed)
     means, stds = [], []
     for mi, m in enumerate(m_values):
-        values = []
-        for ki in range(k):
-            rng = rng_for(seed, mi * 100_000 + ki)
-            indices = rng.integers(0, len(group), size=m)
-            coeffs = gateset.prep.copy()
-            if gateset.spam_ptm is not None:
-                coeffs = gateset.spam_ptm.matrix @ coeffs
-            ideal = np.eye(2, dtype=complex)
-            for idx in indices:
-                coeffs = gateset.ptms[idx] @ coeffs
-                if interleave is not None:
-                    coeffs = interleave.ptm.matrix @ coeffs
-                if recovery:
-                    ideal = group.elements[idx] @ ideal
-                    if target is not None:
-                        ideal = target @ ideal
+        indices = np.array([streams.integers(mi * 100_000 + ki, len(group), m) for ki in range(k)])
+        coeffs = np.tile(start, (k, 1))[..., None]
+        ideal = np.tile(np.eye(2, dtype=complex), (k, 1, 1))
+        for idx in indices.T:
+            coeffs = ptms[idx] @ coeffs
+            if interleave is not None:
+                coeffs = interleave.ptm.matrix @ coeffs
             if recovery:
-                coeffs = gateset.ptms[group.nearest(dagger(ideal))] @ coeffs
-                values.append(gateset.survival(coeffs))
-            else:
-                values.append(_purity_from_coefficients(coeffs, gateset.dim))
-        values = np.asarray(values)
+                ideal = group.elements[idx] @ ideal
+                if target is not None:
+                    ideal = target @ ideal
+        if recovery:
+            coeffs = ptms[group.nearest(ideal.conj().swapaxes(1, 2))] @ coeffs
+            values = (gateset.prep @ coeffs)[:, 0] / d
+        else:
+            plain = np.sum(coeffs[..., 0] ** 2, axis=1) / d
+            values = (d * plain - 1.0) / (d - 1.0)
         means.append(values.mean())
         stds.append(values.std(ddof=1))
     return np.asarray(means), np.asarray(stds)

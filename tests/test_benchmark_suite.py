@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibanyon import benchmark_suite as bench
 from fibanyon import braid_compiler as bc
 from fibanyon import braid_space as bs
+from fibanyon import cli
 from fibanyon import noise_engine as ne
 from fibanyon._linalg import dagger, haar_unitary
 
@@ -248,18 +249,24 @@ class TestCliffordGroup:
         with pytest.raises(ValueError):
             group.find(bs.sigma_logical(12))
 
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 64))
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.integers(1, 5))
     @settings(max_examples=30, deadline=None)
-    def test_nearest_is_argmin_of_phase_distance(self, group, seed, m):
-        # an interleaved-RB ideal: random Cliffords, each followed by the
-        # braided Hadamard, so the product drifts away from the group
+    def test_nearest_is_argmin_of_phase_distance(self, group, seed, m, k):
+        # interleaved-RB ideals: random Cliffords, each followed by the
+        # braided Hadamard, so the products drift away from the group
         hadamard = bc.evaluate(bc.hadamard_word(), "logical2")
-        ideal = np.eye(2, dtype=complex)
-        for idx in bench.rng_for(seed, m).integers(0, len(group), size=m):
-            ideal = hadamard @ group.elements[idx] @ ideal
-        u = dagger(ideal)
-        expected = int(np.argmin([bc.distance_up_to_phase(u, v) for v in group.elements]))
-        assert group.nearest(u) == expected
+        stack = []
+        for ki in range(k):
+            ideal = np.eye(2, dtype=complex)
+            for idx in bench.rng_for(seed, m * 10 + ki).integers(0, len(group), size=m):
+                ideal = hadamard @ group.elements[idx] @ ideal
+            stack.append(dagger(ideal))
+        expected = [int(np.argmin([bc.distance_up_to_phase(u, v) for v in group.elements]))
+                    for u in stack]
+        assert group.nearest(stack[0]) == expected[0]
+        nearest = group.nearest(np.array(stack))
+        assert nearest.shape == (k,)
+        assert nearest.tolist() == expected
 
 
 class TestDecayFit:
@@ -475,6 +482,93 @@ class TestSpaceConsistency:
             bench.average_gate_fidelity(projected, ideal)
             - bench.average_gate_fidelity(direct, ideal)
         ) < 1e-10
+
+
+def _sequences_one_by_one(gateset, m_values, k, seed, interleave, recovery):
+    """Reference for ``_run_sequences``: the k sequences of each length run
+    one after another, one matrix-vector product per gate."""
+    group = gateset.group
+    target = None if interleave is None else interleave.unitary
+    if target is not None and target.shape == (4, 4):
+        target, _ = bs.logical_restrict(target)
+    means, stds = [], []
+    for mi, m in enumerate(m_values):
+        values = []
+        for ki in range(k):
+            indices = bench.rng_for(seed, mi * 100_000 + ki).integers(0, len(group), size=m)
+            coeffs = gateset.prep.copy()
+            if gateset.spam_ptm is not None:
+                coeffs = gateset.spam_ptm.matrix @ coeffs
+            ideal = np.eye(2, dtype=complex)
+            for idx in indices:
+                coeffs = gateset.ptms[idx] @ coeffs
+                if interleave is not None:
+                    coeffs = interleave.ptm.matrix @ coeffs
+                if recovery:
+                    ideal = group.elements[idx] @ ideal
+                    if target is not None:
+                        ideal = target @ ideal
+            if recovery:
+                coeffs = gateset.ptms[group.nearest(dagger(ideal))] @ coeffs
+                values.append(float(gateset.prep @ coeffs) / gateset.dim)
+            else:
+                plain = float(np.sum(coeffs**2)) / gateset.dim
+                values.append((gateset.dim * plain - 1.0) / (gateset.dim - 1.0))
+        values = np.asarray(values)
+        means.append(values.mean())
+        stds.append(values.std(ddof=1))
+    return np.asarray(means), np.asarray(stds)
+
+
+class TestBatchedSequences:
+    @given(
+        space=st.sampled_from(("ls", "ps")),
+        t2=st.one_of(st.none(), st.floats(0.05, 5.0)),
+        depolarizing=st.floats(0.0, 0.05),
+        angle=st.floats(-0.2, 0.2),
+        axis=st.sampled_from("xyz"),
+        spam=st.one_of(st.none(), st.floats(0.0, 0.3)),
+        target=st.sampled_from((None, "logical2", "physical4")),
+        recovery=st.booleans(),
+        k=st.integers(2, 6),
+        m_values=st.lists(st.integers(1, 24), min_size=3, max_size=5, unique=True),
+        seed=st.integers(0, 2**64 - 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batched_matches_one_by_one(self, group, space, t2, depolarizing, angle, axis,
+                                        spam, target, recovery, k, m_values, seed):
+        dim = 4 if space == "ps" else 2
+        model = ne.NoiseModel(t2=(t2, t2), depolarizing_prob=depolarizing,
+                              over_rotation_angle=angle, over_rotation_axis=axis)
+        noise = cli._gate_noise_ptm(model, dim)
+        make = bench.physical_gateset if space == "ps" else bench.logical_gateset
+        spam_ptm = None if spam is None else bench.depolarizing_ptm(dim, spam)
+        gateset = make(noise=noise, group=group, spam_ptm=spam_ptm)
+        interleave = None
+        if target is not None:
+            # the frame unitary may be 2x2 or 4x4 in either space; the
+            # transfer map acts in the gate set's space
+            word = bc.hadamard_word()
+            applied = bench.ptm_of_unitary(bc.evaluate(word, "physical4" if space == "ps" else "logical2"))
+            interleave = bench.NoisyGate(bc.evaluate(word, target), noise.compose(applied))
+        batched = bench._run_sequences(gateset, m_values, k, seed, interleave, recovery)
+        expected = _sequences_one_by_one(gateset, m_values, k, seed, interleave, recovery)
+        for got, want in zip(batched, expected):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+@given(st.integers(0, 2**64 - 4), st.integers(0, 2**40), st.lists(st.integers(1, 70), min_size=1, max_size=4))
+@example(2**64 - 4, 6 * 100_000 + 29, [64, 1, 7])
+@example(0, 0, [1, 2, 3])
+@settings(max_examples=30, deadline=None)
+def test_reset_streams_match_rng_for(seed, index, sizes):
+    streams = bench._Streams(seed)
+    for i, m in enumerate(sizes):
+        # neighbouring streams in between: a reset must not carry state over
+        np.testing.assert_array_equal(streams.integers(index + i, 24, m),
+                                      bench.rng_for(seed, index + i).integers(0, 24, size=m))
+        np.testing.assert_array_equal(streams.integers(index, 24, m),
+                                      bench.rng_for(seed, index).integers(0, 24, size=m))
 
 
 def test_rng_streams_deterministic_and_independent():

@@ -273,3 +273,7 @@ def test_phase_distances_match_pairwise_distance(seed, n, dim):
     v = haar_unitary(dim, rng)
     expected = [phase_distance(u, v) for u in stack]
     np.testing.assert_allclose(phase_distances(stack, v), expected, rtol=0, atol=1e-12)
+    # leading axes of v broadcast: one row of distances per matrix
+    vs = np.array([[v, haar_unitary(dim, rng)], [haar_unitary(dim, rng), v]])
+    rows = [[phase_distances(stack, w) for w in pair] for pair in vs]
+    np.testing.assert_array_equal(phase_distances(stack, vs), rows)
