@@ -11,6 +11,9 @@ operation takes :data:`BRAIDING_STEP_SECONDS`, so an elementary crossing
 accounts for half of that.  A braid word is simulated as the composition of
 per-letter Pauli transfer maps (:func:`word_ptm`); :class:`DensityMatrix`
 validation happens once, where a state enters :func:`word_channel`.
+:func:`calibrate_t2` reads every fidelity off that composed map, and
+:func:`predict_gate_fidelity` rebuilds it by process tomography as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -244,7 +247,10 @@ def word_channel(word: BraidWord, noise: NoiseModel) -> Callable[[np.ndarray], n
 def predict_gate_fidelity(word: BraidWord, noise: NoiseModel) -> float:
     """Average gate fidelity of the noisy word against its ideal unitary,
     computed from the transfer map that process tomography reconstructs from
-    :func:`word_channel` (which also probes the channel for linearity)."""
+    :func:`word_channel` (which also probes the channel for linearity).
+
+    This is the tomographic cross-check of :func:`calibrate_t2`, which reads
+    the same fidelity straight off :func:`word_ptm`."""
     ideal = braid_compiler.evaluate(word, "physical4")
     ptm = benchmark_suite.qpt(word_channel(word, noise), dim=4)
     return benchmark_suite.average_gate_fidelity(ptm, ideal)
@@ -268,13 +274,23 @@ class CalibrationResult:
 def calibrate_t2(word: BraidWord, target_fidelity: float) -> CalibrationResult:
     """Find a common per-qubit T2 at which the simulated word fidelity hits a
     target.  Fidelity is monotone in T2, so a bracketing root search on the
-    log scale suffices."""
+    log scale suffices.
+
+    Every fidelity, the reported one included, is the average gate fidelity
+    of the composed :func:`word_ptm` against the word's ideal unitary;
+    :func:`predict_gate_fidelity` computes the same number by tomography."""
+    if math.isnan(target_fidelity):
+        raise ValueError(f"target fidelity {target_fidelity!r} is not a number")
     # imported here: scipy.optimize dominates the package import time
     from scipy.optimize import brentq
 
+    ideal = braid_compiler.evaluate(word, "physical4")
+
+    def fidelity(t2: float) -> float:
+        return benchmark_suite.average_gate_fidelity(word_ptm(word, NoiseModel(t2=(t2, t2))), ideal)
+
     def gap(log_t2: float) -> float:
-        t2 = math.exp(log_t2)
-        return predict_gate_fidelity(word, NoiseModel(t2=(t2, t2))) - target_fidelity
+        return fidelity(math.exp(log_t2)) - target_fidelity
 
     lo, hi = math.log(T2_BOUNDS[0]), math.log(T2_BOUNDS[1])
     if gap(lo) > 0 or gap(hi) < 0:
@@ -283,8 +299,7 @@ def calibrate_t2(word: BraidWord, target_fidelity: float) -> CalibrationResult:
             f"reached between T2 = {T2_BOUNDS[0]:g} s and {T2_BOUNDS[1]:g} s"
         )
     t2 = math.exp(brentq(gap, lo, hi, xtol=1e-12, rtol=1e-12))
-    fidelity = predict_gate_fidelity(word, NoiseModel(t2=(t2, t2)))
-    return CalibrationResult(t2=t2, fidelity=fidelity, target=target_fidelity)
+    return CalibrationResult(t2=t2, fidelity=fidelity(t2), target=target_fidelity)
 
 
 # ---------------------------------------------------------------------------

@@ -147,8 +147,9 @@ def stepped_word_state(word, noise, rho):
 
 
 @st.composite
-def canonical_words(draw, max_letters=12):
-    powers = draw(st.lists(st.sampled_from((1, -1, 2, -2, 3, -3, 4, -4)), max_size=max_letters))
+def canonical_words(draw, max_letters=12, min_letters=0):
+    powers = draw(st.lists(st.sampled_from(bc.SEARCH_POWERS), min_size=min_letters,
+                           max_size=max_letters))
     first, second = draw(st.sampled_from(((12, 23), (23, 12))))
     gens = [(first, second)[i % 2] for i in range(len(powers))]
     return bc.BraidWord(tuple(bc.BraidLetter(g, p) for g, p in zip(gens, powers)))
@@ -291,3 +292,32 @@ class TestCalibration:
         # above the fidelity at the T2_BOUNDS upper end
         with pytest.raises(ne.UnbracketedTargetError):
             ne.calibrate_t2(bc.hadamard_word(), 0.99999)
+
+    @pytest.mark.parametrize("target", [math.inf, -math.inf, -0.5])
+    def test_out_of_range_target_rejected(self, target):
+        with pytest.raises(ne.UnbracketedTargetError):
+            ne.calibrate_t2(bc.hadamard_word(), target)
+
+    def test_nan_target_rejected_before_evaluation(self, monkeypatch):
+        def no_evaluation(*args):
+            raise AssertionError("the word was simulated")
+
+        monkeypatch.setattr(ne, "word_ptm", no_evaluation)
+        with pytest.raises(ValueError, match="target fidelity nan") as info:
+            ne.calibrate_t2(bc.hadamard_word(), math.nan)
+        assert type(info.value) is ValueError
+
+    @given(
+        st.one_of(st.just(bc.hadamard_word()), canonical_words(max_letters=15, min_letters=1)),
+        st.floats(0.01, 0.99),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_reaches_target_and_matches_tomography(self, word, position):
+        # the bracket ends come from the tomographic reference
+        low, high = (ne.predict_gate_fidelity(word, ne.NoiseModel(t2=(t2, t2)))
+                     for t2 in ne.T2_BOUNDS)
+        target = low + position * (high - low)
+        cal = ne.calibrate_t2(word, target)
+        assert abs(cal.fidelity - target) < 1e-9
+        reference = ne.predict_gate_fidelity(word, ne.NoiseModel(t2=(cal.t2, cal.t2)))
+        assert abs(cal.fidelity - reference) < 1e-12
