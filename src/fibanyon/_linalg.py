@@ -7,6 +7,8 @@ point where they are constructed, not wrapped in a dedicated type.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 UNITARY_TOL = 1e-10
@@ -17,9 +19,11 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Max-entry deviation of ``u u†`` from the identity."""
+    """Max-entry deviation of ``u u†`` from the identity; infinite when an
+    entry of ``u`` is not finite, so that every tolerance rejects it."""
     u = np.asarray(u)
-    return float(np.abs(u @ dagger(u) - np.eye(u.shape[0])).max())
+    defect = float(np.abs(u @ dagger(u) - np.eye(u.shape[0])).max())
+    return math.inf if math.isnan(defect) else defect
 
 
 def check_unitary(u: np.ndarray, tol: float = UNITARY_TOL, what: str = "matrix") -> np.ndarray:

@@ -177,8 +177,13 @@ def average_gate_fidelity(ptm: PauliTransferMap, ideal: np.ndarray) -> float:
     ideal_ptm = ptm_of_unitary(ideal)
     if ideal_ptm.dim != ptm.dim:
         raise ValueError("dimension mismatch between channel and ideal gate")
-    d = ptm.dim
-    f_pro = float(np.trace(ideal_ptm.matrix.T @ ptm.matrix)) / d**2
+    return _average_fidelity(ptm.matrix, ideal_ptm.matrix, ptm.dim)
+
+
+def _average_fidelity(matrix: np.ndarray, ideal_matrix: np.ndarray, d: int) -> float:
+    """The closed form of :func:`average_gate_fidelity` on transfer matrices
+    of a ``d``-dimensional channel and its ideal gate."""
+    f_pro = float((ideal_matrix.T @ matrix).trace()) / d**2
     return (d * f_pro + 1.0) / (d + 1.0)
 
 

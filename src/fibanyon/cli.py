@@ -49,8 +49,13 @@ def _matrix_csv(matrix: np.ndarray) -> str:
 
 
 def _parse_matrix_json(path: Path) -> np.ndarray:
-    data = json.loads(path.read_text())
-    return np.array([[complex(re, im) for re, im in row] for row in data])
+    """A matrix stored as rows of ``[re, im]`` pairs; raises OSError or
+    ValueError when the file is unreadable or holds anything else."""
+    rows = json.loads(path.read_text())
+    try:
+        return np.array([[complex(re, im) for re, im in row] for row in rows])
+    except TypeError:
+        raise ValueError("matrix entries must be [re, im] pairs of numbers") from None
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +100,11 @@ VERIFICATION_CHECK_NAMES = (
 
 
 def _sigma_oracle(index: int) -> np.ndarray:
-    """Closed-form generator matrices used as an independent diff target."""
+    """Closed-form generator matrices used as an independent diff target.
+
+    The published sigma12 carries a typo in its second diagonal entry;
+    unitarity and the braid relations force the e^{i 4 pi/5} / phi used here
+    (see the braid_space tests)."""
     phi = anyon_model.PHI
     e = lambda x: np.exp(1j * np.pi * x)
     diag_phase = e(4 / 5) / phi
@@ -332,7 +341,11 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             print(f"unknown named gate {args.named!r}; choices: {NAMED_GATES}", file=sys.stderr)
             return 2
     else:
-        target = _parse_matrix_json(Path(args.target))
+        try:
+            target = _parse_matrix_json(Path(args.target))
+        except (OSError, ValueError) as exc:
+            print(f"cannot read target matrix {args.target}: {exc}", file=sys.stderr)
+            return 2
         if target.shape != (2, 2):
             print("target must be a 2x2 matrix", file=sys.stderr)
             return 2

@@ -11,8 +11,9 @@ operation takes :data:`BRAIDING_STEP_SECONDS`, so an elementary crossing
 accounts for half of that.  A braid word is simulated as the composition of
 per-letter Pauli transfer maps (:func:`word_ptm`); :class:`DensityMatrix`
 validation happens once, where a state enters :func:`word_channel`.
-:func:`calibrate_t2` reads every fidelity off that composed map, and
-:func:`predict_gate_fidelity` rebuilds it by process tomography as a
+:func:`calibrate_t2` composes the same per-letter maps, rescaled for each
+trial T2, and finds the target with a numpy Brent root on log T2;
+:func:`predict_gate_fidelity` rebuilds the map by process tomography as a
 cross-check.
 """
 
@@ -214,6 +215,24 @@ def _letter_ptm(generator: int, power: int) -> np.ndarray:
     return matrix
 
 
+def _letter_stack(word: BraidWord) -> np.ndarray:
+    """``(L, 16, 16)`` stack of the cached ideal transfer matrices of the
+    word's letters, in application order."""
+    ptms = [_letter_ptm(letter.generator, letter.power) for letter in word.letters]
+    return np.reshape(ptms, (len(ptms), 16, 16))
+
+
+def _compose(letters: np.ndarray) -> np.ndarray:
+    """Product of a stack of per-letter transfer matrices, the first letter
+    acting first."""
+    if len(letters) == 0:
+        return np.eye(letters.shape[-1])
+    total = letters[0]
+    for matrix in letters[1:]:
+        total = matrix @ total
+    return total
+
+
 def word_ptm(word: BraidWord, noise: NoiseModel) -> benchmark_suite.PauliTransferMap:
     """Physical-space transfer map of a braid word simulated letter by letter.
 
@@ -226,11 +245,9 @@ def word_ptm(word: BraidWord, noise: NoiseModel) -> benchmark_suite.PauliTransfe
     gamma = pauli_dephasing_rates(noise.rates())
     mixing = np.full(gamma.shape, 1.0 - noise.depolarizing_prob)
     mixing[0] = 1.0
-    total = np.eye(gamma.size)
-    for letter in word.letters:
-        decay = np.exp(-letter_duration(letter, noise) * gamma) * mixing
-        total = (decay[:, None] * _letter_ptm(letter.generator, letter.power)) @ total
-    return benchmark_suite.PauliTransferMap(total, 4)
+    decays = [np.exp(-letter_duration(letter, noise) * gamma) * mixing for letter in word.letters]
+    rows = np.reshape(decays, (len(decays), gamma.size, 1))
+    return benchmark_suite.PauliTransferMap(_compose(rows * _letter_stack(word)), 4)
 
 
 def word_channel(word: BraidWord, noise: NoiseModel) -> Callable[[np.ndarray], np.ndarray]:
@@ -271,35 +288,106 @@ class CalibrationResult:
     target: float
 
 
+def _t2_fidelity(word: BraidWord) -> Callable[[float], float]:
+    """Average gate fidelity of the word, under a common per-qubit T2 and no
+    other noise, as a function of that T2.
+
+    Everything that does not depend on T2 is done here, once: the letters'
+    transfer-matrix stack, each letter's dephasing exponents (its duration
+    times the number of qubits on which a Pauli string is transverse), and
+    the ideal transfer matrix, the noiseless product of the same stack.  An
+    evaluation is then one exp, a row scaling and one chain of matmuls: the
+    arithmetic of :func:`word_ptm`, up to rounding."""
+    noise = NoiseModel()
+    stack = _letter_stack(word)
+    durations = np.array([letter_duration(letter, noise) for letter in word.letters])
+    exponents = -durations[:, None, None] * pauli_dephasing_rates((1.0, 1.0))[:, None]
+    ideal = _compose(stack)
+
+    def fidelity(t2: float) -> float:
+        return benchmark_suite._average_fidelity(_compose(np.exp(exponents / t2) * stack), ideal, 4)
+
+    return fidelity
+
+
+def _brent_root(
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float
+) -> tuple[float, float]:
+    """Root of ``f`` between ``a`` and ``b`` by Brent's method (R. P. Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 4).
+
+    ``fa`` and ``fb`` are ``f(a)`` and ``f(b)``, of opposite signs or zero.
+    Each step takes an inverse-quadratic or secant step when it stays well
+    inside the bracket and a bisection otherwise, and the search stops once
+    the bracket is narrower than ``xtol + rtol * |x|``, with xtol = rtol =
+    1e-12.  Returns the best estimate and its ``f`` value, so the caller
+    needs no further evaluation.
+    """
+    xtol = rtol = 1e-12
+    if fa == 0:
+        return a, fa
+    if fb == 0:
+        return b, fb
+    # cur: best estimate; blk: the other end of the bracket; pre: the previous estimate
+    xpre, fpre, xcur, fcur = a, fa, b, fb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, fcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = f(xcur)
+    raise RuntimeError("root search did not converge in 100 steps")
+
+
 def calibrate_t2(word: BraidWord, target_fidelity: float) -> CalibrationResult:
     """Find a common per-qubit T2 at which the simulated word fidelity hits a
     target.  Fidelity is monotone in T2, so a bracketing root search on the
-    log scale suffices.
+    log scale suffices: Brent's method over :data:`T2_BOUNDS`, to
+    ``xtol = rtol = 1e-12`` in log T2.
 
     Every fidelity, the reported one included, is the average gate fidelity
-    of the composed :func:`word_ptm` against the word's ideal unitary;
+    of the word's composed transfer map (:func:`word_ptm`'s, up to rounding)
+    against the noiseless product of the same letters;
     :func:`predict_gate_fidelity` computes the same number by tomography."""
     if math.isnan(target_fidelity):
         raise ValueError(f"target fidelity {target_fidelity!r} is not a number")
-    # imported here: scipy.optimize dominates the package import time
-    from scipy.optimize import brentq
-
-    ideal = braid_compiler.evaluate(word, "physical4")
-
-    def fidelity(t2: float) -> float:
-        return benchmark_suite.average_gate_fidelity(word_ptm(word, NoiseModel(t2=(t2, t2))), ideal)
+    fidelity = _t2_fidelity(word)
 
     def gap(log_t2: float) -> float:
         return fidelity(math.exp(log_t2)) - target_fidelity
 
     lo, hi = math.log(T2_BOUNDS[0]), math.log(T2_BOUNDS[1])
-    if gap(lo) > 0 or gap(hi) < 0:
+    gap_lo, gap_hi = gap(lo), gap(hi)
+    if gap_lo > 0 or gap_hi < 0:
         raise UnbracketedTargetError(
             f"target fidelity {target_fidelity!r} lies outside the fidelities "
             f"reached between T2 = {T2_BOUNDS[0]:g} s and {T2_BOUNDS[1]:g} s"
         )
-    t2 = math.exp(brentq(gap, lo, hi, xtol=1e-12, rtol=1e-12))
-    return CalibrationResult(t2=t2, fidelity=fidelity(t2), target=target_fidelity)
+    log_t2, gap_t2 = _brent_root(gap, lo, hi, gap_lo, gap_hi)
+    return CalibrationResult(t2=math.exp(log_t2), fidelity=target_fidelity + gap_t2,
+                             target=target_fidelity)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from fibanyon import cli
+
 PHI = (1 + math.sqrt(5)) / 2
 
 
@@ -13,31 +15,14 @@ def phase(x: float) -> complex:
 
 @pytest.fixture(scope="session")
 def sigma12_printed() -> np.ndarray:
-    """The 4x4 edge-basis generator for exchanging the left anyon pair.
-
-    Frozen oracle: derived by conjugating the diagonal tree-basis generator
-    with the printed basis transform (the published matrix carries a typo in
-    the second diagonal entry; unitarity and the braid relations force the
-    e^{i 4 pi/5} phase used here, see the braid_space tests).
-    """
-    off = phase(7 / 5) / math.sqrt(PHI)
-    return np.array([
-        [1, 0, 0, 0],
-        [0, phase(4 / 5) / PHI, 0, off],
-        [0, 0, phase(3 / 5), 0],
-        [0, off, 0, -1 / PHI],
-    ])
+    """The 4x4 edge-basis generator for exchanging the left anyon pair, in
+    closed form (the frozen oracle that ``fibanyon verify`` also checks)."""
+    return cli._sigma_oracle(12)
 
 
 @pytest.fixture(scope="session")
 def sigma23_printed() -> np.ndarray:
-    off = phase(7 / 5) / math.sqrt(PHI)
-    return np.array([
-        [1, 0, 0, 0],
-        [0, phase(3 / 5), 0, 0],
-        [0, 0, phase(4 / 5) / PHI, off],
-        [0, 0, off, -1 / PHI],
-    ])
+    return cli._sigma_oracle(23)
 
 
 @pytest.fixture(scope="session")

@@ -236,6 +236,10 @@ class TestSearch:
         with pytest.raises(ValueError):
             bc.search_word(np.array([[1, 0], [0, 2]]), max_letters=1)
 
+    def test_nan_target_rejected(self):
+        with pytest.raises(ValueError, match="unitary"):
+            bc.search_word(np.array([[1, 0], [0, np.nan]]), max_letters=1)
+
     @pytest.mark.parametrize("max_letters, budget", [(-1, None), (3, -5)])
     def test_negative_arguments_rejected(self, max_letters, budget):
         with pytest.raises(ValueError, match="non-negative"):

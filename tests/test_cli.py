@@ -90,6 +90,26 @@ class TestCompile:
         assert run(["compile", "--target", str(bad)]) == 2
         assert "not unitary" in capsys.readouterr().err
 
+    def test_nan_target_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([[[1, 0], [0, 0]], [[0, 0], [float("nan"), 0]]]))
+        assert run(["compile", "--target", str(bad)]) == 2
+        assert "not unitary" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content,message", [
+        (None, "No such file"),
+        ("{not json", "Expecting property name"),
+        ("[[1, 0]]", "[re, im] pairs"),
+    ])
+    def test_unreadable_target_exits_2(self, tmp_path, capsys, content, message):
+        target = tmp_path / "target.json"
+        if content is not None:
+            target.write_text(content)
+        assert run(["compile", "--target", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert message in err and str(target) in err
+
     def test_matrix_file_target(self, tmp_path, capsys):
         h = 1 / np.sqrt(2)
         target = tmp_path / "h.json"

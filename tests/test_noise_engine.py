@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,7 +306,7 @@ class TestCalibration:
         def no_evaluation(*args):
             raise AssertionError("the word was simulated")
 
-        monkeypatch.setattr(ne, "word_ptm", no_evaluation)
+        monkeypatch.setattr(ne, "_compose", no_evaluation)
         with pytest.raises(ValueError, match="target fidelity nan") as info:
             ne.calibrate_t2(bc.hadamard_word(), math.nan)
         assert type(info.value) is ValueError
@@ -321,3 +325,43 @@ class TestCalibration:
         assert abs(cal.fidelity - target) < 1e-9
         reference = ne.predict_gate_fidelity(word, ne.NoiseModel(t2=(cal.t2, cal.t2)))
         assert abs(cal.fidelity - reference) < 1e-12
+
+    @given(
+        st.one_of(st.just(bc.hadamard_word()), canonical_words(max_letters=15, min_letters=1)),
+        st.floats(0.01, 0.99),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_root_matches_scipy_brentq(self, word, position):
+        from scipy.optimize import brentq
+
+        fidelity = ne._t2_fidelity(word)
+        lo, hi = (math.log(t2) for t2 in ne.T2_BOUNDS)
+        low, high = fidelity(math.exp(lo)), fidelity(math.exp(hi))
+        target = low + position * (high - low)
+
+        def gap(log_t2):
+            return fidelity(math.exp(log_t2)) - target
+
+        reference = math.exp(brentq(gap, lo, hi, xtol=1e-12, rtol=1e-12))
+        cal = ne.calibrate_t2(word, target)
+        assert abs(cal.t2 - reference) <= 1e-10 * reference
+        assert abs(cal.fidelity - fidelity(cal.t2)) <= 2**-52
+
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_endpoint_target_returns_endpoint(self, end):
+        word = bc.hadamard_word()
+        t2 = math.exp(math.log(ne.T2_BOUNDS[end]))  # the search runs on log T2
+        target = ne._t2_fidelity(word)(t2)
+        cal = ne.calibrate_t2(word, target)
+        assert (cal.t2, cal.fidelity) == (t2, target)
+
+    def test_calibrate_command_does_not_load_scipy(self):
+        script = ("import sys\n"
+                  "from fibanyon import cli\n"
+                  "assert cli.main(['calibrate']) == 0\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        path = [str(Path(ne.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.splitlines()[-1] == "[]"
