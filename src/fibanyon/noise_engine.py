@@ -266,8 +266,8 @@ def predict_gate_fidelity(word: BraidWord, noise: NoiseModel) -> float:
     computed from the transfer map that process tomography reconstructs from
     :func:`word_channel` (which also probes the channel for linearity).
 
-    This is the tomographic cross-check of :func:`calibrate_t2`, which reads
-    the same fidelity straight off :func:`word_ptm`."""
+    This is the tomographic cross-check of :func:`calibrate_t2`, which
+    composes the same per-letter maps without tomography."""
     ideal = braid_compiler.evaluate(word, "physical4")
     ptm = benchmark_suite.qpt(word_channel(word, noise), dim=4)
     return benchmark_suite.average_gate_fidelity(ptm, ideal)
