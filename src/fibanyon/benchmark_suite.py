@@ -41,15 +41,10 @@ DEFAULT_SEQUENCES = 30
 Channel = Callable[[np.ndarray], np.ndarray]
 
 
-def pauli_basis(n_qubits: int) -> list[np.ndarray]:
-    """Unnormalized Pauli operators, identity first, lexicographic order."""
-    return list(_pauli_stack(n_qubits))
-
-
 @functools.lru_cache(maxsize=None)
 def _pauli_stack(n_qubits: int) -> np.ndarray:
-    """The Pauli basis as one read-only ``(4^n, 2^n, 2^n)`` array, built once
-    per register size."""
+    """The unnormalized Pauli basis, identity first in lexicographic order,
+    as one read-only ``(4^n, 2^n, 2^n)`` array built once per register size."""
     basis = list(PAULI_1Q)
     for _ in range(n_qubits - 1):
         basis = [np.kron(a, b) for a in basis for b in PAULI_1Q]
@@ -192,15 +187,6 @@ def unitarity(ptm: PauliTransferMap) -> float:
     over ``d^2 - 1``, normalized so the identity channel gives one."""
     block = ptm.traceless_block()
     return float(np.sum(block * block)) / (ptm.dim**2 - 1)
-
-
-def purity_of(rho) -> float:
-    """Rescaled purity ``(d tr(rho^2) - 1) / (d - 1)``: 1 for pure states,
-    0 for the maximally mixed state."""
-    matrix = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
-    d = matrix.shape[0]
-    plain = float(np.trace(matrix @ matrix).real)
-    return (d * plain - 1.0) / (d - 1.0)
 
 
 def project_to_logical(ptm_ps: PauliTransferMap) -> PauliTransferMap:

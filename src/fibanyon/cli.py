@@ -2,7 +2,8 @@
 
 Subcommands: ``verify``, ``compile``, ``benchmark``, ``robustness``,
 ``dump-matrices``, ``calibrate``.  Exit codes: 0 on success, 1 when a
-verification check fails, 2 on usage errors.  All randomness flows from
+verification check fails, 2 on usage errors, including an output path that
+cannot be written.  All randomness flows from
 ``--seed`` through counter-based generator streams, so identical invocations
 produce identical output bytes.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -385,42 +387,17 @@ def _noise_model(args: argparse.Namespace) -> noise_engine.NoiseModel | None:
         return None
 
 
-def _gate_noise_ptm(noise: noise_engine.NoiseModel, dim: int) -> bench.PauliTransferMap:
-    """Transfer map of the per-Clifford noise a NoiseModel implies.
-
-    In the physical space this is dephasing over the Clifford pulse duration
-    plus any synthetic channels; in the logical space the synthetic
-    depolarizing/over-rotation channels apply directly.
-    """
-    ptm = bench.identity_ptm(dim)
-    rates = noise.rates()
-    if dim == 4 and any(rates):
-        decay = np.exp(-noise.clifford_duration * noise_engine.pauli_dephasing_rates(rates))
-        ptm = bench.PauliTransferMap(np.diag(decay), 4).compose(ptm)
-    if dim == 2 and any(rates):
-        # a logical qubit has no direct physical-qubit dephasing; expose the
-        # summed rate as an effective logical dephasing channel
-        decay = float(np.exp(-noise.clifford_duration * sum(rates)))
-        ptm = bench.dephasing_ptm(decay).compose(ptm)
-    if noise.depolarizing_prob:
-        ptm = bench.depolarizing_ptm(dim, noise.depolarizing_prob).compose(ptm)
-    if noise.over_rotation_angle:
-        u = noise_engine.over_rotation_unitary(noise.over_rotation_axis, noise.over_rotation_angle)
-        if dim == 4:
-            u = braid_space.logical_extension(u)
-        ptm = bench.ptm_of_unitary(u).compose(ptm)
-    return ptm
-
-
 def _gateset_for(space: str, noise: noise_engine.NoiseModel, group: bench.CliffordGroup) -> bench.GateSet:
     make = bench.physical_gateset if space == "ps" else bench.logical_gateset
-    return make(noise=_gate_noise_ptm(noise, 4 if space == "ps" else 2), group=group)
+    noise_ptm = noise_engine.clifford_noise_ptm(noise, 4 if space == "ps" else 2)
+    return make(noise=noise_ptm, group=group)
 
 
 def _hadamard_target(space: str, noise: noise_engine.NoiseModel) -> bench.NoisyGate:
-    """The braided Hadamard as a noisy interleaving target."""
+    """The braided Hadamard as a noisy interleaving target: its composed
+    transfer map, projected to the logical qubit in the logical space."""
     word = braid_compiler.hadamard_word()
-    ptm_ps = bench.qpt(noise_engine.word_channel(word, noise), 4)
+    ptm_ps = noise_engine.word_ptm(word, noise)
     if space == "ps":
         return bench.NoisyGate(braid_compiler.evaluate(word, "physical4"), ptm_ps)
     return bench.NoisyGate(
@@ -589,6 +566,17 @@ def _int_at_least(low: int, high: int | None = None):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float greater than zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text}")
+    return value
+
+
 _SEED = _int_at_least(0, 2**64 - 4)
 """argparse type of ``--seed``: a uint64 generator key, with room for the
 ``seed + 3`` stream of the interleaved purity run."""
@@ -617,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--list", action="store_true", help="print check names without running")
     p_verify.add_argument("--leakage-words", type=_int_at_least(0), default=100)
     p_verify.add_argument("--seed", type=_SEED, default=DEFAULT_SEED)
-    p_verify.add_argument("--tolerance", type=float, default=1.0,
+    p_verify.add_argument("--tolerance", type=_positive_float, default=1.0,
                           help="scale factor applied to every check tolerance")
     p_verify.add_argument("--json", help="write the report to this JSON file")
     p_verify.add_argument("--inject-f-error", action="store_true", help=argparse.SUPPRESS)
@@ -671,7 +659,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        # an output path that cannot be written; input files report their own errors
+        print(f"fibanyon {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

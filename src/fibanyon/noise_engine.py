@@ -8,13 +8,16 @@ the qubits whose z quantum numbers differ between the bra and ket index.
 
 Braiding operations are realized at gate granularity: one squared-generator
 operation takes :data:`BRAIDING_STEP_SECONDS`, so an elementary crossing
-accounts for half of that.  A braid word is simulated as the composition of
-per-letter Pauli transfer maps (:func:`word_ptm`); :class:`DensityMatrix`
-validation happens once, where a state enters :func:`word_channel`.
+accounts for half of that.  Channels are Pauli transfer maps throughout: a
+braid word is the composition of per-letter maps (:func:`word_ptm`), and
+the noise after a Clifford pulse is :func:`clifford_noise_ptm`; both read
+their dephasing-then-depolarizing diagonal from one rule.
 :func:`calibrate_t2` composes the same per-letter maps, rescaled for each
-trial T2, and finds the target with a numpy Brent root on log T2;
-:func:`predict_gate_fidelity` rebuilds the map by process tomography as a
-cross-check.
+trial T2, and finds the target with a numpy Brent root on log T2.
+Density matrices appear only at the boundary: :func:`word_channel`
+validates its input state as a :class:`DensityMatrix`, and
+:func:`predict_gate_fidelity` rebuilds the map from that channel by process
+tomography as a cross-check.
 """
 
 from __future__ import annotations
@@ -64,17 +67,6 @@ class DensityMatrix:
         state = np.asarray(state, dtype=complex)
         state = state / np.linalg.norm(state)
         return cls(np.outer(state, state.conj()))
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim, dtype=complex) / dim)
-
-    def purity(self) -> float:
-        """Plain purity tr(rho^2)."""
-        return float(np.trace(self.matrix @ self.matrix).real)
-
-    def evolved(self, unitary: np.ndarray) -> "DensityMatrix":
-        return DensityMatrix(unitary @ self.matrix @ dagger(unitary))
 
 
 @dataclass(frozen=True)
@@ -170,13 +162,6 @@ def apply_dephasing(rho: DensityMatrix, rates: Sequence[float], dt: float) -> De
     return DensityMatrix(rho.matrix * dephasing_factors(rates, dt))
 
 
-def apply_depolarizing(rho: DensityMatrix, prob: float) -> DensityMatrix:
-    if not 0.0 <= prob <= 1.0:
-        raise ValueError("depolarizing probability must lie in [0, 1]")
-    dim = rho.dim
-    return DensityMatrix((1 - prob) * rho.matrix + prob * np.eye(dim) / dim)
-
-
 def over_rotation_unitary(axis: str, angle: float) -> np.ndarray:
     """Single-qubit systematic-error unitary exp(-i angle sigma_axis / 2)."""
     sigma = _AXES[axis]
@@ -193,17 +178,48 @@ def letter_duration(letter: braid_compiler.BraidLetter, noise: NoiseModel) -> fl
     return abs(letter.power) * noise.braiding_step / 2.0
 
 
-def apply_noisy_unitary(
-    rho: DensityMatrix, unitary: np.ndarray, duration: float, noise: NoiseModel
-) -> DensityMatrix:
-    """One noisy gate: the ideal unitary followed by dephasing for its duration."""
-    rho = rho.evolved(unitary)
-    rates = noise.rates()
-    if any(rates):
-        rho = apply_dephasing(rho, rates, duration)
-    if noise.depolarizing_prob:
-        rho = apply_depolarizing(rho, noise.depolarizing_prob)
-    return rho
+def _noise_diagonal(noise: NoiseModel, duration: float | np.ndarray) -> np.ndarray:
+    """Physical-space Pauli diagonal of z-basis dephasing over ``duration``
+    followed by the depolarizing channel.
+
+    Both channels are diagonal in the two-qubit Pauli basis: a string decays
+    by ``exp(-duration * rate)`` (:func:`pauli_dephasing_rates`), and every
+    string but the identity by ``1 - depolarizing_prob``.  A ``(L, 1)``
+    column of durations gives one ``(L, 16)`` row per duration."""
+    gamma = pauli_dephasing_rates(noise.rates())
+    mixing = np.full(gamma.shape, 1.0 - noise.depolarizing_prob)
+    mixing[0] = 1.0
+    return np.exp(-duration * gamma) * mixing
+
+
+def clifford_noise_ptm(noise: NoiseModel, dim: int) -> benchmark_suite.PauliTransferMap:
+    """Transfer map of the noise that follows every Clifford pulse.
+
+    In the physical space (``dim`` 4) this is dephasing over
+    ``clifford_duration`` and then the depolarizing channel, as after a braid
+    letter.  The logical space (``dim`` 2) has no physical qubits to dephase,
+    so the summed rate acts as an effective logical z-dephasing before the
+    depolarizing channel.  The over-rotation comes last, on the encoded
+    logical qubit in the physical space."""
+    if dim == 4:
+        ptm = benchmark_suite.PauliTransferMap(
+            np.diag(_noise_diagonal(noise, noise.clifford_duration)), 4)
+    elif dim == 2:
+        ptm = benchmark_suite.identity_ptm(2)
+        rates = noise.rates()
+        if any(rates):
+            decay = float(np.exp(-noise.clifford_duration * sum(rates)))
+            ptm = benchmark_suite.dephasing_ptm(decay).compose(ptm)
+        if noise.depolarizing_prob:
+            ptm = benchmark_suite.depolarizing_ptm(2, noise.depolarizing_prob).compose(ptm)
+    else:
+        raise ValueError(f"Clifford noise acts in dimension 2 or 4, not {dim}")
+    if noise.over_rotation_angle:
+        u = over_rotation_unitary(noise.over_rotation_axis, noise.over_rotation_angle)
+        if dim == 4:
+            u = braid_space.logical_extension(u)
+        ptm = benchmark_suite.ptm_of_unitary(u).compose(ptm)
+    return ptm
 
 
 @functools.lru_cache(maxsize=64)
@@ -239,14 +255,11 @@ def word_ptm(word: BraidWord, noise: NoiseModel) -> benchmark_suite.PauliTransfe
     Each letter is its ideal unitary followed by z-basis dephasing over the
     letter's duration and then the depolarizing channel; both noise channels
     are diagonal in the Pauli basis, so a letter is a row-scaled copy of the
-    cached transfer matrix of its unitary.  This is the composition of
-    :func:`apply_noisy_unitary` steps, in transfer-map form.
+    cached transfer matrix of its unitary.  The over-rotation is Clifford
+    noise only (:func:`clifford_noise_ptm`) and does not act here.
     """
-    gamma = pauli_dephasing_rates(noise.rates())
-    mixing = np.full(gamma.shape, 1.0 - noise.depolarizing_prob)
-    mixing[0] = 1.0
-    decays = [np.exp(-letter_duration(letter, noise) * gamma) * mixing for letter in word.letters]
-    rows = np.reshape(decays, (len(decays), gamma.size, 1))
+    durations = np.array([letter_duration(letter, noise) for letter in word.letters])
+    rows = _noise_diagonal(noise, durations.reshape(-1, 1))[..., None]
     return benchmark_suite.PauliTransferMap(_compose(rows * _letter_stack(word)), 4)
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fibanyon import benchmark_suite as bench
 from fibanyon import braid_compiler as bc
 from fibanyon import braid_space as bs
-from fibanyon import cli
 from fibanyon import noise_engine as ne
 from fibanyon._linalg import dagger, haar_unitary
 
@@ -129,7 +128,7 @@ class TestPauliBasisVectorization:
                                    atol=1e-14)
 
     def test_basis_order_and_immutability(self):
-        basis = bench.pauli_basis(2)
+        basis = bench._pauli_stack(2)
         assert len(basis) == 16
         for p, q in zip(basis, kron_basis(2)):
             np.testing.assert_array_equal(p, q)
@@ -196,22 +195,30 @@ class TestUnitarity:
 
 
 class TestPurity:
-    def test_pure_state(self):
-        assert abs(bench.purity_of(np.diag([1.0, 0.0]).astype(complex)) - 1.0) < 1e-12
+    """The rescaled purity ``(d tr(rho^2) - 1) / (d - 1)`` that purity
+    benchmarking averages: 1 for pure states, 0 for the maximally mixed one."""
+
+    @staticmethod
+    def purities(gateset):
+        means, _ = bench._run_sequences(gateset, (1, 2, 5), 3, 7, None, recovery=False)
+        return means
+
+    def test_pure_state(self, group):
+        np.testing.assert_allclose(self.purities(bench.logical_gateset(group=group)), 1.0,
+                                   rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 4])
-    def test_maximally_mixed(self, dim):
-        assert abs(bench.purity_of(np.eye(dim) / dim)) < 1e-12
+    def test_maximally_mixed(self, group, dim):
+        make = bench.physical_gateset if dim == 4 else bench.logical_gateset
+        gateset = make(noise=bench.depolarizing_ptm(dim, 1.0), group=group)
+        np.testing.assert_allclose(self.purities(gateset), 0.0, rtol=0, atol=1e-12)
 
-    def test_dephased_plus_state_analytic(self):
+    def test_dephased_plus_state_analytic(self, group):
+        # |+> prepared, then dephased; noiseless Cliffords keep its purity
         t, t2 = 0.05, 0.2
-        lam = math.exp(-t / t2)
-        rho = np.array([[0.5, 0.5 * lam], [0.5 * lam, 0.5]])
-        assert abs(bench.purity_of(rho) - math.exp(-2 * t / t2)) < 1e-12
-
-    def test_accepts_density_matrix_objects(self):
-        dm = ne.DensityMatrix.maximally_mixed(2)
-        assert abs(bench.purity_of(dm)) < 1e-12
+        spam = bench.dephasing_ptm(math.exp(-t / t2)).compose(bench.ptm_of_unitary(bc.hadamard_gate()))
+        gateset = bench.logical_gateset(group=group, spam_ptm=spam)
+        np.testing.assert_allclose(self.purities(gateset), math.exp(-2 * t / t2), rtol=0, atol=1e-12)
 
 
 class TestCliffordGroup:
@@ -540,7 +547,7 @@ class TestBatchedSequences:
         dim = 4 if space == "ps" else 2
         model = ne.NoiseModel(t2=(t2, t2), depolarizing_prob=depolarizing,
                               over_rotation_angle=angle, over_rotation_axis=axis)
-        noise = cli._gate_noise_ptm(model, dim)
+        noise = ne.clifford_noise_ptm(model, dim)
         make = bench.physical_gateset if space == "ps" else bench.logical_gateset
         spam_ptm = None if spam is None else bench.depolarizing_ptm(dim, spam)
         gateset = make(noise=noise, group=group, spam_ptm=spam_ptm)

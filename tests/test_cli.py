@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from fibanyon import benchmark_suite as bench
+from fibanyon import braid_compiler as bc
 from fibanyon import cli
+from fibanyon import noise_engine as ne
 
 
 def run(argv):
@@ -193,6 +196,34 @@ class TestBenchmark:
         assert (out_dir / "pb_reference.csv").exists()
         assert (out_dir / "pb_interleaved.csv").exists()
 
+    @pytest.mark.parametrize("space", ["ls", "ps"])
+    @pytest.mark.parametrize("protocol", ["qpt", "rb", "pb"])
+    def test_simulates_transfer_maps_only(self, tmp_path, capsys, monkeypatch, protocol, space):
+        model = ne.NoiseModel(t2=(0.4, 0.9), depolarizing_prob=0.01, over_rotation_angle=0.05)
+        noise = tmp_path / "noise.json"
+        model.to_json(noise)
+        reference = bench.qpt(ne.word_channel(bc.hadamard_word(), model), 4)
+        if space == "ls":
+            reference = bench.project_to_logical(reference)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the command simulated density matrices")
+
+        monkeypatch.setattr(bench, "qpt", forbidden)
+        monkeypatch.setattr(ne, "word_channel", forbidden)
+        monkeypatch.setattr(ne, "DensityMatrix", forbidden)
+        out_dir = tmp_path / "out"
+        argv = ["benchmark", "--protocol", protocol, "--space", space, "--noise", str(noise),
+                "--m-grid", "1", "2", "3", "--k", "2", "--out", str(out_dir)]
+        if protocol == "rb":
+            argv.append("--interleave-hadamard")
+        assert run(argv) == 0
+        capsys.readouterr()
+        if protocol == "qpt":
+            # the tomographic cross-check of the composed map
+            written = json.loads((out_dir / "transfer_map.json").read_text())["matrix"]
+            np.testing.assert_allclose(written, reference.matrix, rtol=0, atol=1e-12)
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             run(["benchmark", "--protocol", "nope", "--out", "/tmp/x"])
@@ -237,6 +268,12 @@ class TestDegenerateNumericInput:
         (["benchmark", "--protocol", "pb", "--seed", "-1"], "--seed: must be at least 0"),
         # pb draws from the seed + 3 stream, which must still fit a uint64 key
         (["benchmark", "--protocol", "pb", "--seed", str(2**64 - 3)], "--seed: must be at most"),
+        # a scale that is not finite and positive would fail every check with exit 1
+        (["verify", "--tolerance", "nan"], "--tolerance: must be a finite positive number"),
+        (["verify", "--tolerance", "inf"], "--tolerance: must be a finite positive number"),
+        (["verify", "--tolerance", "0"], "--tolerance: must be a finite positive number"),
+        (["verify", "--tolerance", "-1"], "--tolerance: must be a finite positive number"),
+        (["verify", "--tolerance", "tight"], "--tolerance: invalid float value: 'tight'"),
     ])
     def test_exits_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -247,6 +284,27 @@ class TestDegenerateNumericInput:
     def test_largest_seed_runs(self, tmp_path, capsys):
         assert run(["benchmark", "--protocol", "pb", "--seed", str(2**64 - 4), "--k", "2",
                     "--m-grid", "1", "2", "3", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--leakage-words", "1", "--json", "{missing}/report.json"],
+    ["compile", "--hadamard", "--out", "{missing}/h.json"],
+    ["benchmark", "--protocol", "qpt", "--out", "{file}"],
+    ["robustness", "--q", "1", "--csv", "{missing}/m.csv"],
+    ["dump-matrices", "--out", "{file}"],
+    ["calibrate", "--out", "{missing}/cal.json"],
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    existing = tmp_path / "taken"
+    existing.write_text("")
+    paths = {"missing": tmp_path / "no" / "such" / "dir", "file": existing}
+    argv = [arg.format(**paths) for arg in argv]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"fibanyon {argv[0]}: ")
+    assert str(tmp_path) in err
+    assert existing.read_text() == ""
 
 
 class TestRobustness:

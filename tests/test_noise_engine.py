@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -29,10 +30,17 @@ def plus_zero_state() -> ne.DensityMatrix:
     return ne.DensityMatrix.pure(np.kron(np.array([1, 1]) / math.sqrt(2), np.array([1, 0])))
 
 
+def purity(rho: ne.DensityMatrix) -> float:
+    """Plain purity tr(rho^2)."""
+    return float(np.trace(rho.matrix @ rho.matrix).real)
+
+
 class TestDensityMatrix:
     def test_pure_and_mixed_constructors(self):
-        assert abs(ne.DensityMatrix.pure(np.array([1, 1j])).purity() - 1.0) < 1e-12
-        assert abs(ne.DensityMatrix.maximally_mixed(4).purity() - 0.25) < 1e-12
+        pure = ne.DensityMatrix.pure(np.array([1, 1j]))
+        np.testing.assert_allclose(pure.matrix, [[0.5, -0.5j], [0.5j, 0.5]], atol=1e-15)
+        assert abs(purity(pure) - 1.0) < 1e-12
+        assert abs(purity(ne.DensityMatrix(np.eye(4) / 4)) - 0.25) < 1e-12
 
     def test_non_hermitian_rejected(self):
         bad = np.array([[0.5, 0.5], [0.0, 0.5]])
@@ -71,17 +79,17 @@ class TestDephasing:
 
     def test_purity_never_increases(self):
         rho = plus_zero_state()
-        previous = rho.purity()
+        previous = purity(rho)
         for _ in range(5):
             rho = ne.apply_dephasing(rho, (4.0, 2.0), 0.01)
-            current = rho.purity()
+            current = purity(rho)
             assert current <= previous + 1e-12
             previous = current
 
     def test_purity_strictly_decreases_with_coherences(self):
         rho = plus_zero_state()
         out = ne.apply_dephasing(rho, (3.0, 0.0), 0.05)
-        assert out.purity() < rho.purity() - 1e-6
+        assert purity(out) < purity(rho) - 1e-6
 
     def test_nonphysical_noise_rejected(self):
         with pytest.raises(ValueError):
@@ -142,12 +150,30 @@ class TestDephasingForms:
         )
 
 
+def stepped_gate(rho, unitary, duration, noise):
+    """Reference simulation of one noisy gate on validated density matrices:
+    the unitary, then dephasing over ``duration``, then depolarizing."""
+    rho = ne.DensityMatrix(unitary @ rho.matrix @ unitary.conj().T)
+    rho = ne.apply_dephasing(rho, noise.rates(), duration)
+    p = noise.depolarizing_prob
+    return ne.DensityMatrix((1 - p) * rho.matrix + p * np.eye(rho.dim) / rho.dim)
+
+
 def stepped_word_state(word, noise, rho):
-    """Reference simulation: validated density matrices, letter by letter."""
+    """Reference simulation of a braid word, letter by letter."""
     for letter in word.letters:
         u = np.linalg.matrix_power(bs.sigma(letter.generator), letter.power)
-        rho = ne.apply_noisy_unitary(rho, u, ne.letter_duration(letter, noise), noise)
+        rho = stepped_gate(rho, u, ne.letter_duration(letter, noise), noise)
     return rho.matrix
+
+
+def stepped_clifford_noise(noise, rho):
+    """Reference simulation of the noise after one Clifford pulse: a noisy
+    identity gate over the pulse duration, then the encoded over-rotation."""
+    rho = stepped_gate(rho, np.eye(4), noise.clifford_duration, noise)
+    u = bs.logical_extension(ne.over_rotation_unitary(noise.over_rotation_axis,
+                                                      noise.over_rotation_angle))
+    return ne.DensityMatrix(u @ rho.matrix @ u.conj().T).matrix
 
 
 @st.composite
@@ -186,6 +212,19 @@ class TestWordTransferMap:
         ptm = ne.word_ptm(word, noise)
         np.testing.assert_allclose(ptm.apply(rho.matrix), expected, atol=1e-12)
         np.testing.assert_allclose(ne.word_channel(word, noise)(rho.matrix), expected, atol=1e-12)
+
+    @given(noise_models(), st.floats(0.0, 0.02), st.floats(-0.3, 0.3), st.sampled_from("xyz"))
+    @settings(max_examples=30, deadline=None)
+    def test_clifford_noise_matches_tomography(self, noise, duration, angle, axis):
+        noise = dataclasses.replace(noise, clifford_duration=duration,
+                                    over_rotation_angle=angle, over_rotation_axis=axis)
+        expected = bench.qpt(lambda rho: stepped_clifford_noise(noise, ne.DensityMatrix(rho)), 4)
+        np.testing.assert_allclose(ne.clifford_noise_ptm(noise, 4).matrix, expected.matrix,
+                                   rtol=0, atol=1e-14)
+
+    def test_clifford_noise_needs_a_register_dimension(self):
+        with pytest.raises(ValueError, match="dimension 2 or 4"):
+            ne.clifford_noise_ptm(ne.NoiseModel(), 8)
 
     def test_empty_word_is_identity(self):
         ptm = ne.word_ptm(bc.BraidWord(()), ne.NoiseModel(t2=(0.1, 0.1), depolarizing_prob=0.5))
@@ -272,14 +311,15 @@ class TestGateFidelity:
 
     def test_purity_monotone_along_word_simulation(self):
         noise = ne.NoiseModel(t2=(0.2, 0.4))
-        iso = bs.logical_encoding()
-        rho = ne.DensityMatrix.pure(iso[:, 0])
-        purity = rho.purity()
-        for letter in bc.hadamard_word().letters:
-            u = np.linalg.matrix_power(bs.sigma(letter.generator), letter.power)
-            rho = ne.apply_noisy_unitary(rho, u, ne.letter_duration(letter, noise), noise)
-            assert rho.purity() <= purity + 1e-12
-            purity = rho.purity()
+        start = ne.DensityMatrix.pure(bs.logical_encoding()[:, 0])
+        letters = bc.hadamard_word().letters
+        last = purity(start)
+        for n in range(1, len(letters) + 1):
+            rho = ne.word_ptm(bc.BraidWord(letters[:n]), noise).apply(start.matrix)
+            current = float(np.trace(rho @ rho).real)
+            assert current <= last + 1e-12
+            last = current
+        assert last < purity(start) - 1e-3
 
 
 class TestCalibration:
@@ -355,13 +395,18 @@ class TestCalibration:
         cal = ne.calibrate_t2(word, target)
         assert (cal.t2, cal.fidelity) == (t2, target)
 
-    def test_calibrate_command_does_not_load_scipy(self):
+    def test_calibrate_command_does_not_load_scipy(self, tmp_path):
+        # neither does the tomography-free benchmark protocol
         script = ("import sys\n"
                   "from fibanyon import cli\n"
-                  "assert cli.main(['calibrate']) == 0\n"
-                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+                  "for argv in sys.argv[1:]:\n"
+                  "    assert cli.main(argv.split()) == 0\n"
+                  "    loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                  "    print('after', argv, 'scipy modules:', loaded)\n")
+        commands = ["calibrate", f"benchmark --protocol qpt --space ps --out {tmp_path}"]
         path = [str(Path(ne.__file__).parents[1]), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=120, check=True)
-        assert done.stdout.splitlines()[-1] == "[]"
+        done = subprocess.run([sys.executable, "-c", script, *commands], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        reports = [line for line in done.stdout.splitlines() if line.startswith("after ")]
+        assert reports == [f"after {argv} scipy modules: []" for argv in commands]
