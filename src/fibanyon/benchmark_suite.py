@@ -37,6 +37,11 @@ PAULI_LABELS_1Q = ("I", "X", "Y", "Z")
 
 DEFAULT_M_GRID = (1, 2, 4, 8, 16, 32, 64)
 DEFAULT_SEQUENCES = 30
+MAX_SEQUENCES = 100_000
+"""Most sequences per length: sequence ``ki`` of the ``mi``-th length draws
+from stream ``mi * MAX_SEQUENCES + ki``, so more would share the streams of
+the next length."""
+_SEQUENCE_BLOCK = 4096  # sequences advanced together; bounds the gathered (n, d^2, d^2) stack
 
 Channel = Callable[[np.ndarray], np.ndarray]
 
@@ -361,28 +366,34 @@ def rng_for(seed: int, task_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, task_index], dtype=np.uint64)))
 
 
-class _Streams:
-    """The :func:`rng_for` streams of one master seed, read through a single
-    Philox generator whose state is reset for each stream: constructing a
-    generator per stream pulls OS entropy for a seed sequence it never uses."""
+def _stream_integers(seed: int, streams: Sequence[int], high: int, sizes: np.ndarray) -> np.ndarray:
+    """Row ``i`` begins with ``rng_for(seed, streams[i]).integers(0, high,
+    size=sizes[i])`` for ``0 < high < 2**32``; entries past ``sizes[i]`` are
+    unspecified.
 
-    def __init__(self, seed: int) -> None:
-        self._seed = seed
-        self._bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-        self._rng = np.random.Generator(self._bitgen)
-
-    def integers(self, task_index: int, high: int, size: int) -> np.ndarray:
-        """Same draws as ``rng_for(seed, task_index).integers(0, high, size=size)``."""
-        self._bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64),
-                      "key": np.array([self._seed, task_index], dtype=np.uint64)},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,  # empty: the first draw generates a block
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return self._rng.integers(0, high, size=size)
+    The raw 64-bit words of every stream come from a single Philox generator
+    whose state is reset per stream: constructing a generator per stream pulls
+    OS entropy for a seed sequence it never uses.  numpy's bounded draw maps
+    each 32-bit half of a word, low half first, to ``(u32 * high) >> 32`` and
+    draws again where the low 32 bits of that product fall below
+    ``2**32 % high``; the whole block is mapped at once, and a stream with such
+    a draw among its first ``sizes[i]`` is read through :func:`rng_for`.
+    """
+    words = (sizes + 1) // 2
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    state = bitgen.state  # counter 0 and an empty buffer: the start of a stream
+    raw = np.zeros((len(streams), words.max()), dtype=np.uint64)
+    for row, (stream, n) in enumerate(zip(streams, words)):
+        state["state"]["key"][1] = stream
+        bitgen.state = state
+        raw[row, :n] = bitgen.random_raw(n)
+    halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=-1).reshape(len(streams), -1)
+    scaled = halves * np.uint64(high)
+    draws = (scaled >> 32).astype(np.int64)
+    redraw = ((scaled & 0xFFFFFFFF) < 2**32 % high) & (np.arange(halves.shape[1]) < sizes[:, None])
+    for row in np.flatnonzero(redraw.any(axis=1)):
+        draws[row, :sizes[row]] = rng_for(seed, streams[row]).integers(0, high, size=sizes[row])
+    return draws
 
 
 @dataclass(frozen=True)
@@ -487,48 +498,70 @@ def _run_sequences(
     when ``recovery`` is set (RB), rescaled purities otherwise (PB).  In
     either space the RB recovery gate inverts the logical frame: the product
     of 2x2 group elements and the interleaved target's logical block.  Raises
-    ``ValueError`` for k < 2, fewer than 3 distinct lengths or a length < 1.
+    ``ValueError`` for k < 2 or k > :data:`MAX_SEQUENCES`, fewer than 3
+    distinct lengths or a length < 1.
 
     Sequence ``ki`` of the ``mi``-th length draws its Clifford indices from
-    the stream ``rng_for(seed, mi * 100_000 + ki)``.  The k sequences of one
-    length advance together: each step applies a gathered ``(k, d^2, d^2)``
-    stack of transfer matrices to the ``(k, d^2, 1)`` coefficient stack, and
-    multiplies the ``(k, 2, 2)`` stack of ideal logical frames.
+    the stream ``rng_for(seed, mi * MAX_SEQUENCES + ki)``.  All k sequences of
+    every length advance together, longest first, in blocks of at most
+    ``_SEQUENCE_BLOCK``: step t moves the prefix of sequences longer than t,
+    applying a gathered stack of transfer matrices to their ``(d^2, 1)``
+    coefficient columns and multiplying their 2x2 logical frames, so a block
+    takes max(m) Python steps and one batched ``nearest``.
     """
     if k < 2:
         raise ValueError(f"need at least 2 sequences per length, got {k}")
+    if k > MAX_SEQUENCES:
+        raise ValueError(f"need at most {MAX_SEQUENCES} sequences per length, got {k}")
     if len(set(m_values)) < 3 or min(m_values) < 1:
         raise ValueError(f"need at least 3 distinct sequence lengths of at least 1, got {tuple(m_values)}")
-    group, ptms, d = gateset.group, gateset.ptms, gateset.dim
     target = None if interleave is None else interleave.unitary
     if target is not None and target.shape == (4, 4):
         target, _ = braid_space.logical_restrict(target)
     start = gateset.prep
     if gateset.spam_ptm is not None:
         start = gateset.spam_ptm.matrix @ start
-    streams = _Streams(seed)
-    means, stds = [], []
-    for mi, m in enumerate(m_values):
-        indices = np.array([streams.integers(mi * 100_000 + ki, len(group), m) for ki in range(k)])
-        coeffs = np.tile(start, (k, 1))[..., None]
-        ideal = np.tile(np.eye(2, dtype=complex), (k, 1, 1))
-        for idx in indices.T:
-            coeffs = ptms[idx] @ coeffs
-            if interleave is not None:
-                coeffs = interleave.ptm.matrix @ coeffs
-            if recovery:
-                ideal = group.elements[idx] @ ideal
-                if target is not None:
-                    ideal = target @ ideal
+    order = sorted(range(len(m_values)), key=lambda mi: -m_values[mi])
+    lengths = np.repeat([m_values[mi] for mi in order], k)
+    streams = [mi * MAX_SEQUENCES + ki for mi in order for ki in range(k)]
+    values = []
+    for lo in range(0, len(streams), _SEQUENCE_BLOCK):
+        block = slice(lo, lo + _SEQUENCE_BLOCK)
+        indices = _stream_integers(seed, streams[block], len(gateset.group), lengths[block])
+        values.append(_advance(gateset, start, indices, lengths[block], interleave, target, recovery))
+    values = np.concatenate(values).reshape(len(order), k)
+    means, stds = np.empty(len(order)), np.empty(len(order))
+    for mi, row in zip(order, values):
+        means[mi], stds[mi] = row.mean(), row.std(ddof=1)
+    return means, stds
+
+
+def _advance(gateset: GateSet, start: np.ndarray, indices: np.ndarray, lengths: np.ndarray,
+             interleave: NoisyGate | None, target: np.ndarray | None, recovery: bool) -> np.ndarray:
+    """Per-sequence survival (``recovery``) or rescaled purity of sequences
+    ordered longest first, sequence i applying ``indices[i, :lengths[i]]``."""
+    group, ptms, d = gateset.group, gateset.ptms, gateset.dim
+    coeffs = np.tile(start, (len(lengths), 1))[..., None]
+    frames = np.tile(np.eye(2, dtype=complex), (len(lengths), 1, 1))
+    for t in range(lengths[0]):
+        a = np.count_nonzero(lengths > t)
+        idx = indices[:a, t]
+        moved = ptms[idx] @ coeffs[:a]
+        coeffs[:a] = moved if interleave is None else interleave.ptm.matrix @ moved
         if recovery:
-            coeffs = ptms[group.nearest(ideal.conj().swapaxes(1, 2))] @ coeffs
-            values = (gateset.prep @ coeffs)[:, 0] / d
-        else:
-            plain = np.sum(coeffs[..., 0] ** 2, axis=1) / d
-            values = (d * plain - 1.0) / (d - 1.0)
-        means.append(values.mean())
-        stds.append(values.std(ddof=1))
-    return np.asarray(means), np.asarray(stds)
+            moved = _frame_product(group.elements[idx], frames[:a])
+            frames[:a] = moved if target is None else _frame_product(target, moved)
+    if recovery:
+        coeffs = ptms[group.nearest(frames.conj().swapaxes(1, 2))] @ coeffs
+        return (gateset.prep @ coeffs)[:, 0] / d
+    plain = np.sum(coeffs[..., 0] ** 2, axis=1) / d
+    return (d * plain - 1.0) / (d - 1.0)
+
+
+def _frame_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for stacks of 2x2 matrices, written out elementwise: a
+    stacked complex ``@`` of 2x2 blocks costs about three times as much."""
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
 
 
 def reference_fidelity_from_rate(rate: float, dim: int) -> float:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -311,6 +312,8 @@ class TestRandomizedBenchmarking:
         (M_GRID, 1, "at least 2 sequences"),
         ((1, 2, 2, 1), 5, "3 distinct sequence lengths"),
         ((0, 1, 2), 5, "at least 1"),
+        # more would reuse the index streams of the next length
+        (M_GRID, 100_001, "at most 100000 sequences"),
     ])
     def test_degenerate_sequences_rejected(self, group, m_values, k, message):
         gateset = bench.logical_gateset(group=group)
@@ -527,6 +530,42 @@ def _sequences_one_by_one(gateset, m_values, k, seed, interleave, recovery):
     return np.asarray(means), np.asarray(stds)
 
 
+def _sequences_per_length(gateset, m_values, k, seed, interleave, recovery):
+    """Exact reference for ``_run_sequences``: the k sequences of each length
+    advance together, one length after another, with a stacked complex ``@``
+    for the logical frames and one ``nearest`` per length."""
+    group, ptms, d = gateset.group, gateset.ptms, gateset.dim
+    target = None if interleave is None else interleave.unitary
+    if target is not None and target.shape == (4, 4):
+        target, _ = bs.logical_restrict(target)
+    start = gateset.prep
+    if gateset.spam_ptm is not None:
+        start = gateset.spam_ptm.matrix @ start
+    means, stds = [], []
+    for mi, m in enumerate(m_values):
+        indices = np.array([bench.rng_for(seed, mi * 100_000 + ki).integers(0, len(group), size=m)
+                            for ki in range(k)])
+        coeffs = np.tile(start, (k, 1))[..., None]
+        ideal = np.tile(np.eye(2, dtype=complex), (k, 1, 1))
+        for idx in indices.T:
+            coeffs = ptms[idx] @ coeffs
+            if interleave is not None:
+                coeffs = interleave.ptm.matrix @ coeffs
+            if recovery:
+                ideal = group.elements[idx] @ ideal
+                if target is not None:
+                    ideal = target @ ideal
+        if recovery:
+            coeffs = ptms[group.nearest(ideal.conj().swapaxes(1, 2))] @ coeffs
+            values = (gateset.prep @ coeffs)[:, 0] / d
+        else:
+            plain = np.sum(coeffs[..., 0] ** 2, axis=1) / d
+            values = (d * plain - 1.0) / (d - 1.0)
+        means.append(values.mean())
+        stds.append(values.std(ddof=1))
+    return np.asarray(means), np.asarray(stds)
+
+
 class TestBatchedSequences:
     @given(
         space=st.sampled_from(("ls", "ps")),
@@ -563,19 +602,60 @@ class TestBatchedSequences:
         for got, want in zip(batched, expected):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
+    @given(
+        space=st.sampled_from(("ls", "ps")),
+        t2=st.floats(0.05, 5.0),
+        depolarizing=st.floats(0.0, 0.05),
+        spam=st.one_of(st.none(), st.floats(0.0, 0.3)),
+        target=st.sampled_from((None, "logical2", "physical4")),
+        recovery=st.booleans(),
+        k=st.integers(2, 8),
+        # unsorted, and past 64 draws (32 Philox words) per stream
+        m_values=st.lists(st.integers(1, 130), min_size=3, max_size=6, unique=True),
+        seed=st.integers(0, 2**64 - 4),
+        # blocks that split a length, and one block
+        block=st.sampled_from((1, 7, bench._SEQUENCE_BLOCK)),
+    )
+    @example(space="ps", t2=0.43, depolarizing=0.02, spam=0.1, target="physical4", recovery=True,
+             k=5, m_values=[16, 130, 1, 65, 2], seed=2**64 - 4, block=bench._SEQUENCE_BLOCK)
+    @settings(max_examples=30, deadline=None)
+    def test_all_lengths_match_per_length(self, group, space, t2, depolarizing, spam,
+                                          target, recovery, k, m_values, seed, block):
+        dim = 4 if space == "ps" else 2
+        noise = ne.clifford_noise_ptm(ne.NoiseModel(t2=(t2, t2), depolarizing_prob=depolarizing), dim)
+        make = bench.physical_gateset if space == "ps" else bench.logical_gateset
+        spam_ptm = None if spam is None else bench.depolarizing_ptm(dim, spam)
+        gateset = make(noise=noise, group=group, spam_ptm=spam_ptm)
+        interleave = None
+        if target is not None:
+            word = bc.hadamard_word()
+            applied = bench.ptm_of_unitary(bc.evaluate(word, "physical4" if space == "ps" else "logical2"))
+            interleave = bench.NoisyGate(bc.evaluate(word, target), noise.compose(applied))
+        with mock.patch.object(bench, "_SEQUENCE_BLOCK", block):
+            got = bench._run_sequences(gateset, m_values, k, seed, interleave, recovery)
+        want = _sequences_per_length(gateset, m_values, k, seed, interleave, recovery)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
-@given(st.integers(0, 2**64 - 4), st.integers(0, 2**40), st.lists(st.integers(1, 70), min_size=1, max_size=4))
-@example(2**64 - 4, 6 * 100_000 + 29, [64, 1, 7])
-@example(0, 0, [1, 2, 3])
-@settings(max_examples=30, deadline=None)
-def test_reset_streams_match_rng_for(seed, index, sizes):
-    streams = bench._Streams(seed)
-    for i, m in enumerate(sizes):
-        # neighbouring streams in between: a reset must not carry state over
-        np.testing.assert_array_equal(streams.integers(index + i, 24, m),
-                                      bench.rng_for(seed, index + i).integers(0, 24, size=m))
-        np.testing.assert_array_equal(streams.integers(index, 24, m),
-                                      bench.rng_for(seed, index).integers(0, 24, size=m))
+
+@given(
+    seed=st.integers(0, 2**64 - 4),
+    streams=st.lists(st.tuples(st.integers(0, 2**40), st.integers(1, 130)), min_size=1, max_size=6),
+    # at 24 a redraw has probability 16 / 2**32 per draw; at 2**31 + 1 about
+    # half and at 3 * 2**30 a quarter of the draws are redrawn, so those
+    # streams are read through rng_for
+    high=st.sampled_from((24, 2**31 + 1, 3 * 2**30)),
+)
+@example(2**64 - 4, [(6 * 100_000 + 29, 64), (0, 1), (6 * 100_000 + 29, 7)], 24)
+@example(0, [(0, 130), (1, 129), (0, 2)], 2**31 + 1)
+@settings(max_examples=40, deadline=None)
+def test_stream_integers_match_rng_for(seed, streams, high):
+    ids, sizes = zip(*streams)
+    draws = bench._stream_integers(seed, list(ids), high, np.array(sizes))
+    # a stream may repeat after others: a reset must not carry state over
+    for row, (stream, m) in enumerate(streams):
+        np.testing.assert_array_equal(draws[row, :m],
+                                      bench.rng_for(seed, stream).integers(0, high, size=m))
 
 
 def test_rng_streams_deterministic_and_independent():

@@ -274,6 +274,8 @@ class TestDegenerateNumericInput:
         (["verify", "--tolerance", "0"], "--tolerance: must be a finite positive number"),
         (["verify", "--tolerance", "-1"], "--tolerance: must be a finite positive number"),
         (["verify", "--tolerance", "tight"], "--tolerance: invalid float value: 'tight'"),
+        # sequence 100000 would read the index stream of the next length's sequence 0
+        (["benchmark", "--protocol", "rb", "--k", "100001"], "--k: must be at most 100000"),
     ])
     def test_exits_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
