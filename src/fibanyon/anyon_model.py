@@ -71,12 +71,6 @@ class FusionData:
         }
         return cls(labels=(v, t), fusion_table=table, qdim={v: 1.0, t: PHI})
 
-    @classmethod
-    def trivial(cls) -> "FusionData":
-        """Category with only the vacuum label (used as a degenerate control)."""
-        v = VACUUM
-        return cls(labels=(v,), fusion_table={(v, v): frozenset({v})}, qdim={v: 1.0})
-
 
 @dataclass(frozen=True)
 class FSymbolTable:
@@ -115,12 +109,6 @@ class FSymbolTable:
         ).reshape(len(ms), len(ns))
         return mat, ms, ns
 
-    def with_entry(self, key: FKey, value: complex) -> "FSymbolTable":
-        """Copy of the table with one entry replaced (negative-control hook)."""
-        new = dict(self.entries)
-        new[key] = value
-        return replace(self, entries=new)
-
     @classmethod
     def fibonacci(cls, fusion: FusionData | None = None) -> "FSymbolTable":
         fusion = fusion or FusionData.fibonacci()
@@ -152,11 +140,6 @@ class RSymbolTable:
     def get(self, a: Label, b: Label, c: Label) -> complex:
         return self.entries.get((a, b, c), 0.0 + 0.0j)
 
-    def with_entry(self, key: RKey, value: complex) -> "RSymbolTable":
-        new = dict(self.entries)
-        new[key] = value
-        return replace(self, entries=new)
-
     @classmethod
     def fibonacci(cls, fusion: FusionData | None = None) -> "RSymbolTable":
         fusion = fusion or FusionData.fibonacci()
@@ -178,10 +161,6 @@ class ConsistencyReport:
     name: str
     max_residual: float
     checked: int
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual < 1e-12
 
 
 def verify_pentagon(ftable: FSymbolTable) -> ConsistencyReport:

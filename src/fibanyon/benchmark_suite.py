@@ -101,9 +101,6 @@ class PauliTransferMap:
         row[0] -= 1.0
         return float(np.abs(row).max())
 
-    def traceless_block(self) -> np.ndarray:
-        return self.matrix[1:, 1:]
-
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Act on a density matrix through the Pauli-coefficient picture."""
         coeffs = state_coefficients(rho)
@@ -187,13 +184,6 @@ def _average_fidelity(matrix: np.ndarray, ideal_matrix: np.ndarray, d: int) -> f
     return (d * f_pro + 1.0) / (d + 1.0)
 
 
-def unitarity(ptm: PauliTransferMap) -> float:
-    """Coherence of a channel: squared Frobenius norm of the traceless block
-    over ``d^2 - 1``, normalized so the identity channel gives one."""
-    block = ptm.traceless_block()
-    return float(np.sum(block * block)) / (ptm.dim**2 - 1)
-
-
 def project_to_logical(ptm_ps: PauliTransferMap) -> PauliTransferMap:
     """Compress a physical-space transfer map to the logical qubit.
 
@@ -227,11 +217,6 @@ def depolarizing_ptm(dim: int, prob: float) -> PauliTransferMap:
 def dephasing_ptm(decay: float) -> PauliTransferMap:
     """Single-qubit z-basis dephasing with off-diagonal factor ``decay``."""
     return PauliTransferMap(np.diag([1.0, decay, decay, 1.0]), 2)
-
-
-def depolarizing_fidelity(dim: int, prob: float) -> float:
-    """Average gate fidelity of the depolarizing channel against identity."""
-    return 1.0 - prob * (dim - 1) / dim
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +259,6 @@ class CliffordGroup:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def find(self, u: np.ndarray) -> int:
-        """Index of the group element equal to ``u`` up to phase."""
-        dists = phase_distances(self.elements, u)
-        i = int(np.argmin(dists))
-        if dists[i] > 1e-6:
-            raise ValueError(f"matrix is not a Clifford element (distance {dists[i]:.3e})")
-        return i
-
     def nearest(self, u: np.ndarray) -> int | np.ndarray:
         """Index of the closest group element (no tolerance check); a
         ``(k, 2, 2)`` stack gives an array of k indices."""
@@ -302,14 +279,6 @@ class NoisyGate:
 
     unitary: np.ndarray
     ptm: PauliTransferMap
-
-    @classmethod
-    def ideal(cls, unitary: np.ndarray) -> "NoisyGate":
-        return cls(unitary, ptm_of_unitary(unitary))
-
-    @classmethod
-    def with_noise(cls, unitary: np.ndarray, noise: PauliTransferMap) -> "NoisyGate":
-        return cls(unitary, noise.compose(ptm_of_unitary(unitary)))
 
 
 @dataclass(frozen=True)

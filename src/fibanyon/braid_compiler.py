@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import braid_space
-from ._linalg import phase_distance, phase_distances, unitarity_defect
+from ._linalg import dagger, phase_distances, unitarity_defect
 
 SPACES = ("physical4", "logical2", "extended16")
 
@@ -66,20 +66,6 @@ class BraidWord:
         # a cancellation can make new neighbours equal; repeat until stable
         word = BraidWord(tuple(merged))
         return word if len(word.letters) == len(self.letters) else word.canonicalize()
-
-    def is_canonical(self) -> bool:
-        return all(
-            a.generator != b.generator for a, b in zip(self.letters, self.letters[1:])
-        )
-
-    def then(self, other: "BraidWord") -> "BraidWord":
-        """Concatenation: this word applied first, then ``other``."""
-        return BraidWord(self.letters + other.letters)
-
-    def inverse(self) -> "BraidWord":
-        return BraidWord(
-            tuple(BraidLetter(l.generator, -l.power) for l in reversed(self.letters))
-        )
 
     def to_string(self) -> str:
         """Operator-product form: rightmost token is applied first."""
@@ -145,8 +131,8 @@ def _generators_for(space: str) -> _SpaceGenerators:
 def evaluate(word: BraidWord, space: str = "physical4") -> np.ndarray:
     """Unitary realized by a braid word on the chosen space.
 
-    Letters act in application order: ``evaluate(w1.then(w2)) ==
-    evaluate(w2) @ evaluate(w1)``.
+    Letters act in application order: ``letters[0]`` is the rightmost
+    factor of the product.
     """
     gens = _generators_for(space)
     dim = gens.g12.shape[0]
@@ -157,9 +143,20 @@ def evaluate(word: BraidWord, space: str = "physical4") -> np.ndarray:
 
 
 def distance_up_to_phase(u: np.ndarray, v: np.ndarray) -> float:
-    """Frobenius distance minimized over a global phase; see
-    :func:`fibanyon._linalg.phase_distance`."""
-    return phase_distance(u, v)
+    """Frobenius distance between ``u`` and ``v`` minimized over a global phase.
+
+    The minimum of ``||u - exp(i theta) v||_F`` over theta has the closed form
+    ``sqrt(2 d - 2 |tr(v† u)|)`` for d-dimensional unitaries.  It is zero
+    exactly when the two matrices agree up to a global phase, and for
+    single-qubit unitaries ranges over [0, 2].
+    """
+    u = np.asarray(u)
+    v = np.asarray(v)
+    if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    d = u.shape[0]
+    val = 2.0 * d - 2.0 * abs(np.trace(dagger(v) @ u))
+    return float(np.sqrt(max(val, 0.0)))
 
 
 def hadamard_gate() -> np.ndarray:
@@ -220,7 +217,7 @@ def search_word(
     }
 
     best_word = empty_word()
-    best_dist = phase_distance(np.eye(2), target)
+    best_dist = distance_up_to_phase(np.eye(2), target)
     if max_letters < 1 or budget == 0:
         # degenerate request: nothing can be enumerated, flag it
         return SearchResult(best_word, best_dist, 0, True)

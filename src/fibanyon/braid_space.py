@@ -51,14 +51,6 @@ from .anyon_model import PHI, FSymbolTable, FusionData, RSymbolTable
 GENERATOR_INDICES = (12, 23)
 
 
-def edge_basis_states(n_labels: int) -> list[tuple[int, ...]]:
-    """All label tuples of the given length, lexicographic order."""
-    states = []
-    for idx in range(2**n_labels):
-        states.append(tuple((idx >> (n_labels - 1 - i)) & 1 for i in range(n_labels)))
-    return states
-
-
 def basis_index(labels: Iterable[int]) -> int:
     idx = 0
     for bit in labels:

@@ -129,18 +129,13 @@ def _sigma_oracle(index: int) -> np.ndarray:
 def run_verification_checks(
     leakage_words: int = 100,
     seed: int = DEFAULT_SEED,
-    inject_f_error: bool = False,
     tolerance_scale: float = 1.0,
 ) -> list[Check]:
-    """The full invariant suite; ``inject_f_error`` corrupts one F symbol
-    before the category checks run (a hook for exercising the failure path)."""
+    """The full invariant suite, in the order of :data:`VERIFICATION_CHECK_NAMES`."""
     phi = anyon_model.PHI
     fusion = anyon_model.FusionData.fibonacci()
     ftable = anyon_model.FSymbolTable.fibonacci(fusion)
     rtable = anyon_model.RSymbolTable.fibonacci(fusion)
-    if inject_f_error:
-        key = (1, 1, 0, 1, 1, 0)
-        ftable = ftable.with_entry(key, -ftable.get(*key))
 
     checks: list[Check] = []
     checks.append(Check("pentagon", anyon_model.verify_pentagon(ftable).max_residual, 1e-12))
@@ -249,7 +244,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     checks = run_verification_checks(
         leakage_words=args.leakage_words,
         seed=args.seed,
-        inject_f_error=args.inject_f_error,
         tolerance_scale=args.tolerance,
     )
     failures = []
@@ -438,8 +432,13 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
         return 0
 
     gateset = _gateset_for(space, noise, group)
+    reference = bench.rb_reference(gateset, m_grid, args.k, args.seed)
+    target = rb_int = None
+    if args.protocol == "pb" or args.interleave_hadamard:
+        target = _hadamard_target(space, noise)
+        rb_int = bench.rb_interleaved(target, gateset, m_grid, args.k, args.seed, reference)
+
     if args.protocol == "rb":
-        reference = bench.rb_reference(gateset, m_grid, args.k, args.seed)
         (out_dir / "rb_reference.csv").write_text(reference.to_csv(args.k))
         payload = {"reference": reference.to_dict(), "space": space, "k": args.k, "seed": args.seed}
         payload["reference"]["per_gate_fidelity"] = bench.reference_fidelity_from_rate(
@@ -447,47 +446,39 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
         )
         print(f"RB[{space}] reference: f={reference.rate:.6f} "
               f"F_ref={payload['reference']['per_gate_fidelity']:.6f}")
-        if args.interleave_hadamard:
-            target = _hadamard_target(space, noise)
-            res = bench.rb_interleaved(target, gateset, m_grid, args.k, args.seed, reference)
-            (out_dir / "rb_interleaved.csv").write_text(res.fit.to_csv(args.k))
+        if rb_int is not None:
+            (out_dir / "rb_interleaved.csv").write_text(rb_int.fit.to_csv(args.k))
             oracle = bench.average_gate_fidelity(target.ptm, target.unitary)
-            payload["interleaved"] = res.fit.to_dict()
-            payload["interleaved"]["f_rb"] = res.f_rb
+            payload["interleaved"] = rb_int.fit.to_dict()
+            payload["interleaved"]["f_rb"] = rb_int.f_rb
             payload["interleaved"]["channel_oracle_fidelity"] = oracle
-            payload["interleaved"]["warnings"] = list(res.warnings)
-            print(f"RB[{space}] interleaved: F_RB={res.f_rb:.6f} (channel oracle {oracle:.6f})")
+            payload["interleaved"]["warnings"] = list(rb_int.warnings)
+            print(f"RB[{space}] interleaved: F_RB={rb_int.f_rb:.6f} (channel oracle {oracle:.6f})")
         _write_json(out_dir / "rb_fit.json", payload)
         return 0
 
-    if args.protocol == "pb":
-        reference = bench.rb_reference(gateset, m_grid, args.k, args.seed)
-        target = _hadamard_target(space, noise)
-        rb_int = bench.rb_interleaved(target, gateset, m_grid, args.k, args.seed, reference)
-        pb_ref = bench.pb_run(gateset, None, m_grid, args.k, args.seed + 2)
-        pb_int = bench.pb_run(gateset, target, m_grid, args.k, args.seed + 3)
-        budget = bench.error_budget(rb_int, pb_ref, pb_int, dim=gateset.dim)
-        (out_dir / "pb_reference.csv").write_text(pb_ref.fit.to_csv(args.k))
-        (out_dir / "pb_interleaved.csv").write_text(pb_int.fit.to_csv(args.k))
-        _write_json(out_dir / "pb_fit.json", {
-            "space": space,
-            "reference": pb_ref.fit.to_dict(),
-            "interleaved": pb_int.fit.to_dict(),
-            "incoherent_per_gate_reference": pb_ref.incoherent_per_gate,
-        })
-        _write_json(out_dir / "error_budget.json", {
-            "space": space,
-            "total_infidelity": budget.total_infidelity,
-            "incoherent": budget.incoherent,
-            "coherent": budget.coherent,
-            "warnings": list(budget.warnings),
-        })
-        print(f"PB[{space}]: u_ref={pb_ref.fit.rate:.6f} u_int={pb_int.fit.rate:.6f} "
-              f"total={budget.total_infidelity:.4%} incoherent={budget.incoherent:.4%} "
-              f"coherent={budget.coherent:.4%}")
-        return 0
-
-    raise AssertionError(f"unhandled protocol {args.protocol}")
+    pb_ref = bench.pb_run(gateset, None, m_grid, args.k, args.seed + 2)
+    pb_int = bench.pb_run(gateset, target, m_grid, args.k, args.seed + 3)
+    budget = bench.error_budget(rb_int, pb_ref, pb_int, dim=gateset.dim)
+    (out_dir / "pb_reference.csv").write_text(pb_ref.fit.to_csv(args.k))
+    (out_dir / "pb_interleaved.csv").write_text(pb_int.fit.to_csv(args.k))
+    _write_json(out_dir / "pb_fit.json", {
+        "space": space,
+        "reference": pb_ref.fit.to_dict(),
+        "interleaved": pb_int.fit.to_dict(),
+        "incoherent_per_gate_reference": pb_ref.incoherent_per_gate,
+    })
+    _write_json(out_dir / "error_budget.json", {
+        "space": space,
+        "total_infidelity": budget.total_infidelity,
+        "incoherent": budget.incoherent,
+        "coherent": budget.coherent,
+        "warnings": list(budget.warnings),
+    })
+    print(f"PB[{space}]: u_ref={pb_ref.fit.rate:.6f} u_int={pb_int.fit.rate:.6f} "
+          f"total={budget.total_infidelity:.4%} incoherent={budget.incoherent:.4%} "
+          f"coherent={budget.coherent:.4%}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tolerance", type=_positive_float, default=1.0,
                           help="scale factor applied to every check tolerance")
     p_verify.add_argument("--json", help="write the report to this JSON file")
-    p_verify.add_argument("--inject-f-error", action="store_true", help=argparse.SUPPRESS)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_compile = sub.add_parser("compile", help="braid-word compilation and evaluation")

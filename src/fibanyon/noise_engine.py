@@ -26,7 +26,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -99,11 +99,11 @@ class NoiseModel:
             if not _is_real(value) or not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be a finite non-negative duration, got {value!r}")
         if not _is_real(self.over_rotation_angle) or not math.isfinite(self.over_rotation_angle):
-            raise ValueError("over-rotation angle must be finite")
-        if not 0.0 <= self.depolarizing_prob <= 1.0:
-            raise ValueError("depolarizing probability must lie in [0, 1]")
-        if self.over_rotation_axis not in _AXES:
-            raise ValueError("over-rotation axis must be one of x, y, z")
+            raise ValueError(f"over-rotation angle must be a finite number, got {self.over_rotation_angle!r}")
+        if not _is_real(self.depolarizing_prob) or not 0.0 <= self.depolarizing_prob <= 1.0:
+            raise ValueError(f"depolarizing probability must be a number in [0, 1], got {self.depolarizing_prob!r}")
+        if not isinstance(self.over_rotation_axis, str) or self.over_rotation_axis not in _AXES:
+            raise ValueError(f"over-rotation axis must be one of x, y, z, got {self.over_rotation_axis!r}")
 
     def rates(self) -> tuple[float, ...]:
         """Per-qubit dephasing rates 1/T2 (0 for missing entries)."""
@@ -120,11 +120,10 @@ class NoiseModel:
         if data.get("t2", ()) is None:
             del data["t2"]  # null means no dephasing, as when the key is absent
         if "t2" in data:
+            if not isinstance(data["t2"], list):
+                raise ValueError(f"t2 must be a list of one T2 time per qubit, got {data['t2']!r}")
             data["t2"] = tuple(data["t2"])
         return cls(**data)
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True))
 
 
 def _is_real(value) -> bool:
@@ -451,10 +450,6 @@ class CircuitDecomposition:
         for gate in self.gates:
             u = gate.matrix() @ u
         return u
-
-    @property
-    def cnot_count(self) -> int:
-        return sum(1 for g in self.gates if isinstance(g, CNOT))
 
 
 def _zyz_angles(u: np.ndarray) -> tuple[float, float, float, float]:

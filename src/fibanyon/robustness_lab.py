@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import braid_space, noise_engine
-from ._linalg import complex_pairs, dagger, project_psd
+from ._linalg import complex_pairs, dagger
 
 ENV_PAIR_INDEX = 2  # lexicographic index of (i1, i2) = (1, 0)
 SCENARIOS = (1, 2)
@@ -97,50 +97,6 @@ def extract_M(q: int, env_index: int = ENV_PAIR_INDEX) -> ScenarioResult:
     return _result_from_matrix(q, m)
 
 
-@dataclass(frozen=True)
-class GlobalPhaseReport:
-    q: int
-    n_states: int
-    max_state_error: float      # worst || projected/|..| - e^{i theta} psi ||
-    max_theta_spread: float     # spread of recovered phases across states
-    theta: float
-
-
-def verify_global_phase(q: int, n_states: int = 20, seed: int = 7) -> GlobalPhaseReport:
-    """Sweep random logical states through scenario ``q``.
-
-    Applies the scenario operator to ``(a|0_L> + b|1_L>)|10>_E``, projects
-    the environment back onto the created pair, renormalizes (the braid puts
-    weight outside the post-selected sector) and checks the logical state is
-    reproduced up to one global phase common to all inputs.
-    """
-    op = build_scenario_operator(q)
-    reference = extract_M(q)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, q], dtype=np.uint64)))
-    proj_rows = dagger(_sector())
-
-    worst_state = 0.0
-    thetas = []
-    for _ in range(n_states):
-        raw = rng.normal(size=2) + 1j * rng.normal(size=2)
-        psi = raw / np.linalg.norm(raw)
-        out = op @ logical_environment_state(psi[0], psi[1])
-        logical = proj_rows @ out          # amplitudes on |0_L>, |1_L>
-        norm = np.linalg.norm(logical)
-        if norm < 1e-12:
-            raise AssertionError("projected state vanished")
-        logical = logical / norm
-        overlap = np.vdot(psi, logical)    # should be a pure phase e^{i theta}
-        theta = float(np.angle(overlap))
-        thetas.append(theta)
-        worst_state = max(
-            worst_state, float(np.linalg.norm(logical - np.exp(1j * theta) * psi))
-        )
-    thetas = np.unwrap(np.asarray(thetas))
-    spread = float(thetas.max() - thetas.min())
-    return GlobalPhaseReport(q, n_states, worst_state, spread, reference.theta)
-
-
 # ---------------------------------------------------------------------------
 # Noisy reconstruction (decohered scenario pulses)
 # ---------------------------------------------------------------------------
@@ -155,10 +111,13 @@ def extract_M_noisy(
 
     The scenario unitary runs as one optimized pulse of ``pulse_duration``
     with per-qubit dephasing, starting from ``|0_L>``, ``|1_L>`` and
-    ``|+_L>`` in the created-pair sector.  Output states are clipped back to
-    positive semidefinite matrices before the block is assembled, mirroring
-    a tomography-with-projection workflow.
+    ``|+_L>`` in the created-pair sector.  The output states need no
+    positivity repair: the rotated input is a pure state, and the dephasing
+    factors are a Kronecker product of per-qubit ``[[1, e], [e, 1]]`` blocks,
+    so their Schur product is positive semidefinite with unit trace.
     """
+    if not all(np.isfinite(t) and t > 0 for t in t2):
+        raise ValueError(f"T2 times must be positive and finite, got {t2!r}")
     op = build_scenario_operator(q)
     sector = _sector()
     rates = tuple(1.0 / t for t in t2)
@@ -170,7 +129,7 @@ def extract_M_noisy(
         rho = np.outer(psi, psi.conj())
         rho = op @ rho @ dagger(op)
         rho = rho * noise_engine.dephasing_factors(rates, pulse_duration)
-        return dagger(sector) @ project_psd(rho) @ sector
+        return dagger(sector) @ rho @ sector
 
     rho0 = run(1.0, 0.0)
     rho1 = run(0.0, 1.0)

@@ -8,6 +8,31 @@ from fibanyon import cli
 PHI = (1 + math.sqrt(5)) / 2
 
 
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random unitary from the QR decomposition of a Ginibre matrix."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def global_phase_sweep(m: np.ndarray, n_states: int, rng: np.random.Generator) -> tuple[float, float, float]:
+    """Random logical states through a 2x2 block ``m``, renormalized.
+
+    Returns the worst ``|| m psi / |m psi| - e^{i theta} psi ||``, the spread
+    of the recovered phases theta across the states, and the first theta.
+    Both errors vanish exactly when ``m`` changes every state by one common
+    global phase.
+    """
+    raw = rng.normal(size=(n_states, 2)) + 1j * rng.normal(size=(n_states, 2))
+    psi = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    out = psi @ m.T
+    out /= np.linalg.norm(out, axis=1, keepdims=True)
+    thetas = np.angle(np.sum(psi.conj() * out, axis=1))
+    worst = np.linalg.norm(out - np.exp(1j * thetas)[:, None] * psi, axis=1).max()
+    thetas = np.unwrap(thetas)
+    return float(worst), float(thetas.max() - thetas.min()), float(thetas[0])
+
+
 def phase(x: float) -> complex:
     """e^{i pi x}"""
     return complex(np.exp(1j * np.pi * x))

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,16 @@ PHI = am.PHI
 @pytest.fixture(scope="module")
 def fusion():
     return am.FusionData.fibonacci()
+
+
+def with_entry(table, key, value):
+    """Copy of an F or R table with one entry replaced (a negative control)."""
+    return dataclasses.replace(table, entries={**table.entries, key: value})
+
+
+def trivial_fusion():
+    """Category with only the vacuum label (a degenerate control)."""
+    return am.FusionData(labels=(am.VACUUM,), fusion_table={(0, 0): frozenset({0})}, qdim={0: 1.0})
 
 
 @pytest.fixture(scope="module")
@@ -120,11 +131,11 @@ class TestPentagon:
         assert report.checked == 2**9
 
     def test_negated_entry_fails(self, ftable):
-        bad = ftable.with_entry((1, 1, 0, 1, 1, 0), -ftable.get(1, 1, 0, 1, 1, 0))
+        bad = with_entry(ftable, (1, 1, 0, 1, 1, 0), -ftable.get(1, 1, 0, 1, 1, 0))
         assert am.verify_pentagon(bad).max_residual > 0.1
 
     def test_trivial_category(self):
-        fusion = am.FusionData.trivial()
+        fusion = trivial_fusion()
         table = am.FSymbolTable(fusion, {(0, 0, 0, 0, 0, 0): 1.0 + 0.0j})
         assert am.verify_pentagon(table).max_residual == 0.0
 
@@ -135,11 +146,11 @@ class TestHexagon:
         assert report.max_residual < 1e-12
 
     def test_trivialized_r_fails(self, ftable, rtable):
-        bad = rtable.with_entry((1, 1, 1), 1.0 + 0.0j)
+        bad = with_entry(rtable, (1, 1, 1), 1.0 + 0.0j)
         assert am.verify_hexagon(ftable, bad).max_residual > 0.1
 
     def test_trivial_category(self):
-        fusion = am.FusionData.trivial()
+        fusion = trivial_fusion()
         ftab = am.FSymbolTable(fusion, {(0, 0, 0, 0, 0, 0): 1.0 + 0.0j})
         rtab = am.RSymbolTable(fusion, {(0, 0, 0): 1.0 + 0.0j})
         assert am.verify_hexagon(ftab, rtab).max_residual == 0.0

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import haar_unitary
 from fibanyon import braid_space as bs
-from fibanyon._linalg import dagger, haar_unitary, unitarity_defect
+from fibanyon._linalg import dagger, unitarity_defect
 
 PHI = (1 + math.sqrt(5)) / 2
 
 
 def test_edge_basis_lexicographic():
-    assert bs.edge_basis_states(2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert len(bs.edge_basis_states(4)) == 16
+    for n in (2, 4):
+        labels = itertools.product((0, 1), repeat=n)
+        assert [bs.basis_index(t) for t in labels] == list(range(2**n))
     assert bs.basis_index((1, 0)) == 2
     assert bs.basis_index((1, 0, 1, 1)) == 11
 

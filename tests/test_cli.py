@@ -1,10 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from fibanyon import anyon_model as am
 from fibanyon import benchmark_suite as bench
 from fibanyon import braid_compiler as bc
+from fibanyon import braid_space as bs
 from fibanyon import cli
 from fibanyon import noise_engine as ne
 
@@ -29,8 +32,17 @@ class TestVerify:
         checks = cli.run_verification_checks(leakage_words=2)
         assert tuple(c.name for c in checks) == cli.VERIFICATION_CHECK_NAMES
 
-    def test_injected_f_error_fails_naming_pentagon(self, capsys):
-        assert run(["verify", "--inject-f-error", "--leakage-words", "5"]) == 1
+    def test_injected_f_error_fails_naming_pentagon(self, capsys, monkeypatch):
+        fibonacci = am.FSymbolTable.fibonacci
+        key = (1, 1, 0, 1, 1, 0)
+
+        def corrupted(fusion=None):
+            table = fibonacci(fusion)
+            return dataclasses.replace(table, entries={**table.entries, key: -table.get(*key)})
+
+        bs._fib_tables()  # cache the true tables first: the generators must not see the corruption
+        monkeypatch.setattr(am.FSymbolTable, "fibonacci", corrupted)
+        assert run(["verify", "--leakage-words", "5"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  pentagon" in out
         assert "FAILED:" in out and "pentagon" in out.split("FAILED:")[1]
@@ -201,7 +213,7 @@ class TestBenchmark:
     def test_simulates_transfer_maps_only(self, tmp_path, capsys, monkeypatch, protocol, space):
         model = ne.NoiseModel(t2=(0.4, 0.9), depolarizing_prob=0.01, over_rotation_angle=0.05)
         noise = tmp_path / "noise.json"
-        model.to_json(noise)
+        noise.write_text(json.dumps(dataclasses.asdict(model)))
         reference = bench.qpt(ne.word_channel(bc.hadamard_word(), model), 4)
         if space == "ls":
             reference = bench.project_to_logical(reference)
@@ -239,6 +251,10 @@ class TestBenchmark:
         ('{"t2": [0.5, 0.5], "t2_star": [0.1, 0.1, 0.1]}', "unknown noise model keys: t2_star"),
         ('{"t2": [0.5, 0.5], "depolarising_prob": 0.3}', "unknown noise model keys: depolarising_prob"),
         ('{"t2": [0.5, 0.5], "T2": [0.1, 0.1]}', "unknown noise model keys: T2"),
+        ('{"depolarizing_prob": true}', "depolarizing probability must be a number in [0, 1], got True"),
+        ('{"depolarizing_prob": "0.1"}', "depolarizing probability must be a number in [0, 1], got '0.1'"),
+        ('{"over_rotation_axis": ["x"]}', "over-rotation axis must be one of x, y, z, got ['x']"),
+        ('{"t2": 0.5}', "t2 must be a list of one T2 time per qubit, got 0.5"),
     ])
     def test_bad_noise_file_exits_2(self, tmp_path, capsys, content, message):
         noise = tmp_path / "noise.json"
