@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -408,49 +407,51 @@ def fit_decay(
     model: str = "rb",
 ) -> DecayFit:
     """Nonlinear least squares of ``A + B r^m`` (or ``A + B r^(m-1)`` for
-    purity curves) with the documented initial guesses."""
-    # imported here: scipy.optimize dominates the package import time
-    from scipy.optimize import OptimizeWarning, curve_fit
+    purity curves) with the documented initial guesses, in the box
+    ``A in [-1, 1]``, ``B in [-2, 2]``, ``r in [1e-9, 1]``.
+
+    The fit runs the bounded trust-region-reflective iterations of
+    ``scipy.optimize.curve_fit`` (:mod:`fibanyon._trf`).  Raises
+    :class:`FitDivergenceError` for non-finite data and when the iterations
+    exhaust their evaluation cap."""
+    # imported here: only rb and pb reach the fit, so no other command loads it
+    from . import _trf
 
     m = np.asarray(m_values, dtype=float)
     y = np.asarray(means, dtype=float)
     exponent = m if model == "rb" else m - 1.0
+    spread = float(np.sqrt(np.mean((y - y.mean()) ** 2)))
+
+    if not (np.isfinite(m).all() and np.isfinite(y).all()):
+        raise FitDivergenceError("decay fit failed to converge: data are not finite", spread)
 
     if float(np.ptp(y)) < 1e-9:
         # flat data: no decay information; rate 1 by convention
         return DecayFit(0.0, float(y.mean()), 1.0, tuple(int(v) for v in m_values),
                         tuple(float(v) for v in means), tuple(float(v) for v in stddevs),
-                        float(np.sqrt(np.mean((y - y.mean()) ** 2))), model)
+                        spread, model)
 
-    # initial rate from a log-linear regression of (mean - A_guess)
+    try:
+        params = _trf.least_squares(
+            lambda p: p[0] + p[1] * np.power(p[2], exponent) - y, _initial_guess(exponent, y))
+    except (RuntimeError, ValueError) as exc:
+        raise FitDivergenceError(f"decay fit failed to converge: {exc}", spread) from exc
+
+    a, b, rate = (float(p) for p in params)
+    residual = float(np.sqrt(np.mean((a + b * np.power(rate, exponent) - y) ** 2)))
+    return DecayFit(a, b, rate, tuple(int(v) for v in m_values),
+                    tuple(float(v) for v in means), tuple(float(v) for v in stddevs),
+                    residual, model)
+
+
+def _initial_guess(exponent: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``(A, B, r) = (0.5, 0.5, r)`` with r from a log-linear regression of
+    ``y - 0.5``, clipped to ``[1e-4, 1 - 1e-9]``."""
     a_guess, b_guess = 0.5, 0.5
     shifted = np.clip(y - a_guess, 1e-6, None)
     slope = np.polyfit(exponent, np.log(shifted), 1)[0]
     r_guess = float(np.clip(np.exp(slope), 1e-4, 1.0 - 1e-9))
-
-    def curve(x, a, b, r):
-        return a + b * np.power(r, x)
-
-    try:
-        with warnings.catch_warnings():
-            # near-flat data makes the covariance singular; we report our own
-            # residual instead of using it
-            warnings.simplefilter("ignore", OptimizeWarning)
-            params, _ = curve_fit(
-                curve, exponent, y,
-                p0=[a_guess, b_guess, r_guess],
-                bounds=([-1.0, -2.0, 1e-9], [1.0, 2.0, 1.0]),
-                maxfev=20000,
-            )
-    except (RuntimeError, ValueError) as exc:
-        residual = float(np.sqrt(np.mean((y - y.mean()) ** 2)))
-        raise FitDivergenceError(f"decay fit failed to converge: {exc}", residual) from exc
-
-    a, b, rate = (float(p) for p in params)
-    residual = float(np.sqrt(np.mean((curve(exponent, a, b, rate) - y) ** 2)))
-    return DecayFit(a, b, rate, tuple(int(v) for v in m_values),
-                    tuple(float(v) for v in means), tuple(float(v) for v in stddevs),
-                    residual, model)
+    return np.array([a_guess, b_guess, r_guess])
 
 
 def _run_sequences(
@@ -508,18 +509,23 @@ def _run_sequences(
 def _advance(gateset: GateSet, start: np.ndarray, indices: np.ndarray, lengths: np.ndarray,
              interleave: NoisyGate | None, target: np.ndarray | None, recovery: bool) -> np.ndarray:
     """Per-sequence survival (``recovery``) or rescaled purity of sequences
-    ordered longest first, sequence i applying ``indices[i, :lengths[i]]``."""
+    ordered longest first, sequence i applying ``indices[i, :lengths[i]]``.
+    The interleaved target is folded into the 24 maps and frames it follows
+    once, so each step gathers and multiplies one stack of each."""
     group, ptms, d = gateset.group, gateset.ptms, gateset.dim
+    steps, step_frames = ptms, group.elements
+    if interleave is not None:
+        steps = interleave.ptm.matrix @ ptms
+    if target is not None:
+        step_frames = target @ group.elements
     coeffs = np.tile(start, (len(lengths), 1))[..., None]
     frames = np.tile(np.eye(2, dtype=complex), (len(lengths), 1, 1))
     for t in range(lengths[0]):
         a = np.count_nonzero(lengths > t)
         idx = indices[:a, t]
-        moved = ptms[idx] @ coeffs[:a]
-        coeffs[:a] = moved if interleave is None else interleave.ptm.matrix @ moved
+        coeffs[:a] = steps[idx] @ coeffs[:a]
         if recovery:
-            moved = _frame_product(group.elements[idx], frames[:a])
-            frames[:a] = moved if target is None else _frame_product(target, moved)
+            frames[:a] = _frame_product(step_frames[idx], frames[:a])
     if recovery:
         coeffs = ptms[group.nearest(frames.conj().swapaxes(1, 2))] @ coeffs
         return (gateset.prep @ coeffs)[:, 0] / d

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary
+from fibanyon import _trf
 from fibanyon import benchmark_suite as bench
 from fibanyon import braid_compiler as bc
 from fibanyon import braid_space as bs
@@ -321,6 +322,59 @@ class TestDecayFit:
         with pytest.raises(bench.FitDivergenceError):
             bench.fit_decay([1, 2, 4], [0.9, float("nan"), 0.5], [0, 0, 0])
 
+    def test_evaluation_cap_exhaustion_reported(self, monkeypatch):
+        m = np.array(bench.DEFAULT_M_GRID)
+        y = 0.4 + 0.55 * 0.97**m
+        monkeypatch.setattr(_trf, "MAX_EVALUATIONS", 3)
+        with pytest.raises(bench.FitDivergenceError, match="3 function evaluations"):
+            bench.fit_decay(m, y, np.zeros_like(y))
+
+    def test_matches_curve_fit_bit_for_bit(self, monkeypatch):
+        # the port follows scipy operation for operation; scipy's trust-region
+        # solve takes LAPACK's SVD through scipy.linalg, so give it numpy's
+        trf = pytest.importorskip("scipy.optimize._lsq.trf")
+        if not hasattr(trf, "svd"):
+            pytest.skip("scipy's trust-region module no longer imports svd by name")
+        from scipy.optimize import curve_fit
+
+        monkeypatch.setattr(trf, "svd", np.linalg.svd)
+        m = np.array(bench.DEFAULT_M_GRID)
+        for model, means in _decay_corpus():
+            exponent = m if model == "rb" else m - 1.0
+            want, _ = curve_fit(lambda x, a, b, r: a + b * np.power(r, x), exponent, means,
+                                p0=bench._initial_guess(exponent, means),
+                                bounds=([-1.0, -2.0, 1e-9], [1.0, 2.0, 1.0]), maxfev=20000)
+            fit = bench.fit_decay(m, means, np.zeros_like(means), model)
+            assert (fit.a, fit.b, fit.rate) == tuple(want), (model, means)
+
+
+def _decay_corpus():
+    """Seeded RB and PB decays on the default grid: noisy synthetic
+    ``A + B r^m`` with rates up to exactly 1, and the survival and purity
+    means of noisy LS and PS runs with and without the braided Hadamard."""
+    m = np.array(bench.DEFAULT_M_GRID)
+    rng = np.random.default_rng(1812)
+    corpus = []
+    for i in range(120):
+        model = ("rb", "pb")[i % 2]
+        rate = min(1.0, rng.uniform(0.5, 1.02))
+        exponent = m if model == "rb" else m - 1
+        means = rng.uniform(0.0, 0.5) + rng.uniform(-0.9, 0.9) * rate**exponent
+        corpus.append((model, means + rng.normal(0.0, 10 ** rng.uniform(-6, -2), m.size)))
+    noise_model = ne.NoiseModel(t2=(0.43, 0.43), depolarizing_prob=0.02)
+    word = bc.hadamard_word()
+    for dim, make, space in ((2, bench.logical_gateset, "logical2"),
+                             (4, bench.physical_gateset, "physical4")):
+        noise = ne.clifford_noise_ptm(noise_model, dim)
+        applied = bench.ptm_of_unitary(bc.evaluate(word, space))
+        target = bench.NoisyGate(bc.evaluate(word, space), noise.compose(applied))
+        gateset = make(noise=noise)
+        for interleave in (None, target):
+            for recovery, model in ((True, "rb"), (False, "pb")):
+                means, _ = bench._run_sequences(gateset, m, 30, 7, interleave, recovery)
+                corpus.append((model, means))
+    return corpus
+
 
 class TestRandomizedBenchmarking:
     @pytest.mark.parametrize("m_values, k, message", [
@@ -549,11 +603,15 @@ def _sequences_one_by_one(gateset, m_values, k, seed, interleave, recovery):
 def _sequences_per_length(gateset, m_values, k, seed, interleave, recovery):
     """Exact reference for ``_run_sequences``: the k sequences of each length
     advance together, one length after another, with a stacked complex ``@``
-    for the logical frames and one ``nearest`` per length."""
+    for the logical frames and one ``nearest`` per length.  Like
+    ``_run_sequences`` it folds the interleaved target into the 24 maps and
+    frames once, so each step is one product."""
     group, ptms, d = gateset.group, gateset.ptms, gateset.dim
     target = None if interleave is None else interleave.unitary
     if target is not None and target.shape == (4, 4):
         target, _ = bs.logical_restrict(target)
+    steps = ptms if interleave is None else interleave.ptm.matrix @ ptms
+    step_frames = group.elements if target is None else target @ group.elements
     start = gateset.prep
     if gateset.spam_ptm is not None:
         start = gateset.spam_ptm.matrix @ start
@@ -564,13 +622,9 @@ def _sequences_per_length(gateset, m_values, k, seed, interleave, recovery):
         coeffs = np.tile(start, (k, 1))[..., None]
         ideal = np.tile(np.eye(2, dtype=complex), (k, 1, 1))
         for idx in indices.T:
-            coeffs = ptms[idx] @ coeffs
-            if interleave is not None:
-                coeffs = interleave.ptm.matrix @ coeffs
+            coeffs = steps[idx] @ coeffs
             if recovery:
-                ideal = group.elements[idx] @ ideal
-                if target is not None:
-                    ideal = target @ ideal
+                ideal = step_frames[idx] @ ideal
         if recovery:
             coeffs = ptms[group.nearest(ideal.conj().swapaxes(1, 2))] @ coeffs
             values = (gateset.prep @ coeffs)[:, 0] / d

@@ -400,14 +400,19 @@ class TestCalibration:
         assert (cal.t2, cal.fidelity) == (t2, target)
 
     def test_calibrate_command_does_not_load_scipy(self, tmp_path):
-        # neither does the tomography-free benchmark protocol
+        # nor does any other subcommand: scipy is a test dependency only
         script = ("import sys\n"
                   "from fibanyon import cli\n"
                   "for argv in sys.argv[1:]:\n"
                   "    assert cli.main(argv.split()) == 0\n"
                   "    loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
                   "    print('after', argv, 'scipy modules:', loaded)\n")
-        commands = ["calibrate", f"benchmark --protocol qpt --space ps --out {tmp_path}"]
+        commands = ["calibrate", f"benchmark --protocol qpt --space ps --out {tmp_path}",
+                    "verify", "compile --hadamard", "robustness --q 1",
+                    f"dump-matrices --out {tmp_path / 'matrices'}"]
+        commands += [f"benchmark --protocol {protocol} --space {space} --out {tmp_path / protocol / space}"
+                     + (" --interleave-hadamard" if protocol == "rb" else "")
+                     for protocol in ("rb", "pb") for space in ("ls", "ps")]
         path = [str(Path(ne.__file__).parents[1]), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         done = subprocess.run([sys.executable, "-c", script, *commands], env=env,
