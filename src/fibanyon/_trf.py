@@ -9,16 +9,19 @@ It is reduced to the one case the fit needs: three parameters in the fixed
 box :data:`LOWER`, :data:`UPPER`, linear loss, unit variable scale and
 ``ftol = xtol = gtol = 1e-8``.  Every floating-point operation follows
 scipy's order, so with the same SVD it returns scipy's parameters bit for
-bit.
+bit.  Bookkeeping on the three coordinates (the scaling vector, the
+difference steps, the box tests) runs as scalar Python, and vector norms as
+``sqrt(x.dot(x))``, which is what ``numpy.linalg.norm`` computes for a real
+vector: the float operations are scipy's, only the interpreter work is less.
 """
 
 from __future__ import annotations
 
-from math import copysign
+from math import copysign, sqrt
 from typing import Callable
 
 import numpy as np
-from numpy.linalg import norm, svd
+from numpy.linalg import svd
 
 LOWER = np.array([-1.0, -2.0, 1e-9])
 UPPER = np.array([1.0, 2.0, 1.0])
@@ -28,8 +31,14 @@ MAX_EVALUATIONS = 20_000
 """Residual evaluations the iterations may spend; Jacobians are not counted."""
 
 _EPS = np.finfo(float).eps
-_REL_STEP = _EPS**0.5  # relative forward-difference step
-_INSIDE = (np.nextafter(LOWER, UPPER), np.nextafter(UPPER, LOWER))
+_REL_STEP = float(_EPS**0.5)  # relative forward-difference step
+_BOUNDS = tuple(zip(LOWER.tolist(), UPPER.tolist()))
+_INSIDE = tuple(zip(np.nextafter(LOWER, UPPER).tolist(), np.nextafter(UPPER, LOWER).tolist()))
+"""Per coordinate, the nearest floats inside its bounds."""
+
+
+def _norm(x: np.ndarray) -> float:
+    return sqrt(x.dot(x))
 
 
 def least_squares(fun: Callable[[np.ndarray], np.ndarray], x0: np.ndarray) -> np.ndarray:
@@ -46,16 +55,17 @@ def least_squares(fun: Callable[[np.ndarray], np.ndarray], x0: np.ndarray) -> np
     cost = 0.5 * np.dot(f, f)
     g = jac.T.dot(f)
     v, _ = _scaling(x, g)
-    delta = norm(x / v**0.5)
+    delta = _norm(x / v**0.5)
     if delta == 0:
         delta = 1.0
     f_augmented = np.zeros(m + 3)
-    jac_augmented = np.empty((m + 3, 3))
+    jac_augmented = np.zeros((m + 3, 3))
+    diagonal = (np.arange(m, m + 3), np.arange(3))
     nfev = 1
     alpha = 0.0  # Levenberg-Marquardt parameter
     while True:
         v, dv = _scaling(x, g)
-        g_norm = norm(g * v, ord=np.inf)
+        g_norm = np.abs(g * v).max()
         if g_norm < TOL:
             return x
         if nfev == MAX_EVALUATIONS:
@@ -66,7 +76,7 @@ def least_squares(fun: Callable[[np.ndarray], np.ndarray], x0: np.ndarray) -> np
         f_augmented[:m] = f
         jac_augmented[:m] = jac * d
         jac_h = jac_augmented[:m]
-        jac_augmented[m:] = np.diag(diag_h**0.5)
+        jac_augmented[diagonal] = diag_h**0.5
         u, s, vt = svd(jac_augmented, full_matrices=False)
         uf = u.T.dot(f_augmented)
         theta = max(0.995, 1 - g_norm)  # step-back ratio from the bounds
@@ -80,15 +90,15 @@ def least_squares(fun: Callable[[np.ndarray], np.ndarray], x0: np.ndarray) -> np
             x_new = _strictly_feasible(x + step)
             f_new = fun(x_new)
             nfev += 1
-            step_h_norm = norm(step_h)
-            if not np.all(np.isfinite(f_new)):
+            step_h_norm = _norm(step_h)
+            if not np.isfinite(f_new).all():
                 delta = 0.25 * step_h_norm
                 continue
             cost_new = 0.5 * np.dot(f_new, f_new)
             actual_reduction = cost - cost_new
             delta_new, ratio = _update_radius(delta, actual_reduction, predicted_reduction,
                                               step_h_norm, step_h_norm > 0.95 * delta)
-            converged = _terminates(actual_reduction, cost, norm(step), norm(x), ratio)
+            converged = _terminates(actual_reduction, cost, _norm(step), _norm(x), ratio)
             if converged:
                 break
             alpha *= delta / delta_new
@@ -111,24 +121,24 @@ def _jacobian(fun, x: np.ndarray, f: np.ndarray) -> np.ndarray:
     ``x``, which never happens here: every step is below 3e-8 and the box is
     at least 1 - 1e-9 wide.  The ``(m, 3)`` result is the transpose of a
     row-major ``(3, m)`` array, as in scipy."""
-    h = _REL_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
-    shifted = x + h
-    h = np.where((shifted < LOWER) | (shifted > UPPER), -h, h)
-    shifted = x + h
     columns = np.empty((3, f.size))
-    for i in range(3):
+    for i, (xi, (low, high)) in enumerate(zip(x.tolist(), _BOUNDS)):
+        h = _REL_STEP * (1.0 if xi >= 0 else -1.0) * max(1.0, abs(xi))
+        if not low <= xi + h <= high:
+            h = -h
+        shifted = xi + h
         x1 = x.copy()
-        x1[i] = shifted[i]
-        columns[i] = (fun(x1) - f) / (shifted[i] - x[i])
+        x1[i] = shifted
+        columns[i] = (fun(x1) - f) / (shifted - xi)
     return columns.T
 
 
 def _scaling(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coleman-Li scaling vector ``v`` (the distance to the bound the
     anti-gradient points at, else 1) and its derivative ``dv``."""
-    v = np.where(g < 0, UPPER - x, np.where(g > 0, x - LOWER, 1.0))
-    dv = np.where(g < 0, -1.0, np.where(g > 0, 1.0, 0.0))
-    return v, dv
+    v, dv = zip(*[(high - xi, -1.0) if gi < 0 else (xi - low, 1.0) if gi > 0 else (1.0, 0.0)
+                  for xi, gi, (low, high) in zip(x.tolist(), g.tolist(), _BOUNDS)])
+    return np.array(v), np.array(dv)
 
 
 def _solve_trust_region(m: int, uf: np.ndarray, s: np.ndarray, v: np.ndarray,
@@ -140,16 +150,16 @@ def _solve_trust_region(m: int, uf: np.ndarray, s: np.ndarray, v: np.ndarray,
 
     def phi_and_derivative(alpha):
         denom = s**2 + alpha
-        p_norm = norm(suf / denom)
+        p_norm = _norm(suf / denom)
         return p_norm - delta, -np.sum(suf**2 / denom**3) / p_norm
 
     suf = s * uf
     full_rank = m >= 3 and s[-1] > _EPS * m * s[0]
     if full_rank:
         p = -v.dot(uf / s)
-        if norm(p) <= delta:
+        if _norm(p) <= delta:
             return p, 0.0
-    alpha_upper = norm(suf) / delta
+    alpha_upper = _norm(suf) / delta
     if full_rank:
         phi, phi_prime = phi_and_derivative(0.0)
         alpha_lower = -phi / phi_prime
@@ -169,7 +179,7 @@ def _solve_trust_region(m: int, uf: np.ndarray, s: np.ndarray, v: np.ndarray,
         if np.abs(phi) < 0.01 * delta:
             break
     p = -v.dot(suf / (s**2 + alpha))
-    p *= delta / norm(p)  # onto the boundary, so later steps stay inside
+    p *= delta / _norm(p)  # onto the boundary, so later steps stay inside
     return p, alpha
 
 
@@ -178,8 +188,7 @@ def _select_step(x, jac_h, diag_h, g_h, p, p_h, d, delta, theta):
     reflection off the first bound it hits, and the cut anti-gradient step;
     returns the step, the step in scaled variables and the predicted
     reduction."""
-    x_full = x + p
-    if np.all((x_full >= LOWER) & (x_full <= UPPER)):
+    if all(low <= xi <= high for xi, (low, high) in zip((x + p).tolist(), _BOUNDS)):
         return p, p_h, -_quadratic(jac_h, g_h, p_h, diag_h)
 
     p_stride, hits = _step_to_bound(x, p)
@@ -213,7 +222,7 @@ def _select_step(x, jac_h, diag_h, g_h, p, p_h, d, delta, theta):
 
     ag_h = -g_h
     ag = d * ag_h
-    to_tr = delta / norm(ag_h)
+    to_tr = delta / _norm(ag_h)
     to_bound, _ = _step_to_bound(x, ag)
     ag_stride = theta * to_bound if to_bound < to_tr else to_tr
     a, b = _line_quadratic(jac_h, g_h, ag_h, diag_h)
@@ -298,7 +307,9 @@ def _step_to_bound(x, s):
 def _strictly_feasible(x: np.ndarray) -> np.ndarray:
     """``x`` with every coordinate on or beyond a bound moved to the
     nearest float inside it."""
-    return np.where(x <= LOWER, _INSIDE[0], np.where(x >= UPPER, _INSIDE[1], x))
+    return np.array([low_inside if xi <= low else high_inside if xi >= high else xi
+                     for xi, (low, high), (low_inside, high_inside)
+                     in zip(x.tolist(), _BOUNDS, _INSIDE)])
 
 
 def _update_radius(delta, actual_reduction, predicted_reduction, step_norm, bound_hit):

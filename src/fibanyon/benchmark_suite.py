@@ -41,6 +41,9 @@ MAX_SEQUENCES = 100_000
 from stream ``mi * MAX_SEQUENCES + ki``, so more would share the streams of
 the next length."""
 _SEQUENCE_BLOCK = 4096  # sequences advanced together; bounds the gathered (n, d^2, d^2) stack
+MAX_LENGTH = 4096
+"""Longest sequence: one block's Clifford indices are ``_SEQUENCE_BLOCK *
+MAX_LENGTH`` int64 draws, 128 MiB, and the draw holds a few such arrays."""
 
 Channel = Callable[[np.ndarray], np.ndarray]
 
@@ -264,6 +267,23 @@ class CliffordGroup:
         nearest = np.argmin(phase_distances(self.elements, u), axis=-1)
         return int(nearest) if nearest.ndim == 0 else nearest
 
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """Read-only ``(24, 24)`` multiplication table, built on first use:
+        ``table[i, j]`` is the index of ``elements[i] @ elements[j]``."""
+        products = self.elements[:, None] @ self.elements
+        table = np.argmin(phase_distances(self.elements, products), axis=-1)
+        table.flags.writeable = False
+        return table
+
+    @functools.cached_property
+    def inverse(self) -> np.ndarray:
+        """Read-only index of each element's inverse, read off :attr:`table`
+        (element 0 is the identity)."""
+        inverse = np.argmax(self.table == 0, axis=1)
+        inverse.flags.writeable = False
+        return inverse
+
 
 # ---------------------------------------------------------------------------
 # Randomized and purity benchmarking
@@ -469,15 +489,18 @@ def _run_sequences(
     either space the RB recovery gate inverts the logical frame: the product
     of 2x2 group elements and the interleaved target's logical block.  Raises
     ``ValueError`` for k < 2 or k > :data:`MAX_SEQUENCES`, fewer than 3
-    distinct lengths or a length < 1.
+    distinct lengths, or a length < 1 or > :data:`MAX_LENGTH`.
 
     Sequence ``ki`` of the ``mi``-th length draws its Clifford indices from
     the stream ``rng_for(seed, mi * MAX_SEQUENCES + ki)``.  All k sequences of
     every length advance together, longest first, in blocks of at most
     ``_SEQUENCE_BLOCK``: step t moves the prefix of sequences longer than t,
     applying a gathered stack of transfer matrices to their ``(d^2, 1)``
-    coefficient columns and multiplying their 2x2 logical frames, so a block
-    takes max(m) Python steps and one batched ``nearest``.
+    coefficient columns and updating their logical frames, so a block takes
+    max(m) Python steps.  Reference RB frames stay in the group and are
+    tracked as element indices through :attr:`CliffordGroup.table`; the
+    braided target leaves it, so interleaved RB multiplies 2x2 frames and
+    takes one batched ``nearest`` per block.
     """
     if k < 2:
         raise ValueError(f"need at least 2 sequences per length, got {k}")
@@ -485,6 +508,8 @@ def _run_sequences(
         raise ValueError(f"need at most {MAX_SEQUENCES} sequences per length, got {k}")
     if len(set(m_values)) < 3 or min(m_values) < 1:
         raise ValueError(f"need at least 3 distinct sequence lengths of at least 1, got {tuple(m_values)}")
+    if max(m_values) > MAX_LENGTH:
+        raise ValueError(f"need sequence lengths of at most {MAX_LENGTH}, got {max(m_values)}")
     target = None if interleave is None else interleave.unitary
     if target is not None and target.shape == (4, 4):
         target, _ = braid_space.logical_restrict(target)
@@ -501,8 +526,7 @@ def _run_sequences(
         values.append(_advance(gateset, start, indices, lengths[block], interleave, target, recovery))
     values = np.concatenate(values).reshape(len(order), k)
     means, stds = np.empty(len(order)), np.empty(len(order))
-    for mi, row in zip(order, values):
-        means[mi], stds[mi] = row.mean(), row.std(ddof=1)
+    means[order], stds[order] = values.mean(axis=1), values.std(axis=1, ddof=1)
     return means, stds
 
 
@@ -513,21 +537,28 @@ def _advance(gateset: GateSet, start: np.ndarray, indices: np.ndarray, lengths: 
     The interleaved target is folded into the 24 maps and frames it follows
     once, so each step gathers and multiplies one stack of each."""
     group, ptms, d = gateset.group, gateset.ptms, gateset.dim
-    steps, step_frames = ptms, group.elements
-    if interleave is not None:
-        steps = interleave.ptm.matrix @ ptms
-    if target is not None:
+    steps = ptms if interleave is None else interleave.ptm.matrix @ ptms
+    n = len(lengths)
+    # sequences longer than t, for each step t
+    active = (n - np.searchsorted(lengths[::-1], np.arange(lengths[0]), side="right")).tolist()
+    coeffs = np.tile(start, (n, 1))[..., None]
+    if recovery and target is None:
+        frames = np.zeros(n, dtype=np.intp)  # element 0 is the identity
+    elif recovery:
+        frames = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
         step_frames = target @ group.elements
-    coeffs = np.tile(start, (len(lengths), 1))[..., None]
-    frames = np.tile(np.eye(2, dtype=complex), (len(lengths), 1, 1))
-    for t in range(lengths[0]):
-        a = np.count_nonzero(lengths > t)
-        idx = indices[:a, t]
-        coeffs[:a] = steps[idx] @ coeffs[:a]
-        if recovery:
-            frames[:a] = _frame_product(step_frames[idx], frames[:a])
+    # one contiguous row of indices per step; take gathers like indexing, with less overhead
+    for a, idx in zip(active, indices.T.copy()):
+        idx = idx[:a]
+        coeffs[:a] = steps.take(idx, axis=0) @ coeffs[:a]
+        if recovery and target is None:
+            frames[:a] = group.table[idx, frames[:a]]
+        elif recovery:
+            frames[:a] = _frame_product(step_frames.take(idx, axis=0), frames[:a])
     if recovery:
-        coeffs = ptms[group.nearest(frames.conj().swapaxes(1, 2))] @ coeffs
+        inverses = (group.inverse[frames] if target is None
+                    else group.nearest(frames.conj().swapaxes(1, 2)))
+        coeffs = ptms[inverses] @ coeffs
         return (gateset.prep @ coeffs)[:, 0] / d
     plain = np.sum(coeffs[..., 0] ** 2, axis=1) / d
     return (d * plain - 1.0) / (d - 1.0)

@@ -617,8 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--protocol", choices=("qpt", "rb", "pb"), required=True)
     p_bench.add_argument("--space", choices=("ps", "ls"), default="ls")
     p_bench.add_argument("--noise", help="NoiseModel JSON file")
-    p_bench.add_argument("--m-grid", type=_int_at_least(1), nargs="+", action=_SequenceLengths,
-                         default=list(bench.DEFAULT_M_GRID))
+    p_bench.add_argument("--m-grid", type=_int_at_least(1, bench.MAX_LENGTH), nargs="+",
+                         action=_SequenceLengths, default=list(bench.DEFAULT_M_GRID))
     p_bench.add_argument("--k", type=_int_at_least(2, bench.MAX_SEQUENCES), default=bench.DEFAULT_SEQUENCES)
     p_bench.add_argument("--seed", type=_SEED, default=DEFAULT_SEED)
     p_bench.add_argument("--interleave-hadamard", action="store_true")

@@ -269,6 +269,13 @@ class TestCliffordGroup:
             p_l = iso @ dagger(iso)
             assert np.linalg.norm((np.eye(4) - p_l) @ ext @ p_l, 2) < 1e-12
 
+    def test_table_and_inverse_match_nearest(self, group):
+        for i, a in enumerate(group.elements):
+            assert group.inverse[i] == group.nearest(dagger(a))
+            for j, b in enumerate(group.elements):
+                assert group.table[i, j] == group.nearest(a @ b)
+        assert not (group.table.flags.writeable or group.inverse.flags.writeable)
+
     def test_non_clifford_rejected(self, group):
         u = bs.sigma_logical(12)
         assert bc.distance_up_to_phase(group.elements[group.nearest(u)], u) > 0.1
@@ -381,6 +388,7 @@ class TestRandomizedBenchmarking:
         (M_GRID, 1, "at least 2 sequences"),
         ((1, 2, 2, 1), 5, "3 distinct sequence lengths"),
         ((0, 1, 2), 5, "at least 1"),
+        ((1, 2, 4097), 5, "at most 4096"),
         # more would reuse the index streams of the next length
         (M_GRID, 100_001, "at most 100000 sequences"),
     ])
@@ -636,7 +644,47 @@ def _sequences_per_length(gateset, m_values, k, seed, interleave, recovery):
     return np.asarray(means), np.asarray(stds)
 
 
+def _float_frame_survivals(gateset, start, indices, lengths):
+    """Oracle for reference-RB survivals from ``_advance``: the same batched
+    steps, but the logical frames are multiplied as 2x2 matrices and inverted
+    by one batched ``nearest``, as interleaved RB still does."""
+    group, ptms, d = gateset.group, gateset.ptms, gateset.dim
+    coeffs = np.tile(start, (len(lengths), 1))[..., None]
+    frames = np.tile(np.eye(2, dtype=complex), (len(lengths), 1, 1))
+    for t in range(lengths[0]):
+        a = np.count_nonzero(lengths > t)
+        idx = indices[:a, t]
+        coeffs[:a] = ptms[idx] @ coeffs[:a]
+        frames[:a] = group.elements[idx] @ frames[:a]
+    coeffs = ptms[group.nearest(frames.conj().swapaxes(1, 2))] @ coeffs
+    return (gateset.prep @ coeffs)[:, 0] / d
+
+
 class TestBatchedSequences:
+    @given(
+        space=st.sampled_from(("ls", "ps")),
+        t2=st.one_of(st.none(), st.floats(0.05, 5.0)),
+        depolarizing=st.floats(0.0, 0.05),
+        angle=st.floats(-0.2, 0.2),
+        axis=st.sampled_from("xyz"),
+        # long sequences let the float frames drift from the group elements
+        lengths=st.lists(st.integers(1, 600), min_size=1, max_size=12),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_table_tracked_frames_match_float_frames(self, group, space, t2, depolarizing,
+                                                     angle, axis, lengths, seed):
+        dim = 4 if space == "ps" else 2
+        model = ne.NoiseModel(t2=(t2, t2), depolarizing_prob=depolarizing,
+                              over_rotation_angle=angle, over_rotation_axis=axis)
+        make = bench.physical_gateset if space == "ps" else bench.logical_gateset
+        gateset = make(noise=ne.clifford_noise_ptm(model, dim), group=group)
+        lengths = np.array(sorted(lengths, reverse=True))
+        indices = bench.rng_for(seed, 0).integers(0, len(group), size=(len(lengths), lengths[0]))
+        got = bench._advance(gateset, gateset.prep, indices, lengths, None, None, True)
+        want = _float_frame_survivals(gateset, gateset.prep, indices, lengths)
+        assert np.array_equal(got, want)
+
     @given(
         space=st.sampled_from(("ls", "ps")),
         t2=st.one_of(st.none(), st.floats(0.05, 5.0)),

@@ -275,6 +275,9 @@ class TestDegenerateNumericInput:
         (["benchmark", "--protocol", "pb", "--m-grid", "4"], "at least 3 distinct"),
         (["benchmark", "--protocol", "rb", "--m-grid", "1", "2", "2", "1"], "at least 3 distinct"),
         (["benchmark", "--protocol", "rb", "--m-grid", "0", "1", "2"], "--m-grid: must be at least 1"),
+        # one block of index draws at this length would not fit in memory
+        (["benchmark", "--protocol", "rb", "--m-grid", "1", "2", "10000000000000"],
+         "--m-grid: must be at most 4096"),
         (["compile", "--named", "hadamard", "--budget", "-5"], "--budget: must be at least 1"),
         (["compile", "--named", "hadamard", "--budget", "0"], "--budget: must be at least 1"),
         (["compile", "--named", "hadamard", "--max-letters", "-1"], "--max-letters: must be at least 0"),
