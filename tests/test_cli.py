@@ -275,9 +275,6 @@ class TestDegenerateNumericInput:
         (["benchmark", "--protocol", "pb", "--m-grid", "4"], "at least 3 distinct"),
         (["benchmark", "--protocol", "rb", "--m-grid", "1", "2", "2", "1"], "at least 3 distinct"),
         (["benchmark", "--protocol", "rb", "--m-grid", "0", "1", "2"], "--m-grid: must be at least 1"),
-        # one block of index draws at this length would not fit in memory
-        (["benchmark", "--protocol", "rb", "--m-grid", "1", "2", "10000000000000"],
-         "--m-grid: must be at most 4096"),
         (["compile", "--named", "hadamard", "--budget", "-5"], "--budget: must be at least 1"),
         (["compile", "--named", "hadamard", "--budget", "0"], "--budget: must be at least 1"),
         (["compile", "--named", "hadamard", "--max-letters", "-1"], "--max-letters: must be at least 0"),
@@ -295,6 +292,9 @@ class TestDegenerateNumericInput:
         (["verify", "--tolerance", "tight"], "--tolerance: invalid float value: 'tight'"),
         # sequence 100000 would read the index stream of the next length's sequence 0
         (["benchmark", "--protocol", "rb", "--k", "100001"], "--k: must be at most 100000"),
+        # one block of index draws at this length would not fit in memory
+        (["benchmark", "--protocol", "rb", "--m-grid", "1", "2", "10000000000000"],
+         "--m-grid: must be at most 4096"),
     ])
     def test_exits_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
