@@ -54,7 +54,3 @@ def phase_aligned_defect(u: np.ndarray, v: np.ndarray) -> float:
     phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
     return float(np.abs(u - phase * v).max())
 
-
-def complex_pairs(matrix: np.ndarray) -> list:
-    """JSON form of a complex matrix: nested row lists with ``[re, im]`` leaves."""
-    return [[[v.real, v.imag] for v in row] for row in np.asarray(matrix, dtype=complex)]

@@ -406,13 +406,6 @@ class DecayFit:
             "model": self.model,
         }
 
-    def to_csv(self, sequences_per_length: int) -> str:
-        """Decay statistics as CSV with columns ``m, mean, stddev, k``."""
-        lines = ["m,mean,stddev,k"]
-        for m, mean, std in zip(self.m_values, self.means, self.stddevs):
-            lines.append(f"{m},{mean!r},{std!r},{sequences_per_length}")
-        return "\n".join(lines) + "\n"
-
 
 class FitDivergenceError(RuntimeError):
     def __init__(self, message: str, residual: float):
@@ -589,25 +582,16 @@ def rb_reference(
 @dataclass(frozen=True)
 class InterleavedResult:
     fit: DecayFit
-    reference: DecayFit
     f_rb: float
     warnings: tuple[str, ...] = ()
 
 
-def rb_interleaved(
-    target: NoisyGate,
-    gateset: GateSet,
-    m_values: Sequence[int] = DEFAULT_M_GRID,
-    k: int = DEFAULT_SEQUENCES,
-    seed: int = 0,
-    reference: DecayFit | None = None,
-) -> InterleavedResult:
-    """Interleaved RB of a target gate.
+def rb_interleaved(target: NoisyGate, gateset: GateSet, m_values: Sequence[int], k: int,
+                   seed: int, reference: DecayFit) -> InterleavedResult:
+    """Interleaved RB of a target gate, its sequences drawn from ``seed + 1``.
 
     The target follows every random Clifford; the gate fidelity comes from
     ``1 - F_RB = (1 - f_int/f)(d - 1)/d`` against the reference decay."""
-    if reference is None:
-        reference = rb_reference(gateset, m_values, k, seed)
     means, stds = _run_sequences(gateset, m_values, k, seed + 1, target, recovery=True)
     fit = fit_decay(m_values, means, stds, model="rb")
     warnings = ()
@@ -615,7 +599,7 @@ def rb_interleaved(
         warnings = ("interleaved decay exceeds reference: estimated infidelity is negative within noise",)
     d = gateset.dim
     f_rb = 1.0 - (1.0 - fit.rate / reference.rate) * (d - 1) / d
-    return InterleavedResult(fit, reference, f_rb, warnings)
+    return InterleavedResult(fit, f_rb, warnings)
 
 
 @dataclass(frozen=True)
@@ -653,7 +637,7 @@ def error_budget(
     rb_int: InterleavedResult,
     pb_ref: PurityResult,
     pb_int: PurityResult,
-    dim: int = 2,
+    dim: int,
 ) -> ErrorBudget:
     """Split the interleaved-RB infidelity into incoherent and coherent parts.
 
@@ -674,3 +658,42 @@ def error_budget(
     if coherent < -tolerance:
         warnings += (f"coherent component {coherent:.4f} negative beyond tolerance",)
     return ErrorBudget(total, incoherent, coherent, warnings)
+
+
+MAX_SEED = 2**64 - 4
+"""Largest master seed of :func:`run_protocols`: its streams ``seed`` to
+``seed + 3`` must each fit a uint64 generator key."""
+
+
+@dataclass(frozen=True)
+class ProtocolResults:
+    """The runs of :func:`run_protocols`, None where not asked for."""
+
+    reference: DecayFit
+    interleaved: InterleavedResult | None = None
+    channel_oracle_fidelity: float | None = None
+    pb_reference: PurityResult | None = None
+    pb_interleaved: PurityResult | None = None
+    budget: ErrorBudget | None = None
+
+
+def run_protocols(gateset: GateSet, target: NoisyGate | None, m_values: Sequence[int], k: int,
+                  seed: int, purity: bool) -> ProtocolResults:
+    """The benchmark pipeline of one gate set, and its seed policy: reference
+    RB on the stream ``seed``; given a ``target``, interleaved RB on
+    ``seed + 1`` and the target's channel-oracle fidelity; with ``purity``,
+    reference and interleaved PB on ``seed + 2`` and ``seed + 3`` and the
+    error budget."""
+    if purity and target is None:
+        raise ValueError("purity benchmarking needs an interleaving target")
+    reference = rb_reference(gateset, m_values, k, seed)
+    if target is None:
+        return ProtocolResults(reference)
+    interleaved = rb_interleaved(target, gateset, m_values, k, seed, reference)
+    oracle = average_gate_fidelity(target.ptm, target.unitary)
+    if not purity:
+        return ProtocolResults(reference, interleaved, oracle)
+    pb_ref = pb_run(gateset, None, m_values, k, seed + 2)
+    pb_int = pb_run(gateset, target, m_values, k, seed + 3)
+    budget = error_budget(interleaved, pb_ref, pb_int, dim=gateset.dim)
+    return ProtocolResults(reference, interleaved, oracle, pb_ref, pb_int, budget)

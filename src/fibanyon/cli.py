@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from . import (
     noise_engine,
     robustness_lab,
 )
-from ._linalg import complex_pairs, phase_aligned_defect, unitarity_defect
+from ._linalg import phase_aligned_defect, unitarity_defect
 
 DEFAULT_SEED = 20230517
 
@@ -43,11 +43,24 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _matrix_csv(matrix: np.ndarray) -> str:
-    lines = []
-    for row in np.asarray(matrix, dtype=complex):
-        lines.append(",".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in row))
-    return "\n".join(lines) + "\n"
+def _write_csv(path: Path, rows) -> None:
+    """Comma-separated ``rows``: str and int cells as they are, every other
+    cell as the repr of its float, so a float reads back bit for bit."""
+    path.write_text("".join(
+        ",".join(str(c) if isinstance(c, (str, int)) else repr(float(c)) for c in row) + "\n"
+        for row in rows
+    ))
+
+
+def _decay_rows(fit: bench.DecayFit, k: int) -> list:
+    """CSV rows of a decay's per-length statistics, columns ``m, mean, stddev, k``."""
+    return [("m", "mean", "stddev", "k"),
+            *((m, mean, std, k) for m, mean, std in zip(fit.m_values, fit.means, fit.stddevs))]
+
+
+def _complex_pairs(matrix: np.ndarray) -> list:
+    """JSON form of a complex matrix: nested row lists with ``[re, im]`` leaves."""
+    return [[[v.real, v.imag] for v in row] for row in np.asarray(matrix, dtype=complex)]
 
 
 def _parse_matrix_json(path: Path) -> np.ndarray:
@@ -301,8 +314,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             "letters": len(word),
             "crossings": word.crossing_count,
             "leakage": leakage,
-            "logical_unitary": complex_pairs(logical),
-            "physical_unitary": complex_pairs(physical),
+            "logical_unitary": _complex_pairs(logical),
+            "physical_unitary": _complex_pairs(physical),
         }
         print(f"word: {payload['word'] or '(empty)'}")
         print(f"letters: {payload['letters']}  crossings: {payload['crossings']}  "
@@ -381,42 +394,20 @@ def _noise_model(args: argparse.Namespace) -> noise_engine.NoiseModel | None:
         return None
 
 
-def _gateset_for(space: str, noise: noise_engine.NoiseModel, group: bench.CliffordGroup) -> bench.GateSet:
-    make = bench.physical_gateset if space == "ps" else bench.logical_gateset
-    noise_ptm = noise_engine.clifford_noise_ptm(noise, 4 if space == "ps" else 2)
-    return make(noise=noise_ptm, group=group)
-
-
-def _hadamard_target(space: str, noise: noise_engine.NoiseModel) -> bench.NoisyGate:
-    """The braided Hadamard as a noisy interleaving target: its composed
-    transfer map, projected to the logical qubit in the logical space."""
-    word = braid_compiler.hadamard_word()
-    ptm_ps = noise_engine.word_ptm(word, noise)
-    if space == "ps":
-        return bench.NoisyGate(braid_compiler.evaluate(word, "physical4"), ptm_ps)
-    return bench.NoisyGate(
-        braid_compiler.evaluate(word, "logical2"), bench.project_to_logical(ptm_ps)
-    )
-
-
 def _cmd_benchmark(args: argparse.Namespace) -> int:
     noise = _noise_model(args)
     if noise is None:
         return 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    m_grid = tuple(args.m_grid)
-    group = bench.CliffordGroup()
     space = args.space
 
     if args.protocol == "qpt":
-        target = _hadamard_target(space, noise)
+        target = noise_engine.hadamard_target(noise, space)
         ptm = target.ptm
         fidelity = bench.average_gate_fidelity(ptm, target.unitary)
         if args.format == "csv":
-            (out_dir / "transfer_map.csv").write_text(
-                "\n".join(",".join(repr(float(v)) for v in row) for row in ptm.matrix) + "\n"
-            )
+            _write_csv(out_dir / "transfer_map.csv", ptm.matrix)
         else:
             _write_json(out_dir / "transfer_map.json", {
                 "space": space,
@@ -431,24 +422,23 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
         print(f"QPT[{space}]: average gate fidelity {fidelity:.6f}")
         return 0
 
-    gateset = _gateset_for(space, noise, group)
-    reference = bench.rb_reference(gateset, m_grid, args.k, args.seed)
-    target = rb_int = None
-    if args.protocol == "pb" or args.interleave_hadamard:
-        target = _hadamard_target(space, noise)
-        rb_int = bench.rb_interleaved(target, gateset, m_grid, args.k, args.seed, reference)
+    gateset = noise_engine.clifford_gateset(noise, space)
+    purity = args.protocol == "pb"
+    target = noise_engine.hadamard_target(noise, space) if purity or args.interleave_hadamard else None
+    run = bench.run_protocols(gateset, target, tuple(args.m_grid), args.k, args.seed, purity)
 
-    if args.protocol == "rb":
-        (out_dir / "rb_reference.csv").write_text(reference.to_csv(args.k))
+    if not purity:
+        reference = run.reference
+        _write_csv(out_dir / "rb_reference.csv", _decay_rows(reference, args.k))
         payload = {"reference": reference.to_dict(), "space": space, "k": args.k, "seed": args.seed}
         payload["reference"]["per_gate_fidelity"] = bench.reference_fidelity_from_rate(
             reference.rate, gateset.dim
         )
         print(f"RB[{space}] reference: f={reference.rate:.6f} "
               f"F_ref={payload['reference']['per_gate_fidelity']:.6f}")
-        if rb_int is not None:
-            (out_dir / "rb_interleaved.csv").write_text(rb_int.fit.to_csv(args.k))
-            oracle = bench.average_gate_fidelity(target.ptm, target.unitary)
+        if run.interleaved is not None:
+            rb_int, oracle = run.interleaved, run.channel_oracle_fidelity
+            _write_csv(out_dir / "rb_interleaved.csv", _decay_rows(rb_int.fit, args.k))
             payload["interleaved"] = rb_int.fit.to_dict()
             payload["interleaved"]["f_rb"] = rb_int.f_rb
             payload["interleaved"]["channel_oracle_fidelity"] = oracle
@@ -457,11 +447,9 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
         _write_json(out_dir / "rb_fit.json", payload)
         return 0
 
-    pb_ref = bench.pb_run(gateset, None, m_grid, args.k, args.seed + 2)
-    pb_int = bench.pb_run(gateset, target, m_grid, args.k, args.seed + 3)
-    budget = bench.error_budget(rb_int, pb_ref, pb_int, dim=gateset.dim)
-    (out_dir / "pb_reference.csv").write_text(pb_ref.fit.to_csv(args.k))
-    (out_dir / "pb_interleaved.csv").write_text(pb_int.fit.to_csv(args.k))
+    pb_ref, pb_int, budget = run.pb_reference, run.pb_interleaved, run.budget
+    _write_csv(out_dir / "pb_reference.csv", _decay_rows(pb_ref.fit, args.k))
+    _write_csv(out_dir / "pb_interleaved.csv", _decay_rows(pb_int.fit, args.k))
     _write_json(out_dir / "pb_fit.json", {
         "space": space,
         "reference": pb_ref.fit.to_dict(),
@@ -491,26 +479,29 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
         result = robustness_lab.extract_M_noisy(args.q)
     else:
         result = robustness_lab.extract_M(args.q)
-    payload = result.to_dict()
-    payload["noisy"] = bool(args.noisy)
     print(f"M_{args.q}: deviation={result.proportionality_deviation:.3e} "
           f"theta={result.theta:.6f} |c|={result.modulus:.6f}")
     if args.out:
-        _write_json(Path(args.out), payload)
+        _write_json(Path(args.out), {**asdict(result), "matrix": _complex_pairs(result.matrix),
+                                     "noisy": bool(args.noisy)})
     if args.csv:
-        Path(args.csv).write_text(result.to_csv())
+        _write_csv(Path(args.csv), [("part", "m00", "m01", "m10", "m11"),
+                                    ("real", *result.matrix.real.flatten()),
+                                    ("imag", *result.matrix.imag.flatten())])
     return 0
 
 
 def _cmd_dump_matrices(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, matrix in braid_space.dump_matrices().items():
+    matrices = braid_space.dump_matrices()
+    for name, matrix in matrices.items():
         if args.format == "csv":
-            (out_dir / f"{name}.csv").write_text(_matrix_csv(matrix))
+            _write_csv(out_dir / f"{name}.csv", [[x for v in row for x in (v.real, v.imag)]
+                                                 for row in np.asarray(matrix, dtype=complex)])
         else:
-            _write_json(out_dir / f"{name}.json", complex_pairs(matrix))
-    print(f"wrote {len(braid_space.dump_matrices())} matrices to {out_dir}")
+            _write_json(out_dir / f"{name}.json", _complex_pairs(matrix))
+    print(f"wrote {len(matrices)} matrices to {out_dir}")
     return 0
 
 
@@ -568,9 +559,8 @@ def _positive_float(text: str) -> float:
     return value
 
 
-_SEED = _int_at_least(0, 2**64 - 4)
-"""argparse type of ``--seed``: a uint64 generator key, with room for the
-``seed + 3`` stream of the interleaved purity run."""
+_SEED = _int_at_least(0, bench.MAX_SEED)
+"""argparse type of ``--seed``: a master seed of the benchmark pipeline."""
 
 
 class _SequenceLengths(argparse.Action):

@@ -201,18 +201,14 @@ def clifford_noise_ptm(noise: NoiseModel, dim: int) -> benchmark_suite.PauliTran
     depolarizing channel.  The over-rotation comes last, on the encoded
     logical qubit in the physical space."""
     if dim == 4:
-        ptm = benchmark_suite.PauliTransferMap(
-            np.diag(_noise_diagonal(noise, noise.clifford_duration)), 4)
+        diagonal = _noise_diagonal(noise, noise.clifford_duration)
     elif dim == 2:
-        ptm = benchmark_suite.identity_ptm(2)
-        rates = noise.rates()
-        if any(rates):
-            decay = float(np.exp(-noise.clifford_duration * sum(rates)))
-            ptm = benchmark_suite.dephasing_ptm(decay).compose(ptm)
-        if noise.depolarizing_prob:
-            ptm = benchmark_suite.depolarizing_ptm(2, noise.depolarizing_prob).compose(ptm)
+        decay = float(np.exp(-noise.clifford_duration * sum(noise.rates())))
+        mixing = 1.0 - noise.depolarizing_prob
+        diagonal = [1.0, decay * mixing, decay * mixing, mixing]
     else:
         raise ValueError(f"Clifford noise acts in dimension 2 or 4, not {dim}")
+    ptm = benchmark_suite.PauliTransferMap(np.diag(diagonal), dim)
     if noise.over_rotation_angle:
         u = over_rotation_unitary(noise.over_rotation_axis, noise.over_rotation_angle)
         if dim == 4:
@@ -260,6 +256,26 @@ def word_ptm(word: BraidWord, noise: NoiseModel) -> benchmark_suite.PauliTransfe
     durations = np.array([letter_duration(letter, noise) for letter in word.letters])
     rows = _noise_diagonal(noise, durations.reshape(-1, 1))[..., None]
     return benchmark_suite.PauliTransferMap(_compose(rows * _letter_stack(word)), 4)
+
+
+def clifford_gateset(noise: NoiseModel, space: str,
+                     group: benchmark_suite.CliffordGroup | None = None) -> benchmark_suite.GateSet:
+    """The Clifford gate set of ``space`` (``"ps"`` or ``"ls"``), each pulse
+    followed by :func:`clifford_noise_ptm`."""
+    make = benchmark_suite.physical_gateset if space == "ps" else benchmark_suite.logical_gateset
+    return make(noise=clifford_noise_ptm(noise, 4 if space == "ps" else 2), group=group)
+
+
+def hadamard_target(noise: NoiseModel, space: str) -> benchmark_suite.NoisyGate:
+    """The braided Hadamard as a noisy interleaving target: its composed
+    transfer map (:func:`word_ptm`), projected to the logical qubit in the
+    logical space."""
+    word = braid_compiler.hadamard_word()
+    ptm_ps = word_ptm(word, noise)
+    if space == "ps":
+        return benchmark_suite.NoisyGate(braid_compiler.evaluate(word, "physical4"), ptm_ps)
+    return benchmark_suite.NoisyGate(braid_compiler.evaluate(word, "logical2"),
+                                     benchmark_suite.project_to_logical(ptm_ps))
 
 
 def word_channel(word: BraidWord, noise: NoiseModel) -> Callable[[np.ndarray], np.ndarray]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import braid_space, noise_engine
-from ._linalg import complex_pairs, dagger
+from ._linalg import dagger
 
 ENV_PAIR_INDEX = 2  # lexicographic index of (i1, i2) = (1, 0)
 SCENARIOS = (1, 2)
@@ -59,23 +59,6 @@ class ScenarioResult:
     proportionality_deviation: float   # ||M/c - I|| with c = M[0, 0]
     theta: float                       # arg of the proportionality constant
     modulus: float                     # |c|
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "matrix": complex_pairs(self.matrix),
-            "proportionality_deviation": self.proportionality_deviation,
-            "theta": self.theta,
-            "modulus": self.modulus,
-        }
-
-    def to_csv(self) -> str:
-        """Real and imaginary parts of the block, one labeled row per part."""
-        lines = ["part,m00,m01,m10,m11"]
-        for name, view in (("real", self.matrix.real), ("imag", self.matrix.imag)):
-            flat = ",".join(repr(float(v)) for v in view.flatten())
-            lines.append(f"{name},{flat}")
-        return "\n".join(lines) + "\n"
 
 
 def _result_from_matrix(q: int, m: np.ndarray) -> ScenarioResult:

@@ -175,7 +175,8 @@ def test_criterion_07_benchmark_estimator_recovery():
     deph = bench.dephasing_ptm(lam)
     gate_d = bench.logical_gateset(noise=deph, group=group)
     target_d = _noisy_hadamard(deph)
-    rb_int_d = bench.rb_interleaved(target_d, gate_d, m_grid, k=30, seed=77)
+    rb_int_d = bench.rb_interleaved(target_d, gate_d, m_grid, 30, 77,
+                                    bench.rb_reference(gate_d, m_grid, 30, 77))
     pb_ref_d = bench.pb_run(gate_d, None, m_grid, k=30, seed=78)
     pb_int_d = bench.pb_run(gate_d, target_d, m_grid, k=30, seed=78)
     budget_d = bench.error_budget(rb_int_d, pb_ref_d, pb_int_d, dim=2)
@@ -184,7 +185,8 @@ def test_criterion_07_benchmark_estimator_recovery():
     over = bench.ptm_of_unitary(ne.over_rotation_unitary("z", 0.06))
     gate_o = bench.logical_gateset(group=group)
     target_o = _noisy_hadamard(over)
-    rb_int_o = bench.rb_interleaved(target_o, gate_o, m_grid, k=30, seed=79)
+    rb_int_o = bench.rb_interleaved(target_o, gate_o, m_grid, 30, 79,
+                                    bench.rb_reference(gate_o, m_grid, 30, 79))
     pb_ref_o = bench.pb_run(gate_o, None, m_grid, k=30, seed=80)
     pb_int_o = bench.pb_run(gate_o, target_o, m_grid, k=30, seed=80)
     budget_o = bench.error_budget(rb_int_o, pb_ref_o, pb_int_o, dim=2)

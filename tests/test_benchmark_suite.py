@@ -417,15 +417,17 @@ class TestRandomizedBenchmarking:
         noise = bench.depolarizing_ptm(2, 0.015)
         gateset = bench.logical_gateset(noise=noise, group=group)
         target = bench.NoisyGate(bc.hadamard_gate(), bench.ptm_of_unitary(bc.hadamard_gate()))
-        res = bench.rb_interleaved(target, gateset, M_GRID, k=20, seed=9)
+        res = bench.rb_interleaved(target, gateset, M_GRID, 20, 9,
+                                   bench.rb_reference(gateset, M_GRID, 20, 9))
         assert abs(res.f_rb - 1.0) < 2e-3
 
     def test_all_noiseless(self, group):
         gateset = bench.logical_gateset(group=group)
         target = bench.NoisyGate(bc.hadamard_gate(), bench.ptm_of_unitary(bc.hadamard_gate()))
-        res = bench.rb_interleaved(target, gateset, M_GRID, k=5, seed=3)
+        reference = bench.rb_reference(gateset, M_GRID, 5, 3)
+        res = bench.rb_interleaved(target, gateset, M_GRID, 5, 3, reference)
         assert res.fit.rate == 1.0
-        assert res.reference.rate == 1.0
+        assert reference.rate == 1.0
         assert abs(res.f_rb - 1.0) < 1e-9
 
     def test_target_fidelity_recovery_within_half_percent(self, group):
@@ -441,7 +443,8 @@ class TestRandomizedBenchmarking:
             ne.DensityMatrix(rho), noise_model.rates(), ne.CLIFFORD_SECONDS
         ).matrix
         gateset = bench.physical_gateset(noise=bench.qpt(clifford_channel, 4), group=group)
-        res = bench.rb_interleaved(target, gateset, M_GRID, k=30, seed=17)
+        res = bench.rb_interleaved(target, gateset, M_GRID, 30, 17,
+                                   bench.rb_reference(gateset, M_GRID, 30, 17))
         oracle = bench.average_gate_fidelity(target.ptm, target.unitary)
         assert abs(res.f_rb - oracle) < 5e-3
 
@@ -532,6 +535,30 @@ class TestErrorBudget:
         assert abs(budget.total_infidelity) < 1e-9
         assert abs(budget.incoherent) < 1e-9
         assert abs(budget.coherent) < 1e-9
+
+
+class TestProtocolPipeline:
+    @pytest.mark.parametrize("space", ["ls", "ps"])
+    def test_matches_direct_calls_bit_for_bit(self, group, space):
+        noise = ne.NoiseModel(t2=(0.43, 0.9), depolarizing_prob=0.02, over_rotation_angle=0.05)
+        gateset = ne.clifford_gateset(noise, space, group)
+        target = ne.hadamard_target(noise, space)
+        m, k, seed = (1, 2, 4, 8), 6, 41
+        reference = bench.rb_reference(gateset, m, k, seed)
+        interleaved = bench.rb_interleaved(target, gateset, m, k, seed, reference)
+        oracle = bench.average_gate_fidelity(target.ptm, target.unitary)
+        pb_ref = bench.pb_run(gateset, None, m, k, seed + 2)
+        pb_int = bench.pb_run(gateset, target, m, k, seed + 3)
+        budget = bench.error_budget(interleaved, pb_ref, pb_int, dim=gateset.dim)
+        assert bench.run_protocols(gateset, target, m, k, seed, True) == bench.ProtocolResults(
+            reference, interleaved, oracle, pb_ref, pb_int, budget)
+        assert bench.run_protocols(gateset, target, m, k, seed, False) == bench.ProtocolResults(
+            reference, interleaved, oracle)
+        assert bench.run_protocols(gateset, None, m, k, seed, False) == bench.ProtocolResults(reference)
+
+    def test_purity_needs_a_target(self, group):
+        with pytest.raises(ValueError, match="interleaving target"):
+            bench.run_protocols(bench.logical_gateset(group=group), None, M_GRID, 2, 0, True)
 
 
 class TestSpaceConsistency:

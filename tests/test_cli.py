@@ -10,6 +10,7 @@ from fibanyon import braid_compiler as bc
 from fibanyon import braid_space as bs
 from fibanyon import cli
 from fibanyon import noise_engine as ne
+from fibanyon import robustness_lab as rob
 
 
 def run(argv):
@@ -209,6 +210,55 @@ class TestBenchmark:
         assert (out_dir / "pb_interleaved.csv").exists()
 
     @pytest.mark.parametrize("space", ["ls", "ps"])
+    def test_writes_the_pipeline_numbers(self, tmp_path, capsys, space):
+        model = ne.NoiseModel(t2=(0.5, 0.8), depolarizing_prob=0.01, over_rotation_angle=0.04)
+        noise = tmp_path / "noise.json"
+        noise.write_text(json.dumps(dataclasses.asdict(model)))
+        common = ["--space", space, "--noise", str(noise), "--m-grid", "1", "2", "4",
+                  "--k", "3", "--seed", "5"]
+        assert run(["benchmark", "--protocol", "rb", "--interleave-hadamard", *common,
+                    "--out", str(tmp_path / "rb")]) == 0
+        assert run(["benchmark", "--protocol", "pb", *common, "--out", str(tmp_path / "pb")]) == 0
+        capsys.readouterr()
+        gateset = ne.clifford_gateset(model, space)
+        expected = bench.run_protocols(gateset, ne.hadamard_target(model, space), (1, 2, 4), 3, 5, True)
+        rb_int = expected.interleaved
+        assert json.loads((tmp_path / "rb" / "rb_fit.json").read_text()) == {
+            "space": space, "k": 3, "seed": 5,
+            "reference": {**expected.reference.to_dict(), "per_gate_fidelity":
+                          bench.reference_fidelity_from_rate(expected.reference.rate, gateset.dim)},
+            "interleaved": {**rb_int.fit.to_dict(), "f_rb": rb_int.f_rb,
+                            "channel_oracle_fidelity": expected.channel_oracle_fidelity,
+                            "warnings": list(rb_int.warnings)},
+        }
+        pb_ref, pb_int, budget = expected.pb_reference, expected.pb_interleaved, expected.budget
+        assert json.loads((tmp_path / "pb" / "pb_fit.json").read_text()) == {
+            "space": space, "reference": pb_ref.fit.to_dict(), "interleaved": pb_int.fit.to_dict(),
+            "incoherent_per_gate_reference": pb_ref.incoherent_per_gate,
+        }
+        assert json.loads((tmp_path / "pb" / "error_budget.json").read_text()) == {
+            "space": space, "total_infidelity": budget.total_infidelity,
+            "incoherent": budget.incoherent, "coherent": budget.coherent,
+            "warnings": list(budget.warnings),
+        }
+        for path, fit in (("rb/rb_reference.csv", expected.reference),
+                          ("rb/rb_interleaved.csv", rb_int.fit),
+                          ("pb/pb_reference.csv", pb_ref.fit),
+                          ("pb/pb_interleaved.csv", pb_int.fit)):
+            rows = [row.split(",") for row in (tmp_path / path).read_text().splitlines()[1:]]
+            assert [(int(m), float(mean), float(std)) for m, mean, std, _ in rows] == list(
+                zip(fit.m_values, fit.means, fit.stddevs))
+
+    def test_decay_csv_bytes(self, tmp_path, capsys):
+        assert run(["benchmark", "--protocol", "rb", "--space", "ps", "--m-grid", "1", "2", "4",
+                    "--k", "3", "--seed", "9", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        fit = bench.rb_reference(ne.clifford_gateset(ne.NoiseModel(), "ps"), (1, 2, 4), 3, 9)
+        expected = "m,mean,stddev,k\n" + "".join(
+            f"{m},{mean!r},{std!r},3\n" for m, mean, std in zip(fit.m_values, fit.means, fit.stddevs))
+        assert (tmp_path / "rb_reference.csv").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("space", ["ls", "ps"])
     @pytest.mark.parametrize("protocol", ["qpt", "rb", "pb"])
     def test_simulates_transfer_maps_only(self, tmp_path, capsys, monkeypatch, protocol, space):
         model = ne.NoiseModel(t2=(0.4, 0.9), depolarizing_prob=0.01, over_rotation_angle=0.05)
@@ -353,6 +403,24 @@ class TestRobustness:
         assert lines[0] == "part,m00,m01,m10,m11"
         real_entries = [float(x) for x in lines[1].split(",")[1:]]
         assert abs(real_entries[0] - real_entries[3]) < 1e-10
+
+    def test_csv_bytes(self, tmp_path, capsys):
+        csv_path = tmp_path / "m.csv"
+        assert run(["robustness", "--q", "1", "--csv", str(csv_path)]) == 0
+        capsys.readouterr()
+        m = rob.extract_M(1).matrix
+        expected = "part,m00,m01,m10,m11\n" + "".join(
+            f"{part}," + ",".join(repr(float(v)) for v in view.flatten()) + "\n"
+            for part, view in (("real", m.real), ("imag", m.imag)))
+        assert csv_path.read_bytes() == expected.encode()
+
+    def test_json_round_trip_values(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert run(["robustness", "--q", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        d = json.loads(out.read_text())
+        assert d["q"] == 1
+        assert abs(complex(*d["matrix"][0][0]) - rob.extract_M(1).matrix[0, 0]) < 1e-15
 
     def test_invalid_q(self):
         with pytest.raises(SystemExit) as exc:

@@ -226,6 +226,24 @@ class TestWordTransferMap:
         np.testing.assert_allclose(ne.clifford_noise_ptm(noise, 4).matrix, expected.matrix,
                                    rtol=0, atol=1e-14)
 
+    @given(noise_models(), st.sampled_from((0.0, 5e-3)) | st.floats(0.0, 0.02),
+           st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0),
+           st.sampled_from((0.0,)) | st.floats(-0.3, 0.3), st.sampled_from("xyz"))
+    @settings(max_examples=200, deadline=None)
+    def test_logical_clifford_noise_matches_composed_channels(self, noise, duration, prob, angle, axis):
+        noise = dataclasses.replace(noise, clifford_duration=duration, depolarizing_prob=prob,
+                                    over_rotation_angle=angle, over_rotation_axis=axis)
+        # the channels one after another: summed-rate dephasing, depolarizing, over-rotation
+        expected = bench.identity_ptm(2)
+        if any(noise.rates()):
+            decay = float(np.exp(-duration * sum(noise.rates())))
+            expected = bench.dephasing_ptm(decay).compose(expected)
+        if prob:
+            expected = bench.depolarizing_ptm(2, prob).compose(expected)
+        if angle:
+            expected = bench.ptm_of_unitary(ne.over_rotation_unitary(axis, angle)).compose(expected)
+        np.testing.assert_array_equal(ne.clifford_noise_ptm(noise, 2).matrix, expected.matrix)
+
     def test_clifford_noise_needs_a_register_dimension(self):
         with pytest.raises(ValueError, match="dimension 2 or 4"):
             ne.clifford_noise_ptm(ne.NoiseModel(), 8)

@@ -73,11 +73,6 @@ class TestExtractM:
         assert a.theta == b.theta
         np.testing.assert_array_equal(a.matrix, b.matrix)
 
-    def test_to_dict_round_trip_values(self):
-        d = rob.extract_M(1).to_dict()
-        assert d["q"] == 1
-        assert abs(complex(*d["matrix"][0][0]) - rob.extract_M(1).matrix[0, 0]) < 1e-15
-
 
 class TestGlobalPhase:
     @pytest.mark.parametrize("q", [1, 2])
