@@ -23,7 +23,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +73,7 @@ class FusionData:
         return cls(labels=(v, t), fusion_table=table, qdim={v: 1.0, t: PHI})
 
 
-@dataclass(frozen=True)
-class FSymbolTable:
+class FSymbolTable(NamedTuple):
     """Sparse table of F symbols over a :class:`FusionData`.
 
     Only fusion-admissible sextuples are stored; lookups of anything else
@@ -81,7 +81,7 @@ class FSymbolTable:
     """
 
     fusion: FusionData
-    entries: dict[FKey, complex] = field(default_factory=dict)
+    entries: dict[FKey, complex]
 
     def admissible(self, i: Label, j: Label, m: Label, k: Label, l: Label, n: Label) -> bool:
         fu = self.fusion
@@ -119,7 +119,7 @@ class FSymbolTable:
             (1, 1): -1.0 / PHI,
         }
         entries: dict[FKey, complex] = {}
-        table = cls(fusion)
+        table = cls(fusion, {})
         for i, j, k, l, m, n in itertools.product(fusion.labels, repeat=6):
             if not table.admissible(i, j, m, k, l, n):
                 continue
@@ -127,15 +127,14 @@ class FSymbolTable:
                 entries[(i, j, m, k, l, n)] = complex(golden[(m, n)])
             else:
                 entries[(i, j, m, k, l, n)] = 1.0 + 0.0j
-        return replace(table, entries=entries)
+        return table._replace(entries=entries)
 
 
-@dataclass(frozen=True)
-class RSymbolTable:
+class RSymbolTable(NamedTuple):
     """Exchange phases ``R(a, b, c)`` for ``a x b -> c``."""
 
     fusion: FusionData
-    entries: dict[RKey, complex] = field(default_factory=dict)
+    entries: dict[RKey, complex]
 
     def get(self, a: Label, b: Label, c: Label) -> complex:
         return self.entries.get((a, b, c), 0.0 + 0.0j)
@@ -156,8 +155,7 @@ class RSymbolTable:
         return cls(fusion, entries)
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     name: str
     max_residual: float
     checked: int

@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -290,8 +290,7 @@ class CliffordGroup:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NoisyGate:
+class NoisyGate(NamedTuple):
     """An interleaving target: its ideal unitary, 2x2 logical or 4x4
     physical (RB recovery reads its logical block), and the transfer map
     actually applied."""
@@ -300,8 +299,7 @@ class NoisyGate:
     ptm: PauliTransferMap
 
 
-@dataclass(frozen=True)
-class GateSet:
+class GateSet(NamedTuple):
     """Clifford gate set prepared for sequence protocols in one space."""
 
     dim: int
@@ -384,8 +382,7 @@ def _stream_integers(seed: int, streams: Sequence[int], high: int, sizes: np.nda
     return draws
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(NamedTuple):
     """Exponential-decay fit result with the per-length statistics."""
 
     a: float
@@ -579,8 +576,7 @@ def rb_reference(
     return fit_decay(m_values, means, stds, model="rb")
 
 
-@dataclass(frozen=True)
-class InterleavedResult:
+class InterleavedResult(NamedTuple):
     fit: DecayFit
     f_rb: float
     warnings: tuple[str, ...] = ()
@@ -602,8 +598,7 @@ def rb_interleaved(target: NoisyGate, gateset: GateSet, m_values: Sequence[int],
     return InterleavedResult(fit, f_rb, warnings)
 
 
-@dataclass(frozen=True)
-class PurityResult:
+class PurityResult(NamedTuple):
     fit: DecayFit                 # rate is the unitarity estimate u
     incoherent_per_gate: float    # (1 - sqrt(u)) (d-1)/d
 
@@ -625,8 +620,7 @@ def pb_run(
     return PurityResult(fit, incoherent)
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
+class ErrorBudget(NamedTuple):
     total_infidelity: float
     incoherent: float
     coherent: float
@@ -665,8 +659,7 @@ MAX_SEED = 2**64 - 4
 ``seed + 3`` must each fit a uint64 generator key."""
 
 
-@dataclass(frozen=True)
-class ProtocolResults:
+class ProtocolResults(NamedTuple):
     """The runs of :func:`run_protocols`, None where not asked for."""
 
     reference: DecayFit

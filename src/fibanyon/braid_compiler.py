@@ -108,8 +108,7 @@ def hadamard_word() -> BraidWord:
     return BraidWord.from_letters(reversed(written))
 
 
-@dataclass(frozen=True)
-class _SpaceGenerators:
+class _SpaceGenerators(NamedTuple):
     g12: np.ndarray
     g23: np.ndarray
 
@@ -168,8 +167,7 @@ def hadamard_gate() -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     word: BraidWord
     distance: float
     evaluated: int

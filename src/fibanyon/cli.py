@@ -14,8 +14,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +78,7 @@ def _parse_matrix_json(path: Path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     residual: float
     tolerance: float
@@ -482,7 +481,7 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
     print(f"M_{args.q}: deviation={result.proportionality_deviation:.3e} "
           f"theta={result.theta:.6f} |c|={result.modulus:.6f}")
     if args.out:
-        _write_json(Path(args.out), {**asdict(result), "matrix": _complex_pairs(result.matrix),
+        _write_json(Path(args.out), {**result._asdict(), "matrix": _complex_pairs(result.matrix),
                                      "noisy": bool(args.noisy)})
     if args.csv:
         _write_csv(Path(args.csv), [("part", "m00", "m01", "m10", "m11"),
@@ -559,8 +558,12 @@ def _positive_float(text: str) -> float:
     return value
 
 
-_SEED = _int_at_least(0, bench.MAX_SEED)
-"""argparse type of ``--seed``: a master seed of the benchmark pipeline."""
+_BENCHMARK_SEED = _int_at_least(0, bench.MAX_SEED)
+"""argparse type of ``benchmark --seed``: a master seed of the benchmark pipeline."""
+
+_VERIFY_SEED = _int_at_least(0, 2**64 - 1)
+"""argparse type of ``verify --seed``: verify draws only the stream
+``(seed, 0)``, so the seed may be any uint64 generator key."""
 
 
 class _SequenceLengths(argparse.Action):
@@ -585,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the invariant suite")
     p_verify.add_argument("--list", action="store_true", help="print check names without running")
     p_verify.add_argument("--leakage-words", type=_int_at_least(0), default=100)
-    p_verify.add_argument("--seed", type=_SEED, default=DEFAULT_SEED)
+    p_verify.add_argument("--seed", type=_VERIFY_SEED, default=DEFAULT_SEED)
     p_verify.add_argument("--tolerance", type=_positive_float, default=1.0,
                           help="scale factor applied to every check tolerance")
     p_verify.add_argument("--json", help="write the report to this JSON file")
@@ -610,9 +613,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--m-grid", type=_int_at_least(1, bench.MAX_LENGTH), nargs="+",
                          action=_SequenceLengths, default=list(bench.DEFAULT_M_GRID))
     p_bench.add_argument("--k", type=_int_at_least(2, bench.MAX_SEQUENCES), default=bench.DEFAULT_SEQUENCES)
-    p_bench.add_argument("--seed", type=_SEED, default=DEFAULT_SEED)
+    p_bench.add_argument("--seed", type=_BENCHMARK_SEED, default=DEFAULT_SEED)
     p_bench.add_argument("--interleave-hadamard", action="store_true")
-    p_bench.add_argument("--format", choices=("json", "csv"), default="json")
+    p_bench.add_argument("--format", choices=("json", "csv"),
+                         help="transfer-map file format of --protocol qpt (default json)")
     p_bench.add_argument("--out", required=True, help="output directory")
     p_bench.set_defaults(func=_cmd_benchmark)
 
@@ -638,7 +642,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "benchmark" and args.format is not None and args.protocol != "qpt":
+        parser.error(f"benchmark --format applies only to --protocol qpt, not {args.protocol}")
     try:
         return args.func(args)
     except OSError as exc:

@@ -28,7 +28,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -422,8 +422,7 @@ def calibrate_t2(word: BraidWord, target_fidelity: float) -> CalibrationResult:
 # Two-CNOT circuit decomposition of squared-generator braiding operations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CNOT:
+class CNOT(NamedTuple):
     control: int
     target: int
 
@@ -438,8 +437,7 @@ class CNOT:
         return u
 
 
-@dataclass(frozen=True)
-class Rotation:
+class Rotation(NamedTuple):
     qubit: int
     axis: str
     angle: float
@@ -453,8 +451,7 @@ class Rotation:
 Gate = CNOT | Rotation
 
 
-@dataclass(frozen=True)
-class CircuitDecomposition:
+class CircuitDecomposition(NamedTuple):
     """Two-CNOT circuit equal to a squared-generator braiding operation up to
     a global phase.  Gates are listed in application order."""
 

@@ -17,7 +17,7 @@ whose modulus is recorded rather than assumed to be one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ def logical_environment_state(a: complex, b: complex) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     q: int
     matrix: np.ndarray                 # the 2x2 block M_q
     proportionality_deviation: float   # ||M/c - I|| with c = M[0, 0]

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +16,7 @@ def fusion():
 
 def with_entry(table, key, value):
     """Copy of an F or R table with one entry replaced (a negative control)."""
-    return dataclasses.replace(table, entries={**table.entries, key: value})
+    return table._replace(entries={**table.entries, key: value})
 
 
 def trivial_fusion():

@@ -39,7 +39,7 @@ class TestVerify:
 
         def corrupted(fusion=None):
             table = fibonacci(fusion)
-            return dataclasses.replace(table, entries={**table.entries, key: -table.get(*key)})
+            return table._replace(entries={**table.entries, key: -table.get(*key)})
 
         bs._fib_tables()  # cache the true tables first: the generators must not see the corruption
         monkeypatch.setattr(am.FSymbolTable, "fibonacci", corrupted)
@@ -197,6 +197,15 @@ class TestBenchmark:
         # without noise the braided Hadamard map is orthogonal
         np.testing.assert_allclose(matrix @ matrix.T, np.eye(4), atol=1e-8)
 
+    def test_qpt_ignores_sequence_options(self, tmp_path, capsys):
+        base = ["benchmark", "--protocol", "qpt", "--space", "ps"]
+        assert run(base + ["--out", str(tmp_path / "a")]) == 0
+        assert run(base + ["--seed", "5", "--k", "3", "--m-grid", "1", "2", "3",
+                           "--out", str(tmp_path / "b")]) == 0
+        capsys.readouterr()
+        for fname in ("transfer_map.json", "fidelity.json"):
+            assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
+
     def test_pb_outputs_error_budget(self, tmp_path, capsys):
         out_dir = tmp_path / "pb"
         assert run(["benchmark", "--protocol", "pb", "--out", str(out_dir),
@@ -345,6 +354,11 @@ class TestDegenerateNumericInput:
         # one block of index draws at this length would not fit in memory
         (["benchmark", "--protocol", "rb", "--m-grid", "1", "2", "10000000000000"],
          "--m-grid: must be at most 4096"),
+        # only qpt writes a transfer map, the one file --format chooses
+        (["benchmark", "--protocol", "rb", "--format", "csv", "--out", "unused"],
+         "--format applies only to --protocol qpt, not rb"),
+        (["benchmark", "--protocol", "pb", "--format", "json", "--out", "unused"],
+         "--format applies only to --protocol qpt, not pb"),
     ])
     def test_exits_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -355,6 +369,10 @@ class TestDegenerateNumericInput:
     def test_largest_seed_runs(self, tmp_path, capsys):
         assert run(["benchmark", "--protocol", "pb", "--seed", str(2**64 - 4), "--k", "2",
                     "--m-grid", "1", "2", "3", "--out", str(tmp_path)]) == 0
+
+    def test_largest_verify_seed_runs(self, capsys):
+        # verify draws only the stream (seed, 0): every uint64 key is valid
+        assert run(["verify", "--seed", str(2**64 - 1), "--leakage-words", "1"]) == 0
 
 
 @pytest.mark.parametrize("argv", [
