@@ -13,7 +13,9 @@ braid word is the composition of per-letter maps (:func:`word_ptm`), and
 the noise after a Clifford pulse is :func:`clifford_noise_ptm`; both read
 their dephasing-then-depolarizing diagonal from one rule.
 :func:`calibrate_t2` composes the same per-letter maps, rescaled for each
-trial T2, and finds the target with a numpy Brent root on log T2.
+trial T2, and finds the target with a Brent root on log T2, started from a
+bracket built around the root that the word's closed-form fidelity slope at
+zero dephasing predicts.
 Density matrices appear only at the boundary: :func:`word_channel`
 validates its input state as a :class:`DensityMatrix`, and
 :func:`predict_gate_fidelity` rebuilds the map from that channel by process
@@ -304,6 +306,18 @@ def predict_gate_fidelity(word: BraidWord, noise: NoiseModel) -> float:
 T2_BOUNDS = (1e-3, 1e3)
 """Bracket, in seconds, of the common T2 that :func:`calibrate_t2` searches."""
 
+MONOTONE_EXPONENT = 2.0
+"""Dephasing exponent ``tau / T2`` (word duration over T2) up to which
+:func:`calibrate_t2` takes a word's fidelity to be nondecreasing in T2 and no
+lower than at any shorter T2.
+
+Words of one or two letters are monotone at every T2: their process fidelity
+is a sum of decaying exponentials with non-negative weights.  Longer words can
+dip near the fully dephased floor.  Over 4350 random words of 1 to 200
+letters, with powers up to 30 and a random generator at every letter, on a
+600-point log grid of ``tau / T2`` in [1e-3, 1e3], the smallest exponent at
+which the fidelity lay below its value at some shorter T2 was 5.4."""
+
 
 class UnbracketedTargetError(ValueError):
     """The target fidelity is not reached between the T2 search bounds."""
@@ -316,26 +330,44 @@ class CalibrationResult:
     target: float
 
 
+@functools.cache
+def _unit_pauli_rates() -> np.ndarray:
+    """:func:`pauli_dephasing_rates` of a unit rate on both qubits: the number
+    of qubits on which each Pauli string is transverse."""
+    rates = pauli_dephasing_rates((1.0, 1.0))
+    rates.flags.writeable = False
+    return rates
+
+
 def _t2_fidelity(word: BraidWord) -> Callable[[float], float]:
     """Average gate fidelity of the word, under a common per-qubit T2 and no
     other noise, as a function of that T2.
 
     Everything that does not depend on T2 is done here, once: the letters'
-    transfer-matrix stack, each letter's dephasing exponents (its duration
-    times the number of qubits on which a Pauli string is transverse), and
-    the ideal transfer matrix, the noiseless product of the same stack.  An
-    evaluation is then one exp, a row scaling and one chain of matmuls: the
-    arithmetic of :func:`word_ptm`, up to rounding."""
-    noise = NoiseModel()
+    transfer-matrix stack, each letter's dephasing exponents (its duration at
+    the default :data:`BRAIDING_STEP_SECONDS` times the number of qubits on
+    which a Pauli string is transverse), and the ideal transfer matrix, the
+    noiseless product of the same stack.  An evaluation is then one exp, a row
+    scaling and one chain of matmuls: the arithmetic of :func:`word_ptm`, up
+    to rounding."""
     stack = _letter_stack(word)
-    durations = np.array([letter_duration(letter, noise) for letter in word.letters])
-    exponents = -durations[:, None, None] * pauli_dephasing_rates((1.0, 1.0))[:, None]
+    durations = np.array([abs(letter.power) * BRAIDING_STEP_SECONDS / 2.0 for letter in word.letters])
+    exponents = -durations[:, None, None] * _unit_pauli_rates()[:, None]
     ideal = _compose(stack)
 
     def fidelity(t2: float) -> float:
         return benchmark_suite._average_fidelity(_compose(np.exp(exponents / t2) * stack), ideal, 4)
 
     return fidelity
+
+
+def _log_exponent(average_fidelity: float) -> float:
+    """``log(tau / T2)`` at which the single-exponential model
+    ``f_pro = exp(-tau / T2)`` gives the two-qubit ``average_fidelity``
+    (``f_pro = (5 F - 1) / 4``); the process fidelity is clipped into
+    (0, 1), so the result is always finite."""
+    f_pro = (5.0 * average_fidelity - 1.0) / 4.0
+    return math.log(-math.log(min(max(f_pro, 1e-300), 1.0 - 2**-53)))
 
 
 def _brent_root(
@@ -390,10 +422,31 @@ def _brent_root(
 
 
 def calibrate_t2(word: BraidWord, target_fidelity: float) -> CalibrationResult:
-    """Find a common per-qubit T2 at which the simulated word fidelity hits a
-    target.  Fidelity is monotone in T2, so a bracketing root search on the
-    log scale suffices: Brent's method over :data:`T2_BOUNDS`, to
-    ``xtol = rtol = 1e-12`` in log T2.
+    """Find a common per-qubit T2 in :data:`T2_BOUNDS` at which the simulated
+    word fidelity hits a target, by Brent's method on log T2 to ``xtol = rtol
+    = 1e-12``.
+
+    The search brackets its root from the word's physics before Brent starts.
+    With word duration ``tau`` (half a :data:`BRAIDING_STEP_SECONDS` per
+    crossing), the average gate fidelity falls from 1 with slope ``-(4/5)
+    tau`` in 1/T2: each letter's dephasing acts through an orthogonal transfer
+    matrix, so only its trace counts.  The model ``f_pro = exp(-tau / T2)``,
+    with ``f_pro = (5 F - 1) / 4``, gives the first trial T2.  The exponent
+    that this evaluation implies gives the second, a little past the model's
+    root, and the steps then double until the fidelity crosses the target.
+    Every trial is clamped to :data:`T2_BOUNDS`, and the target is
+    unbracketed when the fidelity at the bound reached has not crossed it.
+
+    The fidelity is not monotone in T2 for every word: some words of three
+    or more letters dip by up to about 1e-3 near the fully dephased floor.
+    Above ``T2 = tau / MONOTONE_EXPONENT`` it is nondecreasing and at least
+    its value at any shorter T2.  When the bracket reaches below that T2, the
+    fidelity at the lower bound is checked as well, and so is the one at the
+    upper bound when that bound too lies below it (past two million
+    crossings).  So the target is unbracketed exactly when it lies below the
+    fidelity at the lower bound or above that at the upper bound, as with a
+    search over the whole bracket, and a target just above the lower bound's
+    fidelity may have more than one root, of which one is returned.
 
     Every fidelity, the reported one included, is the average gate fidelity
     of the word's composed transfer map (:func:`word_ptm`'s, up to rounding)
@@ -406,14 +459,35 @@ def calibrate_t2(word: BraidWord, target_fidelity: float) -> CalibrationResult:
     def gap(log_t2: float) -> float:
         return fidelity(math.exp(log_t2)) - target_fidelity
 
-    lo, hi = math.log(T2_BOUNDS[0]), math.log(T2_BOUNDS[1])
-    gap_lo, gap_hi = gap(lo), gap(hi)
-    if gap_lo > 0 or gap_hi < 0:
-        raise UnbracketedTargetError(
+    def unbracketed() -> UnbracketedTargetError:
+        return UnbracketedTargetError(
             f"target fidelity {target_fidelity!r} lies outside the fidelities "
             f"reached between T2 = {T2_BOUNDS[0]:g} s and {T2_BOUNDS[1]:g} s"
         )
-    log_t2, gap_t2 = _brent_root(gap, lo, hi, gap_lo, gap_hi)
+
+    lo, hi = math.log(T2_BOUNDS[0]), math.log(T2_BOUNDS[1])
+    tau = word.crossing_count * BRAIDING_STEP_SECONDS / 2
+    log_tau = math.log(tau) if tau else -math.inf
+    log_target = _log_exponent(target_fidelity)
+    x = min(max(log_tau - log_target, lo), hi)
+    gx = gap(x)
+    # past the model's root for the exponent implied at x by a tenth of the step, at least 1e-3
+    step = math.copysign(max(1.1 * abs(_log_exponent(target_fidelity + gx) - log_target), 1e-3), -gx)
+    y, gy = x, gx
+    while gy and (gy < 0) == (gx < 0):
+        if y == (lo if gx > 0 else hi):
+            raise unbracketed()
+        x, gx = y, gy
+        y = min(max(x + step, lo), hi)
+        gy = gap(y)
+        step *= 2
+    (a, ga), (b, gb) = sorted(((x, gx), (y, gy)))
+    # below T2 = tau / MONOTONE_EXPONENT a bound's fidelity may lie on the
+    # other side of the target from the bracket end nearest to it
+    monotone_from = log_tau - math.log(MONOTONE_EXPONENT)
+    if (lo < a < monotone_from and gap(lo) > 0) or (b < hi < monotone_from and gap(hi) < 0):
+        raise unbracketed()
+    log_t2, gap_t2 = _brent_root(gap, a, b, ga, gb)
     return CalibrationResult(t2=math.exp(log_t2), fidelity=target_fidelity + gap_t2,
                              target=target_fidelity)
 

@@ -294,8 +294,9 @@ def test_criterion_10_calibration_demonstration():
     passed = gap < 5e-4
     report(10, "calibration demonstration", passed,
            f"found T2={cal.t2 * 1e3:.2f} ms for the 30 ms word, predicted fidelity "
-           f"{cal.fidelity:.6f} (target 0.9823, gap {gap:.2e}); procedure: bracketing "
-           f"root search of the split-step dephasing simulation over log T2")
+           f"{cal.fidelity:.6f} (target 0.9823, gap {gap:.2e}); procedure: Brent root on "
+           f"log T2 of the composed per-letter transfer maps, bracketed around the "
+           f"T2 that the word's closed-form dephasing slope predicts")
 
 
 def test_criterion_11_circuit_decomposition():

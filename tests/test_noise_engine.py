@@ -437,3 +437,102 @@ class TestCalibration:
                               capture_output=True, text=True, timeout=120, check=True)
         reports = [line for line in done.stdout.splitlines() if line.startswith("after ")]
         assert reports == [f"after {argv} scipy modules: []" for argv in commands]
+
+
+# A canonical word whose fidelity falls about 1.5e-4 below its value at
+# T2_BOUNDS[0], to a minimum near T2 = 2.07 ms, and is back above it by 3 ms.
+DIPPING = bc.BraidWord.from_letters([(23, 2), (12, 3), (23, -4), (12, -4), (23, -2), (12, -1),
+                                     (23, 2), (12, 4), (23, 3), (12, -1), (23, -4), (12, -4)])
+
+LOW_T2 = math.exp(math.log(ne.T2_BOUNDS[0]))  # the search runs on log T2
+HIGH_T2 = math.exp(math.log(ne.T2_BOUNDS[1]))
+
+
+def word_duration(word: bc.BraidWord) -> float:
+    return word.crossing_count * ne.BRAIDING_STEP_SECONDS / 2
+
+
+class TestCalibrationBracket:
+    @given(st.one_of(st.just(bc.hadamard_word()), st.just(DIPPING),
+                     canonical_words(max_letters=15, min_letters=1)))
+    @settings(max_examples=40, deadline=None)
+    def test_fidelity_monotone_above_threshold(self, word):
+        # above T2 = tau / MONOTONE_EXPONENT the fidelity never falls, and it
+        # is at least its value at every shorter T2 in the bracket
+        fidelity = ne._t2_fidelity(word)
+        grid = np.geomspace(LOW_T2, HIGH_T2, 400)
+        values = np.array([fidelity(t2) for t2 in grid])
+        above = grid >= word_duration(word) / ne.MONOTONE_EXPONENT
+        assert np.all(values[above] >= np.maximum.accumulate(values)[above] - 1e-15)
+
+    def test_hadamard_word_monotone_over_bracket(self):
+        fidelity = ne._t2_fidelity(bc.hadamard_word())
+        values = [fidelity(t2) for t2 in np.geomspace(LOW_T2, HIGH_T2, 400)]
+        assert min(np.diff(values)) > 0
+
+    @given(canonical_words(max_letters=15, min_letters=1))
+    @settings(max_examples=40, deadline=None)
+    def test_fidelity_slope_at_zero_dephasing(self, word):
+        # dF/d(1/T2) at 1/T2 = 0 is -(4/5) tau: only each letter's generator trace counts
+        tau = word_duration(word)
+        rate = 1e-6 / tau
+        slope = (ne._t2_fidelity(word)(1 / rate) - 1) / rate
+        assert slope == pytest.approx(-0.8 * tau, rel=1e-5)
+
+    @pytest.mark.parametrize("below", [1.4e-4, 5e-5, 3e-5, 1.4e-5, 5e-6])
+    def test_dip_below_lower_bound_fidelity_is_unbracketed(self, below):
+        # roots lie inside the dip, between 1 ms and 3 ms, but the target is
+        # below the fidelity at the lower bound: unbracketed, as with a search
+        # that starts from the whole bracket
+        fidelity = ne._t2_fidelity(DIPPING)
+        target = fidelity(LOW_T2) - below
+        assert fidelity(2.07e-3) < target
+        with pytest.raises(ne.UnbracketedTargetError):
+            ne.calibrate_t2(DIPPING, target)
+
+    def test_target_above_dip_is_reached(self):
+        target = ne._t2_fidelity(DIPPING)(LOW_T2) + 1e-5
+        cal = ne.calibrate_t2(DIPPING, target)
+        assert abs(cal.fidelity - target) < 1e-12
+        assert 2.07e-3 < cal.t2 < 4e-3
+
+    @given(st.one_of(st.just(bc.hadamard_word()), st.just(DIPPING),
+                     canonical_words(max_letters=15, min_letters=1)),
+           st.sampled_from([LOW_T2, HIGH_T2]), st.floats(-1e-4, 1e-4))
+    @settings(max_examples=60, deadline=None)
+    def test_unbracketed_exactly_outside_bound_fidelities(self, word, t2, offset):
+        fidelity = ne._t2_fidelity(word)
+        target = fidelity(t2) + offset
+        if fidelity(LOW_T2) > target or fidelity(HIGH_T2) < target:
+            with pytest.raises(ne.UnbracketedTargetError):
+                ne.calibrate_t2(word, target)
+        else:
+            cal = ne.calibrate_t2(word, target)
+            assert abs(cal.fidelity - target) < 1e-9
+            assert LOW_T2 <= cal.t2 <= HIGH_T2
+
+    def test_empty_word(self):
+        # no crossings: the fidelity is 1 at every T2
+        word = bc.empty_word()
+        cal = ne.calibrate_t2(word, 1.0)
+        assert cal.fidelity == 1.0 and LOW_T2 <= cal.t2 <= HIGH_T2
+        for target in (0.99, 1.0 + 1e-12):
+            with pytest.raises(ne.UnbracketedTargetError):
+                ne.calibrate_t2(word, target)
+
+    @given(st.one_of(st.just(bc.hadamard_word()), canonical_words(max_letters=15, min_letters=1)),
+           st.floats(0.90, 0.99))
+    @settings(max_examples=60, deadline=None)
+    def test_evaluation_budget(self, word, target):
+        compose = ne._compose
+        calls = []
+
+        def counted(letters):
+            calls.append(len(letters))
+            return compose(letters)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ne, "_compose", counted)
+            cal = ne.calibrate_t2(word, target)
+        assert abs(cal.fidelity - target) < 1e-9
+        assert len(calls) - 1 <= 8  # one product is the ideal map
