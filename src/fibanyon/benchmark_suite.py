@@ -43,7 +43,8 @@ the next length."""
 _SEQUENCE_BLOCK = 4096  # sequences advanced together; bounds the gathered (n, d^2, d^2) stack
 MAX_LENGTH = 4096
 """Longest sequence: one block's Clifford indices are ``_SEQUENCE_BLOCK *
-MAX_LENGTH`` int64 draws, 128 MiB, and the draw holds a few such arrays."""
+MAX_LENGTH`` int64 draws, 128 MiB, and drawing them peaks about 4 MiB above
+that (:data:`_PHILOX_LANES`)."""
 
 Channel = Callable[[np.ndarray], np.ndarray]
 
@@ -277,6 +278,24 @@ class CliffordGroup:
         return table
 
     @functools.cached_property
+    def logical_ptms(self) -> np.ndarray:
+        """Read-only ``(24, 4, 4)`` ideal transfer matrices of the elements,
+        built on first use."""
+        return self._ideal_ptms(lambda c: c)
+
+    @functools.cached_property
+    def physical_ptms(self) -> np.ndarray:
+        """Read-only ``(24, 16, 16)`` ideal transfer matrices of the encoded
+        elements (:func:`fibanyon.braid_space.logical_extension`), built on
+        first use."""
+        return self._ideal_ptms(braid_space.logical_extension)
+
+    def _ideal_ptms(self, encode: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        ptms = np.array([ptm_of_unitary(encode(c)).matrix for c in self.elements])
+        ptms.flags.writeable = False
+        return ptms
+
+    @functools.cached_property
     def inverse(self) -> np.ndarray:
         """Read-only index of each element's inverse, read off :attr:`table`
         (element 0 is the identity)."""
@@ -309,15 +328,14 @@ class GateSet(NamedTuple):
     spam_ptm: PauliTransferMap | None = None
 
 
-def _gateset(encode: Callable[[np.ndarray], np.ndarray], zero: np.ndarray,
-             noise: PauliTransferMap | None, group: CliffordGroup | None,
-             spam_ptm: PauliTransferMap | None) -> GateSet:
-    """Each Clifford runs as ``encode(c)`` followed by ``noise``; ``zero``
-    is the state vector prepared and read out, and sets the dimension."""
+def _gateset(group: CliffordGroup, ideal: np.ndarray, zero: np.ndarray,
+             noise: PauliTransferMap | None, spam_ptm: PauliTransferMap | None) -> GateSet:
+    """Each Clifford runs as its ideal transfer matrix in ``ideal`` followed
+    by ``noise``; ``zero`` is the state vector prepared and read out, and
+    sets the dimension."""
     dim = len(zero)
-    group = group or CliffordGroup()
     noise = noise or identity_ptm(dim)
-    ptms = np.array([noise.matrix @ ptm_of_unitary(encode(c)).matrix for c in group.elements])
+    ptms = noise.matrix @ ideal
     ptms.flags.writeable = False
     return GateSet(dim, group, ptms, state_coefficients(np.outer(zero, zero.conj())), spam_ptm)
 
@@ -328,7 +346,8 @@ def logical_gateset(
     spam_ptm: PauliTransferMap | None = None,
 ) -> GateSet:
     """Gate set acting directly on the logical qubit (d = 2)."""
-    return _gateset(lambda c: c, np.eye(2, dtype=complex)[0], noise, group, spam_ptm)
+    group = group or CliffordGroup()
+    return _gateset(group, group.logical_ptms, np.eye(2, dtype=complex)[0], noise, spam_ptm)
 
 
 def physical_gateset(
@@ -342,14 +361,113 @@ def physical_gateset(
     identity on its complement; preparation and readout use the encoded
     ``|0_L>``.
     """
+    group = group or CliffordGroup()
     zero_l = braid_space.logical_encoding()[:, 0]
-    return _gateset(braid_space.logical_extension, zero_l, noise, group, spam_ptm)
+    return _gateset(group, group.physical_ptms, zero_l, noise, spam_ptm)
 
 
 def rng_for(seed: int, task_index: int) -> np.random.Generator:
     """Counter-based generator stream for task ``task_index`` of a master
-    seed; identical whether tasks run serially or in parallel."""
+    seed; identical whether tasks run serially or in parallel.
+
+    This is the definition of a stream: the protocols draw the same values
+    through :func:`_stream_integers`, which computes Philox in numpy and so
+    never imports ``numpy.random``."""
     return np.random.Generator(np.random.Philox(key=np.array([seed, task_index], dtype=np.uint64)))
+
+
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)
+_PHILOX_BUMP = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)  # key step per round
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+_PHILOX_LANES = 8192
+"""Counter blocks computed together: bounds a draw's working memory to a
+few MiB beside its output."""
+
+
+def philox_halves(seed: int, streams: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 in numpy (Salmon, Moraes, Dror & Shaw, SC'11): row i
+    holds the 32-bit halves, low half first, of the four 64-bit words that
+    ``numpy.random.Philox(key=[seed, streams[i]])`` outputs for its counter
+    block ``[counters[i], 0, 0, 0]``.  A fresh stream's first block has
+    counter 1, and numpy's 32-bit draws consume the halves in this order.
+
+    Blocks are columns of ``(2, n)`` arrays holding counter words 0 and 2, the
+    pair a round multiplies; each 64x64 -> 128-bit product is assembled from
+    32-bit halves, none of whose partial sums overflows 64 bits."""
+    n = len(counters)
+    full = lambda c: np.repeat(c[:, None], n, axis=1)  # same-shape operands skip broadcasting
+    m, m_lo, m_hi = full(_PHILOX_M), full(_PHILOX_M & _LOW32), full(_PHILOX_M >> _32)
+    key = np.empty((2, n), dtype=np.uint64)
+    key[0], key[1] = seed, streams
+    round_keys = key + np.arange(10, dtype=np.uint64)[:, None, None] * _PHILOX_BUMP[:, None]  # wrapping
+    x = np.zeros((2, n), dtype=np.uint64)  # counter words 0 and 2
+    x[0] = counters
+    y = np.zeros((2, n), dtype=np.uint64)  # counter words 1 and 3
+    x_lo, x_hi, t, u, v = (np.empty((2, n), dtype=np.uint64) for _ in range(5))
+    for round_key in round_keys:
+        np.bitwise_and(x, _LOW32, out=x_lo)
+        np.right_shift(x, _32, out=x_hi)
+        np.multiply(x_lo, m_lo, out=t)
+        t >>= _32
+        np.multiply(x_hi, m_lo, out=u)
+        u += t
+        np.bitwise_and(u, _LOW32, out=t)
+        np.multiply(x_lo, m_hi, out=v)
+        v += t
+        u >>= _32
+        v >>= _32
+        np.multiply(x_hi, m_hi, out=t)
+        t += u
+        t += v  # the high 64 bits of x * m
+        low = x * m  # wraps to the low 64 bits
+        # words (0, 1, 2, 3) become (hi_1 ^ w1 ^ k0, lo_1, hi_0 ^ w3 ^ k1, lo_0)
+        np.bitwise_xor(t[::-1], y, out=x)
+        x ^= round_key
+        y = low[::-1]
+    # little-endian words split into their halves low first
+    words = np.stack([x[0], y[0], x[1], y[1]], axis=1).astype("<u8", copy=False)
+    return words.view("<u4").astype(np.uint64)
+
+
+def _bounded(halves: np.ndarray, high: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's bounded draw on 32-bit halves: each maps to ``(u * high) >>
+    32`` and is rejected where the low 32 bits of that product fall below
+    ``2**32 % high``.  Returns the draws and the acceptance mask."""
+    scaled = halves * np.uint64(high)
+    return (scaled >> _32).astype(np.int64), (scaled & _LOW32) >= np.uint64(2**32 % high)
+
+
+class PhiloxStream:
+    """Bounded draws read in order from the stream ``(seed, stream)`` without
+    ``numpy.random``: successive ``integers(high, n)`` calls return what
+    successive ``rng_for(seed, stream).integers(0, high, size=n)`` calls on
+    one generator return, for ``1 < high < 2**32``.  Each draw consumes the
+    next 32-bit half of the stream (:func:`philox_halves`), and the halves are
+    computed ``BLOCKS`` counter blocks at a time."""
+
+    BLOCKS = 256
+
+    def __init__(self, seed: int, stream: int) -> None:
+        self.seed, self.stream = seed, stream
+        self.halves = np.empty(0, dtype=np.uint64)  # computed and not yet consumed
+        self.next_block = 1
+
+    def integers(self, high: int, n: int) -> np.ndarray:
+        draws = np.empty(0, dtype=np.int64)
+        while len(draws) < n:
+            values, accepted = _bounded(self._take(n - len(draws)), high)
+            draws = np.concatenate([draws, values[accepted]])
+        return draws
+
+    def _take(self, n: int) -> np.ndarray:
+        while len(self.halves) < n:
+            counters = np.arange(self.next_block, self.next_block + self.BLOCKS)
+            fresh = philox_halves(self.seed, np.full(self.BLOCKS, self.stream, dtype=np.uint64), counters)
+            self.halves = np.concatenate([self.halves, fresh.ravel()])
+            self.next_block += self.BLOCKS
+        taken, self.halves = self.halves[:n], self.halves[n:]
+        return taken
 
 
 def _stream_integers(seed: int, streams: Sequence[int], high: int, sizes: np.ndarray) -> np.ndarray:
@@ -357,29 +475,56 @@ def _stream_integers(seed: int, streams: Sequence[int], high: int, sizes: np.nda
     size=sizes[i])`` for ``0 < high < 2**32``; entries past ``sizes[i]`` are
     unspecified.
 
-    The raw 64-bit words of every stream come from a single Philox generator
-    whose state is reset per stream: constructing a generator per stream pulls
-    OS entropy for a seed sequence it never uses.  numpy's bounded draw maps
-    each 32-bit half of a word, low half first, to ``(u32 * high) >> 32`` and
-    draws again where the low 32 bits of that product fall below
-    ``2**32 % high``; the whole block is mapped at once, and a stream with such
-    a draw among its first ``sizes[i]`` is read through :func:`rng_for`.
+    Every stream's draws come from one :func:`philox_halves` computation over
+    the counter blocks it needs, eight draws a block, at most
+    :data:`_PHILOX_LANES` blocks at a time; no ``numpy.random`` generator is
+    built.  A stream with a rejected draw among its first ``sizes[i]`` is
+    drawn again by :func:`_redraw`.
     """
-    words = (sizes + 1) // 2
-    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    state = bitgen.state  # counter 0 and an empty buffer: the start of a stream
-    raw = np.zeros((len(streams), words.max()), dtype=np.uint64)
-    for row, (stream, n) in enumerate(zip(streams, words)):
-        state["state"]["key"][1] = stream
-        bitgen.state = state
-        raw[row, :n] = bitgen.random_raw(n)
-    halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=-1).reshape(len(streams), -1)
-    scaled = halves * np.uint64(high)
-    draws = (scaled >> 32).astype(np.int64)
-    redraw = ((scaled & 0xFFFFFFFF) < 2**32 % high) & (np.arange(halves.shape[1]) < sizes[:, None])
-    for row in np.flatnonzero(redraw.any(axis=1)):
-        draws[row, :sizes[row]] = rng_for(seed, streams[row]).integers(0, high, size=sizes[row])
-    return draws
+    streams = np.asarray(streams, dtype=np.uint64)
+    blocks = -(-sizes // 8)
+    width = int(blocks.max())
+    ends = np.cumsum(blocks)
+    starts = ends - blocks
+    out = np.empty((len(streams), 8 * width), dtype=np.int64)
+    short = np.zeros(len(streams), dtype=bool)
+    for lo in range(0, int(ends[-1]), _PHILOX_LANES):
+        lanes = np.arange(lo, min(lo + _PHILOX_LANES, int(ends[-1])))
+        rows = np.searchsorted(ends, lanes, side="right")
+        block = lanes - starts[rows]  # from 0; Philox counters start at 1
+        draws, accepted = _bounded(philox_halves(seed, streams[rows], block + 1), high)
+        out.reshape(-1, 8)[rows * width + block] = draws
+        if not accepted.all():
+            needed = 8 * block[:, None] + np.arange(8) < sizes[rows, None]
+            short[rows[(needed & ~accepted).any(axis=1)]] = True
+    if short.any():
+        _redraw(seed, streams, high, sizes, np.flatnonzero(short), out)
+    return out[:, :sizes.max()]
+
+
+def _redraw(seed: int, streams: np.ndarray, high: int, sizes: np.ndarray, rows: np.ndarray,
+            out: np.ndarray) -> None:
+    """Fill ``out[i, :sizes[i]]`` for each row ``i`` in ``rows`` with the
+    accepted draws of its stream in order, reading counter blocks from 1 until
+    every row has enough."""
+    filled = np.zeros(len(rows), dtype=np.int64)
+    first = 1
+    while len(rows):
+        n_blocks = int((sizes[rows] - filled).max() + 7) // 8
+        group = max(1, _PHILOX_LANES // n_blocks)
+        for lo in range(0, len(rows), group):
+            part = slice(lo, lo + group)
+            row = rows[part]
+            counters = np.tile(np.arange(first, first + n_blocks), len(row))
+            halves = philox_halves(seed, np.repeat(streams[row], n_blocks), counters)
+            draws, accepted = (a.reshape(len(row), -1) for a in _bounded(halves, high))
+            rank = filled[part, None] + np.cumsum(accepted, axis=1) - 1
+            keep = accepted & (rank < sizes[row, None])
+            out[np.broadcast_to(row[:, None], keep.shape)[keep], rank[keep]] = draws[keep]
+            filled[part] += keep.sum(axis=1)
+        first += n_blocks
+        pending = filled < sizes[rows]
+        rows, filled = rows[pending], filled[pending]
 
 
 class DecayFit(NamedTuple):

@@ -138,6 +138,53 @@ def _sigma_oracle(index: int) -> np.ndarray:
     ])
 
 
+_MAX_WORD_LETTERS = 50  # longest random word of the leakage check
+_WORD_BATCH = 1024  # random words multiplied as one stack
+
+
+def _random_words(seed: int, count: int):
+    """Yield batches of at most ``_WORD_BATCH`` random words as ``(lengths,
+    letters)``, the letters of all words of a batch concatenated in
+    application order.
+
+    The draws are those of a scalar loop on ``rng_for(seed, 0)``, read in the
+    same order from :class:`fibanyon.benchmark_suite.PhiloxStream`: per word
+    the length from ``integers(1, _MAX_WORD_LETTERS + 1)``, then per letter
+    ``integers(2)`` for the generator (1: sigma12, 0: sigma23) and
+    ``integers(2)`` for the power (1: +1, 0: -1).  A letter is ``2 *
+    generator + power``."""
+    stream = bench.PhiloxStream(seed, 0)
+    for lo in range(0, count, _WORD_BATCH):
+        lengths, letters = [], []
+        for _ in range(min(_WORD_BATCH, count - lo)):
+            lengths.append(1 + int(stream.integers(_MAX_WORD_LETTERS, 1)[0]))
+            bits = stream.integers(2, 2 * lengths[-1])
+            letters.append(2 * bits[0::2] + bits[1::2])
+        yield np.array(lengths), np.concatenate(letters)
+
+
+def _random_word_leakage(seed: int, count: int, s12: np.ndarray, s23: np.ndarray) -> float:
+    """Largest ``||(1 - P_L) U P_L||_2`` over ``count`` random words U of
+    sigma12, sigma23 and their inverses (:func:`_random_words`).  A batch's
+    words advance together, longest first, one letter on the left of each
+    per step."""
+    generators = np.array([s23.conj().T, s23, s12.conj().T, s12])  # by letter
+    p_l = braid_space.logical_projector()
+    worst = 0.0
+    for lengths, letters in _random_words(seed, count):
+        index = np.zeros((len(lengths), lengths.max()), dtype=np.intp)
+        index[np.arange(lengths.max()) < lengths[:, None]] = letters
+        order = np.argsort(-lengths, kind="stable")
+        index, lengths = index[order], lengths[order]
+        active = len(lengths) - np.searchsorted(lengths[::-1], np.arange(lengths[0]), side="right")
+        u = np.tile(np.eye(4, dtype=complex), (len(lengths), 1, 1))
+        for a, step in zip(active, index.T):
+            u[:a] = generators[step[:a]] @ u[:a]
+        leak = np.linalg.norm((np.eye(4) - p_l) @ u @ p_l, 2, axis=(1, 2))
+        worst = max(worst, float(leak.max()))
+    return worst
+
+
 def run_verification_checks(
     leakage_words: int = 100,
     seed: int = DEFAULT_SEED,
@@ -192,17 +239,7 @@ def run_verification_checks(
         1e-12,
     ))
 
-    rng = bench.rng_for(seed, 0)
-    worst_leak = 0.0
-    p_l = braid_space.logical_projector()
-    for _ in range(leakage_words):
-        length = int(rng.integers(1, 51))
-        u = np.eye(4, dtype=complex)
-        for _ in range(length):
-            gen = s12 if rng.integers(2) else s23
-            u = (gen if rng.integers(2) else gen.conj().T) @ u
-        worst_leak = max(worst_leak, float(np.linalg.norm((np.eye(4) - p_l) @ u @ p_l, 2)))
-    checks.append(Check("random-word-leakage", worst_leak, 1e-10))
+    checks.append(Check("random-word-leakage", _random_word_leakage(seed, leakage_words, s12, s23), 1e-10))
 
     gens5 = [braid_space.build_generator(5, p) for p in range(1, 5)]
     worst = 0.0

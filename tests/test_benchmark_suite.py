@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -275,6 +276,29 @@ class TestCliffordGroup:
             for j, b in enumerate(group.elements):
                 assert group.table[i, j] == group.nearest(a @ b)
         assert not (group.table.flags.writeable or group.inverse.flags.writeable)
+
+    def test_ideal_maps_built_on_first_use(self):
+        group = bench.CliffordGroup()
+        assert not {"logical_ptms", "physical_ptms"} & set(vars(group))
+        assert group.physical_ptms is group.physical_ptms
+        assert not (group.logical_ptms.flags.writeable or group.physical_ptms.flags.writeable)
+
+    @given(space=st.sampled_from(("ls", "ps")), seed=st.integers(0, 2**32 - 1),
+           noiseless=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_gateset_matches_per_element_products(self, group, space, seed, noiseless):
+        # the gate set is one broadcast product with the cached ideal maps; it
+        # must equal the per-element construction bit for bit
+        dim = 4 if space == "ps" else 2
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 7], dtype=np.uint64)))
+        noise = None if noiseless else bench.PauliTransferMap(rng.normal(size=(dim**2, dim**2)), dim)
+        make = bench.physical_gateset if space == "ps" else bench.logical_gateset
+        encode = bs.logical_extension if space == "ps" else (lambda c: c)
+        matrix = np.eye(dim**2) if noise is None else noise.matrix
+        expected = np.array([matrix @ bench.ptm_of_unitary(encode(c)).matrix for c in group.elements])
+        ptms = make(noise=noise, group=group).ptms
+        assert np.array_equal(ptms, expected)
+        assert not ptms.flags.writeable
 
     def test_non_clifford_rejected(self, group):
         u = bs.sigma_logical(12)
@@ -801,6 +825,49 @@ def test_stream_integers_match_rng_for(seed, streams, high):
     for row, (stream, m) in enumerate(streams):
         np.testing.assert_array_equal(draws[row, :m],
                                       bench.rng_for(seed, stream).integers(0, high, size=m))
+
+
+@given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**64 - 1), n=st.integers(1, 2048))
+@example(0, 0, 1)
+@example(2**64 - 1, 2**64 - 1, 2048)
+@settings(max_examples=60, deadline=None)
+def test_philox_halves_match_numpy_philox(seed, stream, n):
+    blocks = -(-n // 4)
+    halves = bench.philox_halves(seed, np.full(blocks, stream, dtype=np.uint64),
+                                 np.arange(1, blocks + 1))
+    words = halves[:, 0::2] | (halves[:, 1::2] << np.uint64(32))
+    raw = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)).random_raw(n)
+    assert np.array_equal(words.ravel()[:n], raw)
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    stream=st.integers(0, 2**64 - 1),
+    # successive calls share one generator; 2**31 + 1 and 3 * 2**30 reject
+    # about half and a quarter of the halves
+    calls=st.lists(st.tuples(st.sampled_from((2, 24, 50, 2**31 + 1, 3 * 2**30, 2**32 - 1)),
+                             st.integers(0, 700)), max_size=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_philox_stream_matches_successive_integers(seed, stream, calls):
+    ours, theirs = bench.PhiloxStream(seed, stream), bench.rng_for(seed, stream)
+    for high, n in calls:
+        np.testing.assert_array_equal(ours.integers(high, n), theirs.integers(0, high, size=n))
+
+
+def test_stream_integers_memory_bounded():
+    # the draw's working memory is a few chunks of Philox lanes beside its
+    # output; drawing all halves at once takes over four times the output
+    sizes = np.full(512, bench.MAX_LENGTH)
+    bench._stream_integers(1, [0], 24, sizes[:1])
+    tracemalloc.start()
+    try:
+        draws = bench._stream_integers(20230517, list(range(512)), 24, sizes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    output = draws.shape[0] * draws.shape[1] * draws.itemsize
+    assert peak < 1.5 * output
 
 
 def test_rng_streams_deterministic_and_independent():

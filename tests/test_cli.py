@@ -62,6 +62,38 @@ class TestVerify:
         capsys.readouterr()
 
 
+def scalar_word_leakage(seed, count):
+    """The random-word-leakage check as a scalar loop of numpy generator
+    draws: the oracle for the stacked products of the CLI."""
+    s12, s23 = bs.sigma(12), bs.sigma(23)
+    rng = bench.rng_for(seed, 0)
+    worst_leak = 0.0
+    p_l = bs.logical_projector()
+    for _ in range(count):
+        length = int(rng.integers(1, 51))
+        u = np.eye(4, dtype=complex)
+        for _ in range(length):
+            gen = s12 if rng.integers(2) else s23
+            u = (gen if rng.integers(2) else gen.conj().T) @ u
+        worst_leak = max(worst_leak, float(np.linalg.norm((np.eye(4) - p_l) @ u @ p_l, 2)))
+    return worst_leak
+
+
+class TestRandomWordLeakage:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 2**31, 2**32 + 1,
+                                      12345678901234567, 2**63, 2**64 - 2, 2**64 - 1,
+                                      cli.DEFAULT_SEED, cli.DEFAULT_SEED + 1])
+    def test_matches_scalar_loop(self, seed):
+        got = cli._random_word_leakage(seed, 100, bs.sigma(12), bs.sigma(23))
+        assert got == scalar_word_leakage(seed, 100)
+
+    @pytest.mark.parametrize("count", [0, 1, 7, 20])
+    def test_batches_match_scalar_loop(self, count, monkeypatch):
+        monkeypatch.setattr(cli, "_WORD_BATCH", 3)
+        got = cli._random_word_leakage(99, count, bs.sigma(12), bs.sigma(23))
+        assert got == scalar_word_leakage(99, count)
+
+
 class TestCompile:
     def test_hadamard_shortcut(self, tmp_path, capsys):
         out_file = tmp_path / "h.json"

@@ -419,24 +419,43 @@ class TestCalibration:
 
     def test_calibrate_command_does_not_load_scipy(self, tmp_path):
         # nor does any other subcommand: scipy is a test dependency only
-        script = ("import sys\n"
-                  "from fibanyon import cli\n"
-                  "for argv in sys.argv[1:]:\n"
-                  "    assert cli.main(argv.split()) == 0\n"
-                  "    loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-                  "    print('after', argv, 'scipy modules:', loaded)\n")
-        commands = ["calibrate", f"benchmark --protocol qpt --space ps --out {tmp_path}",
-                    "verify", "compile --hadamard", "robustness --q 1",
-                    f"dump-matrices --out {tmp_path / 'matrices'}"]
-        commands += [f"benchmark --protocol {protocol} --space {space} --out {tmp_path / protocol / space}"
-                     + (" --interleave-hadamard" if protocol == "rb" else "")
-                     for protocol in ("rb", "pb") for space in ("ls", "ps")]
-        path = [str(Path(ne.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        done = subprocess.run([sys.executable, "-c", script, *commands], env=env,
-                              capture_output=True, text=True, timeout=120, check=True)
-        reports = [line for line in done.stdout.splitlines() if line.startswith("after ")]
-        assert reports == [f"after {argv} scipy modules: []" for argv in commands]
+        commands = cli_commands(tmp_path)
+        assert modules_after_each(commands, "scipy") == [[] for _ in commands]
+
+    def test_no_command_loads_numpy_random(self, tmp_path):
+        # the protocols and verify compute Philox in numpy; only rng_for and
+        # qpt's probe, which no command reaches, import numpy.random
+        commands = cli_commands(tmp_path)
+        assert modules_after_each(commands, "numpy.random") == [[] for _ in commands]
+
+
+def cli_commands(tmp_path):
+    """Every subcommand, and rb and pb in both spaces, writing under ``tmp_path``."""
+    commands = ["calibrate", f"benchmark --protocol qpt --space ps --out {tmp_path}",
+                "verify", "compile --hadamard", "robustness --q 1",
+                f"dump-matrices --out {tmp_path / 'matrices'}"]
+    commands += [f"benchmark --protocol {protocol} --space {space} --out {tmp_path / protocol / space}"
+                 + (" --interleave-hadamard" if protocol == "rb" else "")
+                 for protocol in ("rb", "pb") for space in ("ls", "ps")]
+    return commands
+
+
+def modules_after_each(commands, package):
+    """Run the commands in order in one fresh process; for each, the loaded
+    modules of ``package`` (a dotted name) once it has returned 0."""
+    script = ("import json, sys\n"
+              "from fibanyon import cli\n"
+              "package = sys.argv[1]\n"
+              "for argv in sys.argv[2:]:\n"
+              "    assert cli.main(argv.split()) == 0\n"
+              "    loaded = sorted(m for m in sys.modules if (m + '.').startswith(package + '.'))\n"
+              "    print('after', json.dumps(loaded))\n")
+    path = [str(Path(ne.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-c", script, package, *commands], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return [json.loads(line[len("after "):]) for line in done.stdout.splitlines()
+            if line.startswith("after ")]
 
 
 # A canonical word whose fidelity falls about 1.5e-4 below its value at
