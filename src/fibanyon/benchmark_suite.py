@@ -42,8 +42,8 @@ from stream ``mi * MAX_SEQUENCES + ki``, so more would share the streams of
 the next length."""
 _SEQUENCE_BLOCK = 4096  # sequences advanced together; bounds the gathered (n, d^2, d^2) stack
 MAX_LENGTH = 4096
-"""Longest sequence: one block's Clifford indices are ``_SEQUENCE_BLOCK *
-MAX_LENGTH`` int64 draws, 128 MiB, and drawing them peaks about 4 MiB above
+"""Longest sequence: one block's Clifford indices are ``MAX_LENGTH *
+_SEQUENCE_BLOCK`` uint8 draws, 16 MiB, and drawing them peaks a few MiB above
 that (:data:`_PHILOX_LANES`)."""
 
 Channel = Callable[[np.ndarray], np.ndarray]
@@ -156,9 +156,10 @@ def qpt(channel: Channel, dim: int) -> PauliTransferMap:
     mat = np.stack(columns, axis=1) / dim
     ptm = PauliTransferMap(mat, dim)
 
-    rng = np.random.Generator(np.random.Philox(key=[17, 29]))
-    for _ in range(2):
-        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    # fixed probes, not Pauli eigenstates: unequal nonzero amplitudes and phases
+    j = np.arange(dim)
+    for k in (2, 3):
+        vec = np.sqrt(j + 1.0) * np.exp(1j * j**2 / k)
         vec /= np.linalg.norm(vec)
         probe = 0.7 * np.outer(vec, vec.conj()) + 0.3 * np.eye(dim) / dim
         residual = float(np.abs(ptm.apply(probe) - np.asarray(channel(probe))).max())
@@ -471,9 +472,11 @@ class PhiloxStream:
 
 
 def _stream_integers(seed: int, streams: Sequence[int], high: int, sizes: np.ndarray) -> np.ndarray:
-    """Row ``i`` begins with ``rng_for(seed, streams[i]).integers(0, high,
+    """Column ``i`` begins with ``rng_for(seed, streams[i]).integers(0, high,
     size=sizes[i])`` for ``0 < high < 2**32``; entries past ``sizes[i]`` are
-    unspecified.
+    unspecified.  The array is step-major, ``(max(sizes), len(streams))``,
+    so row t holds every stream's t-th draw, in the smallest unsigned dtype
+    that holds ``high - 1`` (uint8 for the 24 Cliffords).
 
     Every stream's draws come from one :func:`philox_halves` computation over
     the counter blocks it needs, eight draws a block, at most
@@ -486,45 +489,46 @@ def _stream_integers(seed: int, streams: Sequence[int], high: int, sizes: np.nda
     width = int(blocks.max())
     ends = np.cumsum(blocks)
     starts = ends - blocks
-    out = np.empty((len(streams), 8 * width), dtype=np.int64)
+    out = np.empty((8 * width, len(streams)), dtype=np.min_scalar_type(high - 1))
+    by_block = out.reshape(width, 8, len(streams))
     short = np.zeros(len(streams), dtype=bool)
     for lo in range(0, int(ends[-1]), _PHILOX_LANES):
         lanes = np.arange(lo, min(lo + _PHILOX_LANES, int(ends[-1])))
-        rows = np.searchsorted(ends, lanes, side="right")
-        block = lanes - starts[rows]  # from 0; Philox counters start at 1
-        draws, accepted = _bounded(philox_halves(seed, streams[rows], block + 1), high)
-        out.reshape(-1, 8)[rows * width + block] = draws
+        columns = np.searchsorted(ends, lanes, side="right")
+        block = lanes - starts[columns]  # from 0; Philox counters start at 1
+        draws, accepted = _bounded(philox_halves(seed, streams[columns], block + 1), high)
+        by_block[block, :, columns] = draws
         if not accepted.all():
-            needed = 8 * block[:, None] + np.arange(8) < sizes[rows, None]
-            short[rows[(needed & ~accepted).any(axis=1)]] = True
+            needed = 8 * block[:, None] + np.arange(8) < sizes[columns, None]
+            short[columns[(needed & ~accepted).any(axis=1)]] = True
     if short.any():
         _redraw(seed, streams, high, sizes, np.flatnonzero(short), out)
-    return out[:, :sizes.max()]
+    return out[:sizes.max()]
 
 
-def _redraw(seed: int, streams: np.ndarray, high: int, sizes: np.ndarray, rows: np.ndarray,
+def _redraw(seed: int, streams: np.ndarray, high: int, sizes: np.ndarray, columns: np.ndarray,
             out: np.ndarray) -> None:
-    """Fill ``out[i, :sizes[i]]`` for each row ``i`` in ``rows`` with the
-    accepted draws of its stream in order, reading counter blocks from 1 until
-    every row has enough."""
-    filled = np.zeros(len(rows), dtype=np.int64)
+    """Fill ``out[:sizes[i], i]`` for each column ``i`` in ``columns`` with
+    the accepted draws of its stream in order, reading counter blocks from 1
+    until every column has enough."""
+    filled = np.zeros(len(columns), dtype=np.int64)
     first = 1
-    while len(rows):
-        n_blocks = int((sizes[rows] - filled).max() + 7) // 8
+    while len(columns):
+        n_blocks = int((sizes[columns] - filled).max() + 7) // 8
         group = max(1, _PHILOX_LANES // n_blocks)
-        for lo in range(0, len(rows), group):
+        for lo in range(0, len(columns), group):
             part = slice(lo, lo + group)
-            row = rows[part]
-            counters = np.tile(np.arange(first, first + n_blocks), len(row))
-            halves = philox_halves(seed, np.repeat(streams[row], n_blocks), counters)
-            draws, accepted = (a.reshape(len(row), -1) for a in _bounded(halves, high))
+            column = columns[part]
+            counters = np.tile(np.arange(first, first + n_blocks), len(column))
+            halves = philox_halves(seed, np.repeat(streams[column], n_blocks), counters)
+            draws, accepted = (a.reshape(len(column), -1) for a in _bounded(halves, high))
             rank = filled[part, None] + np.cumsum(accepted, axis=1) - 1
-            keep = accepted & (rank < sizes[row, None])
-            out[np.broadcast_to(row[:, None], keep.shape)[keep], rank[keep]] = draws[keep]
+            keep = accepted & (rank < sizes[column, None])
+            out[rank[keep], np.broadcast_to(column[:, None], keep.shape)[keep]] = draws[keep]
             filled[part] += keep.sum(axis=1)
         first += n_blocks
-        pending = filled < sizes[rows]
-        rows, filled = rows[pending], filled[pending]
+        pending = filled < sizes[columns]
+        columns, filled = columns[pending], filled[pending]
 
 
 class DecayFit(NamedTuple):
@@ -604,7 +608,12 @@ def _initial_guess(exponent: np.ndarray, y: np.ndarray) -> np.ndarray:
     ``y - 0.5``, clipped to ``[1e-4, 1 - 1e-9]``."""
     a_guess, b_guess = 0.5, 0.5
     shifted = np.clip(y - a_guess, 1e-6, None)
-    slope = np.polyfit(exponent, np.log(shifted), 1)[0]
+    # np.polyfit(exponent, log(shifted), 1) without its argument checks: the
+    # same column-scaled Vandermonde least squares, so the same bits
+    lhs = np.stack([exponent, np.ones(len(exponent))], axis=1)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    coef = np.linalg.lstsq(lhs / scale, np.log(shifted), len(exponent) * np.finfo(float).eps)[0]
+    slope = coef[0] / scale[0]
     r_guess = float(np.clip(np.exp(slope), 1e-4, 1.0 - 1e-9))
     return np.array([a_guess, b_guess, r_guess])
 
@@ -668,9 +677,11 @@ def _run_sequences(
 def _advance(gateset: GateSet, start: np.ndarray, indices: np.ndarray, lengths: np.ndarray,
              interleave: NoisyGate | None, target: np.ndarray | None, recovery: bool) -> np.ndarray:
     """Per-sequence survival (``recovery``) or rescaled purity of sequences
-    ordered longest first, sequence i applying ``indices[i, :lengths[i]]``.
-    The interleaved target is folded into the 24 maps and frames it follows
-    once, so each step gathers and multiplies one stack of each."""
+    ordered longest first, sequence i applying ``indices[:lengths[i], i]``:
+    row t of the step-major ``indices`` (:func:`_stream_integers`) is the
+    contiguous step t of every sequence.  The interleaved target is folded
+    into the 24 maps and frames it follows once, so each step gathers and
+    multiplies one stack of each."""
     group, ptms, d = gateset.group, gateset.ptms, gateset.dim
     steps = ptms if interleave is None else interleave.ptm.matrix @ ptms
     n = len(lengths)
@@ -680,29 +691,29 @@ def _advance(gateset: GateSet, start: np.ndarray, indices: np.ndarray, lengths: 
     if recovery and target is None:
         frames = np.zeros(n, dtype=np.intp)  # element 0 is the identity
     elif recovery:
-        frames = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
-        step_frames = target @ group.elements
-    # one contiguous row of indices per step; take gathers like indexing, with less overhead
-    for a, idx in zip(active, indices.T.copy()):
+        # (2, 2, n) frames: each entry of the 2x2 product runs over one long axis
+        frames = np.zeros((2, 2, n), dtype=complex)
+        frames[0, 0] = frames[1, 1] = 1.0
+        step_frames = np.ascontiguousarray((target @ group.elements).transpose(1, 2, 0))
+    # take gathers like indexing, with less overhead
+    for a, idx in zip(active, indices):
         idx = idx[:a]
         coeffs[:a] = steps.take(idx, axis=0) @ coeffs[:a]
         if recovery and target is None:
             frames[:a] = group.table[idx, frames[:a]]
         elif recovery:
-            frames[:a] = _frame_product(step_frames.take(idx, axis=0), frames[:a])
+            s, f = step_frames.take(idx, axis=2), frames[:, :, :a]
+            frames[:, :, :a] = s[:, :1] * f[:1] + s[:, 1:] * f[1:]
     if recovery:
-        inverses = (group.inverse[frames] if target is None
-                    else group.nearest(frames.conj().swapaxes(1, 2)))
+        if target is None:
+            inverses = group.inverse[frames]
+        else:
+            frames = np.ascontiguousarray(frames.transpose(2, 0, 1))
+            inverses = group.nearest(frames.conj().swapaxes(1, 2))
         coeffs = ptms[inverses] @ coeffs
         return (gateset.prep @ coeffs)[:, 0] / d
     plain = np.sum(coeffs[..., 0] ** 2, axis=1) / d
     return (d * plain - 1.0) / (d - 1.0)
-
-
-def _frame_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for stacks of 2x2 matrices, written out elementwise: a
-    stacked complex ``@`` of 2x2 blocks costs about three times as much."""
-    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
 
 
 def reference_fidelity_from_rate(rate: float, dim: int) -> float:

@@ -378,6 +378,14 @@ class TestDecayFit:
             fit = bench.fit_decay(m, means, np.zeros_like(means), model)
             assert (fit.a, fit.b, fit.rate) == tuple(want), (model, means)
 
+    def test_initial_guess_matches_polyfit(self):
+        m = np.array(bench.DEFAULT_M_GRID)
+        for model, means in _decay_corpus():
+            exponent = m if model == "rb" else m - 1.0
+            slope = np.polyfit(exponent, np.log(np.clip(means - 0.5, 1e-6, None)), 1)[0]
+            want = [0.5, 0.5, float(np.clip(np.exp(slope), 1e-4, 1.0 - 1e-9))]
+            assert bench._initial_guess(exponent, means).tolist() == want, (model, means)
+
 
 def _decay_corpus():
     """Seeded RB and PB decays on the default grid: noisy synthetic
@@ -697,14 +705,15 @@ def _sequences_per_length(gateset, m_values, k, seed, interleave, recovery):
 
 def _float_frame_survivals(gateset, start, indices, lengths):
     """Oracle for reference-RB survivals from ``_advance``: the same batched
-    steps, but the logical frames are multiplied as 2x2 matrices and inverted
-    by one batched ``nearest``, as interleaved RB still does."""
+    steps over the step-major ``indices``, but the logical frames are
+    multiplied as 2x2 matrices and inverted by one batched ``nearest``, as
+    interleaved RB still does."""
     group, ptms, d = gateset.group, gateset.ptms, gateset.dim
     coeffs = np.tile(start, (len(lengths), 1))[..., None]
     frames = np.tile(np.eye(2, dtype=complex), (len(lengths), 1, 1))
     for t in range(lengths[0]):
         a = np.count_nonzero(lengths > t)
-        idx = indices[:a, t]
+        idx = indices[t, :a]
         coeffs[:a] = ptms[idx] @ coeffs[:a]
         frames[:a] = group.elements[idx] @ frames[:a]
     coeffs = ptms[group.nearest(frames.conj().swapaxes(1, 2))] @ coeffs
@@ -731,7 +740,7 @@ class TestBatchedSequences:
         make = bench.physical_gateset if space == "ps" else bench.logical_gateset
         gateset = make(noise=ne.clifford_noise_ptm(model, dim), group=group)
         lengths = np.array(sorted(lengths, reverse=True))
-        indices = bench.rng_for(seed, 0).integers(0, len(group), size=(len(lengths), lengths[0]))
+        indices = bench.rng_for(seed, 0).integers(0, len(group), size=(lengths[0], len(lengths)))
         got = bench._advance(gateset, gateset.prep, indices, lengths, None, None, True)
         want = _float_frame_survivals(gateset, gateset.prep, indices, lengths)
         assert np.array_equal(got, want)
@@ -822,8 +831,8 @@ def test_stream_integers_match_rng_for(seed, streams, high):
     ids, sizes = zip(*streams)
     draws = bench._stream_integers(seed, list(ids), high, np.array(sizes))
     # a stream may repeat after others: a reset must not carry state over
-    for row, (stream, m) in enumerate(streams):
-        np.testing.assert_array_equal(draws[row, :m],
+    for column, (stream, m) in enumerate(streams):
+        np.testing.assert_array_equal(draws[:m, column],
                                       bench.rng_for(seed, stream).integers(0, high, size=m))
 
 
@@ -855,19 +864,34 @@ def test_philox_stream_matches_successive_integers(seed, stream, calls):
         np.testing.assert_array_equal(ours.integers(high, n), theirs.integers(0, high, size=n))
 
 
-def test_stream_integers_memory_bounded():
-    # the draw's working memory is a few chunks of Philox lanes beside its
-    # output; drawing all halves at once takes over four times the output
-    sizes = np.full(512, bench.MAX_LENGTH)
-    bench._stream_integers(1, [0], 24, sizes[:1])
+def traced_peak(call):
+    """tracemalloc peak, in bytes, of one call."""
     tracemalloc.start()
     try:
-        draws = bench._stream_integers(20230517, list(range(512)), 24, sizes)
-        _, peak = tracemalloc.get_traced_memory()
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    output = draws.shape[0] * draws.shape[1] * draws.itemsize
-    assert peak < 1.5 * output
+
+
+def test_stream_integers_memory_bounded():
+    # 2 MiB of uint8 output and a few MiB of Philox lanes; int64 draws alone
+    # would take 16 MiB
+    sizes = np.full(512, bench.MAX_LENGTH)
+    bench._stream_integers(1, [0], 24, sizes[:1])
+    peak = traced_peak(lambda: bench._stream_integers(20230517, list(range(512)), 24, sizes))
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("make", [bench.logical_gateset, bench.physical_gateset])
+def test_longest_run_memory_bounded(group, make):
+    # 1536 sequences up to MAX_LENGTH: 6 MiB of step-major uint8 indices, no
+    # transposed copy, and the Philox lanes of one draw
+    gateset = make(group=group)
+    bench._run_sequences(gateset, (1, 2, 3), 2, 0, None, True)
+    peak = traced_peak(lambda: bench._run_sequences(gateset, (1, 2, bench.MAX_LENGTH), 512,
+                                                    20230517, None, True))
+    assert peak <= 16 * 2**20
 
 
 def test_rng_streams_deterministic_and_independent():

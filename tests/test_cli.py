@@ -391,6 +391,9 @@ class TestDegenerateNumericInput:
          "--format applies only to --protocol qpt, not rb"),
         (["benchmark", "--protocol", "pb", "--format", "json", "--out", "unused"],
          "--format applies only to --protocol qpt, not pb"),
+        # qpt interleaves nothing: it tomographs the Hadamard target alone
+        (["benchmark", "--protocol", "qpt", "--interleave-hadamard", "--out", "unused"],
+         "--interleave-hadamard applies only to --protocol rb and pb, not qpt"),
     ])
     def test_exits_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

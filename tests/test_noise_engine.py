@@ -423,36 +423,45 @@ class TestCalibration:
         assert modules_after_each(commands, "scipy") == [[] for _ in commands]
 
     def test_no_command_loads_numpy_random(self, tmp_path):
-        # the protocols and verify compute Philox in numpy; only rng_for and
-        # qpt's probe, which no command reaches, import numpy.random
+        # the protocols and verify compute Philox in numpy; only rng_for,
+        # which no command reaches, imports numpy.random
         commands = cli_commands(tmp_path)
         assert modules_after_each(commands, "numpy.random") == [[] for _ in commands]
 
+    def test_tomography_does_not_load_numpy_random(self):
+        # qpt probes linearity with fixed closed-form states
+        statements = ["from fibanyon import benchmark_suite as bench, braid_compiler as bc, noise_engine as ne",
+                      "bench.qpt(lambda rho: rho, 2)",
+                      "ne.predict_gate_fidelity(bc.hadamard_word(), ne.NoiseModel(t2=(0.4, 0.4)))"]
+        assert modules_after_each(statements, "numpy.random") == [[] for _ in statements]
+
 
 def cli_commands(tmp_path):
-    """Every subcommand, and rb and pb in both spaces, writing under ``tmp_path``."""
+    """Every subcommand, and rb and pb in both spaces, writing under
+    ``tmp_path``, as statements for :func:`modules_after_each`."""
     commands = ["calibrate", f"benchmark --protocol qpt --space ps --out {tmp_path}",
                 "verify", "compile --hadamard", "robustness --q 1",
                 f"dump-matrices --out {tmp_path / 'matrices'}"]
     commands += [f"benchmark --protocol {protocol} --space {space} --out {tmp_path / protocol / space}"
                  + (" --interleave-hadamard" if protocol == "rb" else "")
                  for protocol in ("rb", "pb") for space in ("ls", "ps")]
-    return commands
+    return [f"assert cli.main({command.split()!r}) == 0" for command in commands]
 
 
-def modules_after_each(commands, package):
-    """Run the commands in order in one fresh process; for each, the loaded
-    modules of ``package`` (a dotted name) once it has returned 0."""
+def modules_after_each(statements, package):
+    """Run the Python statements in order in one fresh process that has
+    imported ``fibanyon.cli`` as ``cli``; for each, the loaded modules of
+    ``package`` (a dotted name) once it has run."""
     script = ("import json, sys\n"
               "from fibanyon import cli\n"
               "package = sys.argv[1]\n"
-              "for argv in sys.argv[2:]:\n"
-              "    assert cli.main(argv.split()) == 0\n"
+              "for statement in sys.argv[2:]:\n"
+              "    exec(statement)\n"
               "    loaded = sorted(m for m in sys.modules if (m + '.').startswith(package + '.'))\n"
               "    print('after', json.dumps(loaded))\n")
     path = [str(Path(ne.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    done = subprocess.run([sys.executable, "-c", script, package, *commands], env=env,
+    done = subprocess.run([sys.executable, "-c", script, package, *statements], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     return [json.loads(line[len("after "):]) for line in done.stdout.splitlines()
             if line.startswith("after ")]
