@@ -184,7 +184,7 @@ def average_gate_fidelity(ptm: PauliTransferMap, ideal: np.ndarray) -> float:
 def _average_fidelity(matrix: np.ndarray, ideal_matrix: np.ndarray, d: int) -> float:
     """The closed form of :func:`average_gate_fidelity` on transfer matrices
     of a ``d``-dimensional channel and its ideal gate."""
-    f_pro = float((ideal_matrix.T @ matrix).trace()) / d**2
+    f_pro = float(np.vdot(ideal_matrix, matrix)) / d**2
     return (d * f_pro + 1.0) / (d + 1.0)
 
 

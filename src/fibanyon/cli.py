@@ -683,8 +683,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "benchmark" and args.format is not None and args.protocol != "qpt":
         parser.error(f"benchmark --format applies only to --protocol qpt, not {args.protocol}")
-    if args.command == "benchmark" and args.interleave_hadamard and args.protocol == "qpt":
-        parser.error("benchmark --interleave-hadamard applies only to --protocol rb and pb, not qpt")
+    if args.command == "benchmark" and args.interleave_hadamard and args.protocol != "rb":
+        parser.error(f"benchmark --interleave-hadamard applies only to --protocol rb, not {args.protocol}")
     try:
         return args.func(args)
     except OSError as exc:

@@ -171,6 +171,15 @@ class TestAverageGateFidelity:
         vals = np.einsum("ni,nij,nj->n", rotated.conj(), rho_out, rotated).real
         assert abs(vals.mean() - closed) < 2e-2
 
+    @given(st.sampled_from((2, 4)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_closed_form_matches_trace_of_product(self, d, seed):
+        # the dot product sums tr(R_ideal^T R) in another order than the full product
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 8], dtype=np.uint64)))
+        matrix, ideal = rng.uniform(-1, 1, size=(2, d * d, d * d))
+        f_pro = float((ideal.T @ matrix).trace()) / d**2
+        assert abs(bench._average_fidelity(matrix, ideal, d) - (d * f_pro + 1) / (d + 1)) <= 1e-15
+
 
 class TestUnitarity:
     """The closed-form unitarity of the transfer maps the library builds."""

@@ -393,7 +393,10 @@ class TestDegenerateNumericInput:
          "--format applies only to --protocol qpt, not pb"),
         # qpt interleaves nothing: it tomographs the Hadamard target alone
         (["benchmark", "--protocol", "qpt", "--interleave-hadamard", "--out", "unused"],
-         "--interleave-hadamard applies only to --protocol rb and pb, not qpt"),
+         "--interleave-hadamard applies only to --protocol rb, not qpt"),
+        # pb always runs interleaved PB, so the flag would change nothing
+        (["benchmark", "--protocol", "pb", "--interleave-hadamard", "--out", "unused"],
+         "--interleave-hadamard applies only to --protocol rb, not pb"),
     ])
     def test_exits_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
