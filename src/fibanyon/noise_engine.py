@@ -98,6 +98,9 @@ class NoiseModel:
                 continue
             if not _is_real(t) or not math.isfinite(t) or t <= 0:
                 raise ValueError(f"T2 times must be positive and finite (or null), got {t!r}")
+        if math.isinf(sum(self.rates())):
+            # an infinite rate times a zero duration would be NaN
+            raise ValueError(f"T2 times are too short: the dephasing rate 1/T2 overflows, got {list(self.t2)!r}")
         for name in ("braiding_step", "clifford_duration"):
             value = getattr(self, name)
             if not _is_real(value) or not math.isfinite(value) or value < 0:
@@ -177,8 +180,11 @@ def over_rotation_unitary(axis: str, angle: float) -> np.ndarray:
 
 
 def letter_duration(letter: braid_compiler.BraidLetter, noise: NoiseModel) -> float:
-    """Control time of one braid letter: half a braiding step per crossing."""
-    return abs(letter.power) * noise.braiding_step / 2.0
+    """Control time of one braid letter: half a braiding step per crossing.
+
+    The step is halved first, so the duration of a letter of power +-2 stays
+    finite for every finite step."""
+    return abs(letter.power) * (noise.braiding_step / 2.0)
 
 
 def _noise_diagonal(noise: NoiseModel, duration: float | np.ndarray) -> np.ndarray:
@@ -229,7 +235,7 @@ def _letter_terms(generator: int, power: int) -> np.ndarray:
     :data:`BRAIDING_STEP_SECONDS` times the number of qubits on which each
     Pauli string is transverse."""
     u = np.linalg.matrix_power(braid_space.sigma(generator), power)
-    duration = abs(power) * BRAIDING_STEP_SECONDS / 2.0
+    duration = abs(power) * (BRAIDING_STEP_SECONDS / 2.0)
     block = np.empty((16, 17))
     block[:, :16] = benchmark_suite.ptm_of_unitary(u).matrix
     block[:, 16] = -duration * pauli_dephasing_rates((1.0, 1.0))

@@ -1,5 +1,12 @@
+import ast
 import dataclasses
+import gc
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,6 +353,8 @@ class TestBenchmark:
         ('{"depolarizing_prob": "0.1"}', "depolarizing probability must be a number in [0, 1], got '0.1'"),
         ('{"over_rotation_axis": ["x"]}', "over-rotation axis must be one of x, y, z, got ['x']"),
         ('{"t2": 0.5}', "t2 must be a list of one T2 time per qubit, got 0.5"),
+        # 1/T2 overflows to inf, and inf times the zero Clifford duration is NaN
+        ('{"t2": [5e-324, 1], "clifford_duration": 0}', "the dephasing rate 1/T2 overflows"),
     ])
     def test_bad_noise_file_exits_2(self, tmp_path, capsys, content, message):
         noise = tmp_path / "noise.json"
@@ -358,6 +367,45 @@ class TestBenchmark:
         assert len(err.strip().splitlines()) == 1
         assert message in err and str(noise) in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--protocol", "qpt", "--space", "ps"],
+        ["--protocol", "rb", "--space", "ps", "--interleave-hadamard", "--m-grid", "1", "2", "4", "--k", "3"],
+        ["--protocol", "pb", "--space", "ls", "--m-grid", "1", "2", "4", "--k", "3"],
+    ])
+    def test_largest_braiding_step_writes_finite_numbers(self, tmp_path, capsys, argv):
+        # a letter's duration once overflowed to inf here, and inf times a zero rate is NaN
+        noise = tmp_path / "noise.json"
+        noise.write_text('{"braiding_step": 1e308}')
+        out_dir = tmp_path / "out"
+        assert run(["benchmark", *argv, "--noise", str(noise), "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+
+        def numbers(value):
+            if isinstance(value, dict):
+                return [x for v in value.values() for x in numbers(v)]
+            if isinstance(value, list):
+                return [x for v in value for x in numbers(v)]
+            return [value] if isinstance(value, float) else []
+
+        written = []
+        for path in out_dir.iterdir():
+            if path.suffix == ".json":
+                written += numbers(json.loads(path.read_text()))
+            else:
+                written += [float(c) for line in path.read_text().splitlines()[1:] for c in line.split(",")]
+        assert written and all(np.isfinite(written))
+
+    def test_fit_divergence_exits_2(self, tmp_path, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise bench.FitDivergenceError("decay fit failed to converge: data are not finite", math.nan)
+
+        monkeypatch.setattr(bench, "fit_decay", diverge)
+        assert run(["benchmark", "--protocol", "rb", "--m-grid", "1", "2", "4", "--k", "2",
+                    "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fibanyon benchmark: decay fit failed to converge: data are not finite (residual nan)\n"
 
 
 class TestDegenerateNumericInput:
@@ -530,3 +578,79 @@ class TestCalibrate:
         assert len(err.strip().splitlines()) == 1
         assert "target" in err
         assert not out.exists()
+
+
+# One process through cli.run, which reports the status it exits with and the
+# collector's freeze count to the file named by its first argument.
+ENTRY_PROBE = """\
+import gc, json, sys
+from fibanyon import cli
+report, sys.argv = sys.argv[1], ["fibanyon", *sys.argv[2:]]
+try:
+    cli.run()
+except SystemExit as exc:
+    with open(report, "w") as handle:
+        json.dump({"code": exc.code, "frozen": gc.get_freeze_count()}, handle)
+    raise
+"""
+
+# one command for each exit status: 0, 1 (a check fails) and 2 (argparse's usage error)
+EXIT_CASES = [
+    (["compile", "--hadamard", "--out", "h.json"], 0),
+    (["verify", "--leakage-words", "5", "--tolerance", "1e-9"], 1),
+    (["benchmark", "--protocol", "rb", "--format", "csv", "--out", "rb"], 2),
+]
+
+
+def in_process(argv, capsys):
+    """Exit status, stdout and stderr of ``cli.main(argv)``."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def files_under(root):
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("argv,code", EXIT_CASES)
+    def test_main_freezes_nothing(self, tmp_path, capsys, monkeypatch, argv, code):
+        # main is the in-process API: a library caller's objects stay collectable
+        monkeypatch.chdir(tmp_path)
+        before = gc.get_freeze_count()
+        assert in_process(argv, capsys)[0] == code
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv,code", EXIT_CASES)
+    def test_run_freezes_and_matches_main(self, tmp_path, capsys, monkeypatch, argv, code):
+        process_dir, main_dir = tmp_path / "run", tmp_path / "main"
+        process_dir.mkdir()
+        main_dir.mkdir()
+        report = tmp_path / "report.json"
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        done = subprocess.run([sys.executable, "-c", ENTRY_PROBE, str(report), *argv], cwd=process_dir,
+                              env=env, capture_output=True, text=True, timeout=120)
+        exited = json.loads(report.read_text())
+        assert done.returncode == exited["code"] == code
+        assert exited["frozen"] > 0
+
+        monkeypatch.chdir(main_dir)
+        assert (done.returncode, done.stdout, done.stderr) == in_process(argv, capsys)
+        assert files_under(process_dir) == files_under(main_dir)
+
+    def test_installed_script_is_the_main_block_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+        module, _, function = pyproject["project"]["scripts"]["fibanyon"].partition(":")
+        source = ast.parse(Path(cli.__file__).read_text())
+        main_block = [node for node in source.body if isinstance(node, ast.If)
+                      and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert len(main_block) == 1
+        (statement,) = main_block[0].body
+        assert ast.unparse(statement) == f"{function}()"
+        assert module == "fibanyon.cli" and getattr(cli, function) is cli.run

@@ -113,6 +113,9 @@ class TestDephasing:
         {"depolarizing_prob": "0.1"},
         {"depolarizing_prob": math.nan},
         {"over_rotation_axis": ["x"]},
+        # 1/T2 overflows, and an infinite rate times a zero duration is NaN
+        {"t2": (5e-324, 1.0)},
+        {"t2": (1e-308, 1e-308)},
     ])
     def test_malformed_noise_rejected(self, kwargs):
         # a NaN T2 would otherwise simulate to a NaN fidelity without error
@@ -322,6 +325,25 @@ class TestGateFidelity:
         noise = ne.NoiseModel()
         total = sum(ne.letter_duration(l, noise) for l in bc.hadamard_word().letters)
         assert abs(total - 30e-3) < 1e-12
+
+    @given(st.sampled_from([12, 23]), st.integers(-64, 64).filter(bool),
+           st.floats(min_value=2 * sys.float_info.min, max_value=sys.float_info.max))
+    @example(12, 2, ne.BRAIDING_STEP_SECONDS)
+    @example(23, -4, ne.BRAIDING_STEP_SECONDS)
+    @settings(max_examples=300, deadline=None)
+    def test_duration_bit_identical_to_product_then_halving(self, generator, power, step):
+        # halving a normal step above 2 * float min is exact, so wherever the
+        # product of power and step is finite the two orders round alike
+        product = abs(power) * step
+        if not math.isfinite(product):
+            return
+        duration = ne.letter_duration(bc.BraidLetter(generator, power), ne.NoiseModel(braiding_step=step))
+        assert duration == product / 2.0
+
+    def test_duration_finite_at_the_largest_step(self):
+        noise = ne.NoiseModel(braiding_step=sys.float_info.max)
+        assert all(math.isfinite(ne.letter_duration(letter, noise))
+                   for letter in bc.hadamard_word().letters)
 
     def test_fidelity_monotone_in_duration(self):
         word = bc.hadamard_word()
