@@ -482,7 +482,8 @@ def _stream_integers(seed: int, streams: Sequence[int], high: int, sizes: np.nda
     the counter blocks it needs, eight draws a block, at most
     :data:`_PHILOX_LANES` blocks at a time; no ``numpy.random`` generator is
     built.  A stream with a rejected draw among its first ``sizes[i]`` is
-    drawn again by :func:`_redraw`.
+    read again in order through :class:`PhiloxStream`, which skips the
+    rejected draws; at 24 that happens with probability 16/2**32 per draw.
     """
     streams = np.asarray(streams, dtype=np.uint64)
     blocks = -(-sizes // 8)
@@ -501,34 +502,9 @@ def _stream_integers(seed: int, streams: Sequence[int], high: int, sizes: np.nda
         if not accepted.all():
             needed = 8 * block[:, None] + np.arange(8) < sizes[columns, None]
             short[columns[(needed & ~accepted).any(axis=1)]] = True
-    if short.any():
-        _redraw(seed, streams, high, sizes, np.flatnonzero(short), out)
+    for column in np.flatnonzero(short):
+        out[:sizes[column], column] = PhiloxStream(seed, int(streams[column])).integers(high, int(sizes[column]))
     return out[:sizes.max()]
-
-
-def _redraw(seed: int, streams: np.ndarray, high: int, sizes: np.ndarray, columns: np.ndarray,
-            out: np.ndarray) -> None:
-    """Fill ``out[:sizes[i], i]`` for each column ``i`` in ``columns`` with
-    the accepted draws of its stream in order, reading counter blocks from 1
-    until every column has enough."""
-    filled = np.zeros(len(columns), dtype=np.int64)
-    first = 1
-    while len(columns):
-        n_blocks = int((sizes[columns] - filled).max() + 7) // 8
-        group = max(1, _PHILOX_LANES // n_blocks)
-        for lo in range(0, len(columns), group):
-            part = slice(lo, lo + group)
-            column = columns[part]
-            counters = np.tile(np.arange(first, first + n_blocks), len(column))
-            halves = philox_halves(seed, np.repeat(streams[column], n_blocks), counters)
-            draws, accepted = (a.reshape(len(column), -1) for a in _bounded(halves, high))
-            rank = filled[part, None] + np.cumsum(accepted, axis=1) - 1
-            keep = accepted & (rank < sizes[column, None])
-            out[rank[keep], np.broadcast_to(column[:, None], keep.shape)[keep]] = draws[keep]
-            filled[part] += keep.sum(axis=1)
-        first += n_blocks
-        pending = filled < sizes[columns]
-        columns, filled = columns[pending], filled[pending]
 
 
 class DecayFit(NamedTuple):

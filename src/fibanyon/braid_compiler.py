@@ -8,6 +8,7 @@ usual operator-product notation instead, reading right to left, so
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -17,7 +18,7 @@ import numpy as np
 from . import braid_space
 from ._linalg import dagger, phase_distances, unitarity_defect
 
-SPACES = ("physical4", "logical2", "extended16")
+SPACES = ("physical4", "logical2")
 
 SEARCH_POWERS = (1, -1, 2, -2, 3, -3, 4, -4)
 """Per-letter generator powers enumerated by :func:`search_word`."""
@@ -108,23 +109,20 @@ def hadamard_word() -> BraidWord:
     return BraidWord.from_letters(reversed(written))
 
 
-class _SpaceGenerators(NamedTuple):
-    g12: np.ndarray
-    g23: np.ndarray
-
-    def matrix(self, letter: BraidLetter) -> np.ndarray:
-        base = self.g12 if letter.generator == 12 else self.g23
-        return np.linalg.matrix_power(base, letter.power)
-
-
-def _generators_for(space: str) -> _SpaceGenerators:
+@functools.lru_cache(maxsize=128)
+def letter_matrix(space: str, generator: int, power: int) -> np.ndarray:
+    """Read-only ``sigma_generator ** power`` on ``space``, one of
+    :data:`SPACES`: the one rule by which a braid letter becomes a matrix,
+    cached per letter."""
     if space == "physical4":
-        return _SpaceGenerators(braid_space.sigma(12), braid_space.sigma(23))
-    if space == "logical2":
-        return _SpaceGenerators(braid_space.sigma_logical(12), braid_space.sigma_logical(23))
-    if space == "extended16":
-        return _SpaceGenerators(braid_space.build_generator(5, 3), braid_space.build_generator(5, 4))
-    raise ValueError(f"unknown space {space!r}; expected one of {SPACES}")
+        base = braid_space.sigma(generator)
+    elif space == "logical2":
+        base = braid_space.sigma_logical(generator)
+    else:
+        raise ValueError(f"unknown space {space!r}; expected one of {SPACES}")
+    u = np.linalg.matrix_power(base, power)
+    u.flags.writeable = False
+    return u
 
 
 def evaluate(word: BraidWord, space: str = "physical4") -> np.ndarray:
@@ -133,11 +131,9 @@ def evaluate(word: BraidWord, space: str = "physical4") -> np.ndarray:
     Letters act in application order: ``letters[0]`` is the rightmost
     factor of the product.
     """
-    gens = _generators_for(space)
-    dim = gens.g12.shape[0]
-    u = np.eye(dim, dtype=complex)
+    u = np.eye(len(letter_matrix(space, 12, 1)), dtype=complex)
     for letter in word.letters:
-        u = gens.matrix(letter) @ u
+        u = letter_matrix(space, *letter) @ u
     return u
 
 
@@ -206,14 +202,6 @@ def search_word(
     if max_letters < 0 or (budget is not None and budget < 0):
         raise ValueError(f"max_letters and budget must be non-negative, got {max_letters} and {budget}")
 
-    g = {
-        (gen, p): np.linalg.matrix_power(
-            braid_space.sigma_logical(gen), p
-        )
-        for gen in braid_space.GENERATOR_INDICES
-        for p in SEARCH_POWERS
-    }
-
     best_word = empty_word()
     best_dist = distance_up_to_phase(np.eye(2), target)
     if max_letters < 1 or budget == 0:
@@ -226,7 +214,7 @@ def search_word(
     # levels[start_gen] holds the unitaries of all budget-reachable words of
     # the current length beginning with start_gen
     levels: dict[int, np.ndarray] = {
-        gen: np.stack([g[(gen, p)] for p in SEARCH_POWERS])
+        gen: np.stack([letter_matrix("logical2", gen, p) for p in SEARCH_POWERS])
         for gen in braid_space.GENERATOR_INDICES
     }
     for length in range(1, max_letters + 1):
@@ -261,7 +249,7 @@ def search_word(
                 if current.shape[0] > max_prefixes:
                     current = current[:max_prefixes]
             next_gen = start_gen if length % 2 == 0 else (23 if start_gen == 12 else 12)
-            nxt = np.stack([g[(next_gen, p)] for p in SEARCH_POWERS])
+            nxt = np.stack([letter_matrix("logical2", next_gen, p) for p in SEARCH_POWERS])
             # left-multiply: the new letter is applied after the prefix
             levels[start_gen] = np.einsum("pij,njk->npik", nxt, current).reshape(-1, 2, 2)
 

@@ -277,7 +277,7 @@ def run_verification_checks(
     for gen in (12, 23):
         for power in (2, -2):
             circuit = noise_engine.decompose_braiding(gen, power)
-            target = np.linalg.matrix_power(braid_space.sigma(gen), power)
+            target = braid_compiler.letter_matrix("physical4", gen, power)
             worst = max(worst, phase_aligned_defect(circuit.compose(), target))
     checks.append(Check("circuit-decompositions", worst, 1e-10))
 

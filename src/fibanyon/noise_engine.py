@@ -194,11 +194,14 @@ def _noise_diagonal(noise: NoiseModel, duration: float | np.ndarray) -> np.ndarr
     Both channels are diagonal in the two-qubit Pauli basis: a string decays
     by ``exp(-duration * rate)`` (:func:`pauli_dephasing_rates`), and every
     string but the identity by ``1 - depolarizing_prob``.  A ``(L, 1)``
-    column of durations gives one ``(L, 16)`` row per duration."""
+    column of durations gives one ``(L, 16)`` row per duration.  A string
+    with rate 0 keeps factor 1 even where a duration overflowed to inf."""
     gamma = pauli_dephasing_rates(noise.rates())
     mixing = np.full(gamma.shape, 1.0 - noise.depolarizing_prob)
     mixing[0] = 1.0
-    return np.exp(-duration * gamma) * mixing
+    exponent = np.zeros(np.broadcast_shapes(np.shape(duration), gamma.shape))
+    np.multiply(duration, gamma, out=exponent, where=gamma > 0)
+    return np.exp(-exponent) * mixing
 
 
 def clifford_noise_ptm(noise: NoiseModel, dim: int) -> benchmark_suite.PauliTransferMap:
@@ -234,7 +237,7 @@ def _letter_terms(generator: int, power: int) -> np.ndarray:
     at a unit common T2, minus its duration at the default
     :data:`BRAIDING_STEP_SECONDS` times the number of qubits on which each
     Pauli string is transverse."""
-    u = np.linalg.matrix_power(braid_space.sigma(generator), power)
+    u = braid_compiler.letter_matrix("physical4", generator, power)
     duration = abs(power) * (BRAIDING_STEP_SECONDS / 2.0)
     block = np.empty((16, 17))
     block[:, :16] = benchmark_suite.ptm_of_unitary(u).matrix
@@ -594,7 +597,7 @@ def decompose_braiding(generator: int, power: int) -> CircuitDecomposition:
     """
     if generator not in braid_space.GENERATOR_INDICES or power not in (2, -2):
         raise ValueError("supported operations are sigma12/sigma23 to the powers +2 or -2")
-    u = np.linalg.matrix_power(braid_space.sigma(generator), power)
+    u = braid_compiler.letter_matrix("physical4", generator, power)
     if generator == 12:
         control, target = 1, 0
     else:

@@ -53,7 +53,7 @@ class TestEvaluate:
         word = word_from([(12, 1), (12, -1)])
         np.testing.assert_allclose(bc.evaluate(word), np.eye(4), atol=1e-14)
 
-    @pytest.mark.parametrize("space,dim", [("physical4", 4), ("logical2", 2), ("extended16", 16)])
+    @pytest.mark.parametrize("space,dim", [("physical4", 4), ("logical2", 2)])
     def test_spaces(self, space, dim):
         u = bc.evaluate(word_from([(12, 2), (23, -2)]), space)
         assert u.shape == (dim, dim)
@@ -91,13 +91,29 @@ class TestEvaluate:
         u = bc.evaluate(word_from(w + inverse), "physical4")
         assert np.abs(u - np.eye(4)).max() < 1e-10
 
-    def test_extended_space_matches_restriction(self):
-        word = word_from([(12, 2), (23, -2), (12, 4)])
-        u16 = bc.evaluate(word, "extended16")
-        sector = [2 * 4 + t for t in range(4)]
-        np.testing.assert_allclose(
-            u16[np.ix_(sector, sector)], bc.evaluate(word, "physical4"), atol=1e-10
-        )
+
+letter_powers = st.integers(-8, 8).filter(bool) | st.sampled_from((-1000, -97, 64, 2**20))
+bases = {"physical4": bs.sigma, "logical2": bs.sigma_logical}
+
+
+class TestLetterMatrix:
+    @given(space=st.sampled_from(bc.SPACES), generator=st.sampled_from([12, 23]), power=letter_powers)
+    @settings(max_examples=60, deadline=None)
+    def test_is_the_read_only_matrix_power(self, space, generator, power):
+        u = bc.letter_matrix(space, generator, power)
+        np.testing.assert_array_equal(u, np.linalg.matrix_power(bases[space](generator), power))
+        with pytest.raises(ValueError, match="read-only"):
+            u[0, 0] = 0
+
+    @given(space=st.sampled_from(bc.SPACES),
+           letters=st.lists(st.tuples(st.sampled_from([12, 23]), letter_powers), max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_evaluate_is_the_left_to_right_product(self, space, letters):
+        # each letter multiplies from the left, as compile and search always have
+        expected = np.eye(len(bases[space](12)), dtype=complex)
+        for generator, power in letters:
+            expected = np.linalg.matrix_power(bases[space](generator), power) @ expected
+        np.testing.assert_array_equal(bc.evaluate(word_from(letters), space), expected)
 
 
 class TestCanonicalize:

@@ -247,6 +247,16 @@ class TestWordTransferMap:
             expected = bench.ptm_of_unitary(ne.over_rotation_unitary(axis, angle)).compose(expected)
         np.testing.assert_array_equal(ne.clifford_noise_ptm(noise, 2).matrix, expected.matrix)
 
+    @pytest.mark.parametrize("t2", [(None, None), (1.0, None), (0.5, 2.0)])
+    def test_overflowing_duration_keeps_zero_rates_exact(self, t2):
+        # a power-4 letter at a 1e308 step lasts inf: the strings with rate 0
+        # keep factor 1 and the others decay to 0, with no NaN from inf * 0
+        noise = ne.NoiseModel(t2=t2, braiding_step=1e308)
+        ptm = ne.word_ptm(bc.BraidWord.from_letters([(12, 4)]), noise)
+        ideal = bench.ptm_of_unitary(np.linalg.matrix_power(bs.sigma(12), 4)).matrix
+        decaying = ne.pauli_dephasing_rates(noise.rates()) > 0
+        np.testing.assert_array_equal(ptm.matrix, np.where(decaying[:, None], 0.0, ideal))
+
     def test_clifford_noise_needs_a_register_dimension(self):
         with pytest.raises(ValueError, match="dimension 2 or 4"):
             ne.clifford_noise_ptm(ne.NoiseModel(), 8)

@@ -30,7 +30,6 @@ RECORDS = {
         dict.fromkeys(("interleaved", "channel_oracle_fidelity", "pb_reference", "pb_interleaved",
                        "budget")),
     ),
-    bc._SpaceGenerators: (("g12", "g23"), {}),
     bc.SearchResult: (("word", "distance", "evaluated", "budget_exhausted"), {}),
     ne.CNOT: (("control", "target"), {}),
     ne.Rotation: (("qubit", "axis", "angle"), {}),
