@@ -555,42 +555,45 @@ def fit_decay(
     m = np.asarray(m_values, dtype=float)
     y = np.asarray(means, dtype=float)
     exponent = m if model == "rb" else m - 1.0
-    spread = float(np.sqrt(np.mean((y - y.mean()) ** 2)))
 
     if not (np.isfinite(m).all() and np.isfinite(y).all()):
-        raise FitDivergenceError("decay fit failed to converge: data are not finite", spread)
+        raise FitDivergenceError("decay fit failed to converge: data are not finite", _spread(y))
 
-    if float(np.ptp(y)) < 1e-9:
+    if max(values := y.tolist()) - min(values) < 1e-9:
         # flat data: no decay information; rate 1 by convention
         return DecayFit(0.0, float(y.mean()), 1.0, tuple(int(v) for v in m_values),
                         tuple(float(v) for v in means), tuple(float(v) for v in stddevs),
-                        spread, model)
+                        _spread(y), model)
 
     try:
-        params = _trf.least_squares(
-            lambda p: p[0] + p[1] * np.power(p[2], exponent) - y, _initial_guess(exponent, y))
+        (a, b, rate), f = _trf.least_squares(exponent, y, _initial_guess(exponent, y))
     except (RuntimeError, ValueError) as exc:
-        raise FitDivergenceError(f"decay fit failed to converge: {exc}", spread) from exc
+        raise FitDivergenceError(f"decay fit failed to converge: {exc}", _spread(y)) from exc
 
-    a, b, rate = (float(p) for p in params)
-    residual = float(np.sqrt(np.mean((a + b * np.power(rate, exponent) - y) ** 2)))
+    residual = math.sqrt((f**2).sum() / f.size)  # np.mean's sum and quotient
     return DecayFit(a, b, rate, tuple(int(v) for v in m_values),
                     tuple(float(v) for v in means), tuple(float(v) for v in stddevs),
                     residual, model)
+
+
+def _spread(y: np.ndarray) -> float:
+    """Root-mean-square deviation of ``y`` from its mean."""
+    return float(np.sqrt(np.mean((y - y.mean()) ** 2)))
 
 
 def _initial_guess(exponent: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``(A, B, r) = (0.5, 0.5, r)`` with r from a log-linear regression of
     ``y - 0.5``, clipped to ``[1e-4, 1 - 1e-9]``."""
     a_guess, b_guess = 0.5, 0.5
-    shifted = np.clip(y - a_guess, 1e-6, None)
+    shifted = np.maximum(y - a_guess, 1e-6)  # what np.clip(..., 1e-6, None) calls
     # np.polyfit(exponent, log(shifted), 1) without its argument checks: the
     # same column-scaled Vandermonde least squares, so the same bits
-    lhs = np.stack([exponent, np.ones(len(exponent))], axis=1)
+    lhs = np.ones((len(exponent), 2))
+    lhs[:, 0] = exponent
     scale = np.sqrt((lhs * lhs).sum(axis=0))
     coef = np.linalg.lstsq(lhs / scale, np.log(shifted), len(exponent) * np.finfo(float).eps)[0]
     slope = coef[0] / scale[0]
-    r_guess = float(np.clip(np.exp(slope), 1e-4, 1.0 - 1e-9))
+    r_guess = min(max(float(np.exp(slope)), 1e-4), 1.0 - 1e-9)
     return np.array([a_guess, b_guess, r_guess])
 
 

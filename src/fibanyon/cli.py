@@ -552,11 +552,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         if not 0.0 < target < 1.0:
             print(f"{label} target fidelity must lie in (0, 1), got {target!r}", file=sys.stderr)
             return 2
-    word = braid_compiler.hadamard_word()
+    calibrations = noise_engine.calibrate_t2_each(braid_compiler.hadamard_word(),
+                                                  [target for _, target in targets])
     results = {}
     for label, target in targets:
         try:
-            cal = noise_engine.calibrate_t2(word, target)
+            cal = next(calibrations)
         except noise_engine.UnbracketedTargetError as exc:
             print(f"{label}: {exc}", file=sys.stderr)
             return 2

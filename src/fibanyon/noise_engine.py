@@ -32,7 +32,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -481,7 +481,24 @@ def calibrate_t2(word: BraidWord, target_fidelity: float) -> CalibrationResult:
     :func:`predict_gate_fidelity` computes the same number by tomography."""
     if math.isnan(target_fidelity):
         raise ValueError(f"target fidelity {target_fidelity!r} is not a number")
-    fidelity = _t2_fidelity(word)
+    return _calibrate(word, _t2_fidelity(word), target_fidelity)
+
+
+def calibrate_t2_each(word: BraidWord, targets: Iterable[float]) -> Iterator[CalibrationResult]:
+    """:func:`calibrate_t2` for each target in turn, building the word's
+    T2-independent set-up (:func:`_t2_fidelity`) once for all of them; a
+    target is calibrated, or rejected, only when its result is asked for."""
+    fidelity = None
+    for target_fidelity in targets:
+        if math.isnan(target_fidelity):
+            raise ValueError(f"target fidelity {target_fidelity!r} is not a number")
+        fidelity = fidelity or _t2_fidelity(word)
+        yield _calibrate(word, fidelity, target_fidelity)
+
+
+def _calibrate(word: BraidWord, fidelity: Callable[[float], float],
+               target_fidelity: float) -> CalibrationResult:
+    """:func:`calibrate_t2` of one target, given the word's ``fidelity(T2)``."""
     evaluated: dict[float, float] = {}  # log T2 -> fidelity
 
     def at(log_t2: float) -> float:

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary
@@ -386,6 +386,37 @@ class TestDecayFit:
                                 bounds=([-1.0, -2.0, 1e-9], [1.0, 2.0, 1.0]), maxfev=20000)
             fit = bench.fit_decay(m, means, np.zeros_like(means), model)
             assert (fit.a, fit.b, fit.rate) == tuple(want), (model, means)
+
+    @given(st.sampled_from(["rb", "pb"]),
+           st.sampled_from(["generic", "rate near 1", "small B", "rate near 1e-5"]),
+           st.floats(0.0, 0.5), st.floats(-0.9, 0.9), st.floats(0.0, 1.0),
+           st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7), st.floats(-6.0, -2.0))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_curve_fit_bit_for_bit_on_drawn_decays(self, model, regime, a, b, u, noise,
+                                                            noise_exponent):
+        # drawn decays on the default grid, with the near-degenerate regimes where A and B
+        # trade off or r^m vanishes, and the fit hangs on the last bits of every operation
+        trf = pytest.importorskip("scipy.optimize._lsq.trf")
+        if not hasattr(trf, "svd"):
+            pytest.skip("scipy's trust-region module no longer imports svd by name")
+        from scipy.optimize import curve_fit
+
+        rate = {"generic": 0.5 + 0.5 * u, "small B": 0.5 + 0.5 * u,
+                "rate near 1": 1.0 if u < 0.2 else 1.0 - 10 ** (-9.0 + 3.0 * u),
+                "rate near 1e-5": 10 ** (-5.5 + u)}[regime]
+        if regime == "small B":
+            b /= 45.0  # |B| < 0.02
+        m = np.array(bench.DEFAULT_M_GRID)
+        exponent = m if model == "rb" else m - 1.0
+        means = a + b * rate**exponent + 10**noise_exponent * np.array(noise)
+        assume(np.ptp(means) >= 1e-9)  # flatter data are not fitted
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trf, "svd", np.linalg.svd)
+            want, _ = curve_fit(lambda x, a, b, r: a + b * np.power(r, x), exponent, means,
+                                p0=bench._initial_guess(exponent, means),
+                                bounds=([-1.0, -2.0, 1e-9], [1.0, 2.0, 1.0]), maxfev=20000)
+        fit = bench.fit_decay(m, means, np.zeros_like(means), model)
+        assert (fit.a, fit.b, fit.rate) == tuple(want)
 
     def test_initial_guess_matches_polyfit(self):
         m = np.array(bench.DEFAULT_M_GRID)

@@ -564,6 +564,14 @@ class TestCalibrate:
         assert abs(data["t2"]["fidelity"] - 0.9823) < 5e-4
         assert abs(data["t2_star"]["fidelity"] - 0.9463) < 5e-4
 
+    def test_word_set_up_built_once_for_both_targets(self, tmp_path, capsys, monkeypatch):
+        built = []
+        word_terms = ne._word_terms
+        monkeypatch.setattr(ne, "_word_terms", lambda word: built.append(word) or word_terms(word))
+        assert run(["calibrate", "--out", str(tmp_path / "cal.json")]) == 0
+        capsys.readouterr()
+        assert built == [bc.hadamard_word()]
+
     @pytest.mark.parametrize("flags", [
         ["--target", "1.5"],
         ["--target", "0"],
