@@ -76,13 +76,20 @@ class BraidWord:
 
     @classmethod
     def from_string(cls, text: str) -> "BraidWord":
+        """Parse the operator-product form of :meth:`to_string`.
+
+        Each token ``s<generator>^<power>`` is split once at its first
+        ``^``.  The leftmost token that is not of that form, or whose
+        generator or power is not an integer, raises ``ValueError``; the
+        word then validates its letters."""
         letters: list[BraidLetter] = []
         for token in text.split():
-            if not token.startswith("s") or "^" not in token:
+            head, caret, power = token.partition("^")
+            if not caret or head[:1] != "s":
                 raise ValueError(f"cannot parse braid letter {token!r}")
-            gen_s, pow_s = token[1:].split("^", 1)
-            letters.append(BraidLetter(int(gen_s), int(pow_s)))
-        return cls(tuple(reversed(letters)))
+            letters.append(BraidLetter(int(head[1:]), int(power)))
+        letters.reverse()
+        return cls(tuple(letters))
 
     @classmethod
     def from_letters(cls, letters: Iterable[tuple[int, int]]) -> "BraidWord":
@@ -109,17 +116,29 @@ def hadamard_word() -> BraidWord:
     return BraidWord.from_letters(reversed(written))
 
 
+GENERATOR_ORDER = 10
+"""Order of both generators in both spaces: ``sigma ** 10`` is the identity,
+as the R-symbols are tenth roots of unity."""
+
+
 @functools.lru_cache(maxsize=128)
 def letter_matrix(space: str, generator: int, power: int) -> np.ndarray:
     """Read-only ``sigma_generator ** power`` on ``space``, one of
     :data:`SPACES`: the one rule by which a braid letter becomes a matrix,
-    cached per letter."""
+    cached per letter.
+
+    A power of magnitude :data:`GENERATOR_ORDER` or more is first reduced to
+    ``sign(power) * (|power| mod 10)``, so the rounding does not grow with the
+    power; a letter's duration still counts every crossing.  Smaller powers
+    are exactly ``np.linalg.matrix_power``'s."""
     if space == "physical4":
         base = braid_space.sigma(generator)
     elif space == "logical2":
         base = braid_space.sigma_logical(generator)
     else:
         raise ValueError(f"unknown space {space!r}; expected one of {SPACES}")
+    if not -GENERATOR_ORDER < power < GENERATOR_ORDER:
+        power = abs(power) % GENERATOR_ORDER if power > 0 else -(-power % GENERATOR_ORDER)
     u = np.linalg.matrix_power(base, power)
     u.flags.writeable = False
     return u

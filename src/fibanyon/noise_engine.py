@@ -11,9 +11,12 @@ operation takes :data:`BRAIDING_STEP_SECONDS`, so an elementary crossing
 accounts for half of that.  Channels are Pauli transfer maps throughout: a
 braid word is the composition of per-letter maps (:func:`word_ptm`), and
 the noise after a Clifford pulse is :func:`clifford_noise_ptm`; both read
-their dephasing-then-depolarizing diagonal from one rule.
+their dephasing-then-depolarizing diagonal from one rule.  Every letter's
+ideal transfer matrix and unit dephasing exponents live in one read-only
+letter table of at most 64 rows, from which a word is gathered with one
+``take`` per array.
 :func:`calibrate_t2` composes the same per-letter maps, rescaled for each
-trial T2 from exponents cached beside each letter's map, and finds the
+trial T2 from the gathered exponents, and finds the
 target with a Brent root on log T2, started from a bracket built around the
 root that the word's closed-form fidelity slope at zero dephasing predicts.
 Brent runs on the residual of the single-exponential model's log exponent,
@@ -26,10 +29,10 @@ tomography as a cross-check.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
+import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -230,27 +233,69 @@ def clifford_noise_ptm(noise: NoiseModel, dim: int) -> benchmark_suite.PauliTran
     return ptm
 
 
-@functools.lru_cache(maxsize=64)
-def _letter_terms(generator: int, power: int) -> np.ndarray:
-    """Read-only ``(16, 17)`` block of one braid letter: the transfer matrix
-    of its ideal unitary, and beside it the column of its dephasing exponents
-    at a unit common T2, minus its duration at the default
+class _LetterTable:
+    """Read-only table of the braid letters met so far, one row per letter:
+    ``ideal`` holds the ``(16, 16)`` transfer matrix of the letter's ideal
+    unitary, and ``exponents`` the ``(16, 1)`` column of its dephasing
+    exponents at a unit common T2, minus its duration at the default
     :data:`BRAIDING_STEP_SECONDS` times the number of qubits on which each
-    Pauli string is transverse."""
-    u = braid_compiler.letter_matrix("physical4", generator, power)
-    duration = abs(power) * (BRAIDING_STEP_SECONDS / 2.0)
-    block = np.empty((16, 17))
-    block[:, :16] = benchmark_suite.ptm_of_unitary(u).matrix
-    block[:, 16] = -duration * pauli_dephasing_rates((1.0, 1.0))
-    block.flags.writeable = False
-    return block
+    Pauli string is transverse.
+
+    A letter gets its row on first use.  The table holds ``size`` rows; when
+    a word's new letters do not fit, it starts again, in new arrays, from
+    that word's letters, and a word with more distinct letters than that
+    gets arrays of its own.  A row is written before it is published and
+    never rewritten, so a gather needs no lock; filling takes one."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.lock = threading.Lock()
+        self.state: tuple[dict[tuple[int, int], int], np.ndarray, np.ndarray] = self._empty(size)
+
+    @staticmethod
+    def _empty(size: int) -> tuple[dict[tuple[int, int], int], np.ndarray, np.ndarray]:
+        ideal, exponents = np.empty((size, 16, 16)), np.empty((size, 16, 1))
+        ideal.flags.writeable = exponents.flags.writeable = False
+        return {}, ideal, exponents
+
+    def rows(self, letters: Sequence[braid_compiler.BraidLetter]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """The ideal and exponent arrays that hold ``letters``, and their
+        rows in them, in order."""
+        row, ideal, exponents = self.state
+        try:
+            return ideal, exponents, [row[letter] for letter in letters]
+        except KeyError:
+            pass
+        with self.lock:
+            row, ideal, exponents = self.state
+            distinct = dict.fromkeys(letters)
+            new = [letter for letter in distinct if letter not in row]
+            if len(row) + len(new) > self.size:
+                row, ideal, exponents = self._empty(max(self.size, len(distinct)))
+                new = list(distinct)
+            ideal.flags.writeable = exponents.flags.writeable = True
+            for letter in new:
+                generator, power = letter
+                u = braid_compiler.letter_matrix("physical4", generator, power)
+                duration = abs(power) * (BRAIDING_STEP_SECONDS / 2.0)
+                ideal[len(row)] = benchmark_suite.ptm_of_unitary(u).matrix
+                exponents[len(row), :, 0] = -duration * pauli_dephasing_rates((1.0, 1.0))
+                row[letter] = len(row)
+            ideal.flags.writeable = exponents.flags.writeable = False
+            if len(ideal) == self.size:
+                self.state = row, ideal, exponents
+        return ideal, exponents, [row[letter] for letter in letters]
 
 
-def _word_terms(word: BraidWord) -> np.ndarray:
-    """``(L, 16, 17)`` stack of the cached :func:`_letter_terms` blocks of the
-    word's letters, in application order."""
-    blocks = [_letter_terms(letter.generator, letter.power) for letter in word.letters]
-    return np.reshape(blocks, (len(blocks), 16, 17))
+_LETTERS = _LetterTable(64)
+
+
+def _word_terms(word: BraidWord) -> tuple[np.ndarray, np.ndarray]:
+    """``(L, 16, 16)`` ideal transfer matrices and ``(L, 16, 1)`` unit
+    dephasing exponents of the word's letters, in application order, each
+    gathered from the letter table with one ``take``."""
+    ideal, exponents, rows = _LETTERS.rows(word.letters)
+    return ideal.take(rows, 0), exponents.take(rows, 0)
 
 
 def _compose(letters: np.ndarray) -> np.ndarray:
@@ -276,12 +321,14 @@ def word_ptm(word: BraidWord, noise: NoiseModel) -> benchmark_suite.PauliTransfe
     Each letter is its ideal unitary followed by z-basis dephasing over the
     letter's duration and then the depolarizing channel; both noise channels
     are diagonal in the Pauli basis, so a letter is a row-scaled copy of the
-    cached transfer matrix of its unitary.  The over-rotation is Clifford
-    noise only (:func:`clifford_noise_ptm`) and does not act here.
+    transfer matrix of its unitary, gathered from the letter table.  The
+    over-rotation is Clifford noise only (:func:`clifford_noise_ptm`) and
+    does not act here.
     """
     durations = np.array([letter_duration(letter, noise) for letter in word.letters])
-    rows = _noise_diagonal(noise, durations.reshape(-1, 1))[..., None]
-    return benchmark_suite.PauliTransferMap(_compose(rows * _word_terms(word)[..., :16]), 4)
+    scaling = _noise_diagonal(noise, durations.reshape(-1, 1))[..., None]
+    ideal, _, rows = _LETTERS.rows(word.letters)
+    return benchmark_suite.PauliTransferMap(_compose(scaling * ideal.take(rows, 0)), 4)
 
 
 def clifford_gateset(noise: NoiseModel, space: str,
@@ -358,15 +405,13 @@ def _t2_fidelity(word: BraidWord) -> Callable[[float], float]:
     """Average gate fidelity of the word, under a common per-qubit T2 and no
     other noise, as a function of that T2.
 
-    Everything that does not depend on T2 is done here, once, from one array
-    of the letters' cached :func:`_letter_terms` blocks: the transfer-matrix
-    stack, each letter's unit dephasing exponents, and the ideal transfer
-    matrix, the noiseless product of the same stack.  An evaluation is then
+    Everything that does not depend on T2 is done here, once: the letters'
+    transfer-matrix stack and unit dephasing exponents, gathered from the
+    letter table (:func:`_word_terms`), and the ideal transfer matrix, the
+    noiseless product of the same stack.  An evaluation is then
     one exp, a row scaling, about log2 L stacked matmuls and one dot product:
     the arithmetic of :func:`word_ptm`, up to rounding."""
-    terms = _word_terms(word)
-    # contiguous copies: an evaluation's row scaling is slower on strided views
-    stack, exponents = np.ascontiguousarray(terms[..., :16]), np.ascontiguousarray(terms[..., 16:])
+    stack, exponents = _word_terms(word)
     ideal = _compose(stack)
 
     def fidelity(t2: float) -> float:
@@ -381,12 +426,12 @@ def _log_exponent(average_fidelity: float) -> float:
     (``f_pro = (5 F - 1) / 4``); the process fidelity is clipped into
     (0, 1), so the result is always finite."""
     f_pro = (5.0 * average_fidelity - 1.0) / 4.0
-    return math.log(-math.log(min(max(f_pro, 1e-300), 1.0 - 2**-53)))
+    # min(max(f_pro, 1e-300), 1 - 2**-53), without the two builtin calls
+    clipped = 1e-300 if 1e-300 > f_pro else 1.0 - 2**-53 if 1.0 - 2**-53 < f_pro else f_pro
+    return math.log(-math.log(clipped))
 
 
-def _brent_root(
-    f: Callable[[float], float], a: float, b: float, fa: float, fb: float
-) -> tuple[float, float]:
+def _brent_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: float) -> float:
     """Root of ``f`` between ``a`` and ``b`` by Brent's method (R. P. Brent,
     *Algorithms for Minimization without Derivatives*, 1973, ch. 4).
 
@@ -394,14 +439,14 @@ def _brent_root(
     Each step takes an inverse-quadratic or secant step when it stays well
     inside the bracket and a bisection otherwise, and the search stops once
     the bracket is narrower than ``xtol + rtol * |x|``, with xtol = rtol =
-    1e-12.  Returns the best estimate and its ``f`` value, so the caller
-    needs no further evaluation.
+    1e-12.  Returns the best estimate, a point at which ``f`` has been
+    evaluated.
     """
     xtol = rtol = 1e-12
     if fa == 0:
-        return a, fa
+        return a
     if fb == 0:
-        return b, fb
+        return b
     # cur: best estimate; blk: the other end of the bracket; pre: the previous estimate
     xpre, fpre, xcur, fcur = a, fa, b, fb
     xblk = fblk = spre = scur = 0.0
@@ -415,7 +460,7 @@ def _brent_root(
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
-            return xcur, fcur
+            return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -496,29 +541,34 @@ def calibrate_t2_each(word: BraidWord, targets: Iterable[float]) -> Iterator[Cal
         yield _calibrate(word, fidelity, target_fidelity)
 
 
+_LOG_T2_BOUNDS = (math.log(T2_BOUNDS[0]), math.log(T2_BOUNDS[1]))
+_LOG_MONOTONE_EXPONENT = math.log(MONOTONE_EXPONENT)
+
+
+def _unbracketed(target_fidelity: float) -> UnbracketedTargetError:
+    return UnbracketedTargetError(
+        f"target fidelity {target_fidelity!r} lies outside the fidelities "
+        f"reached between T2 = {T2_BOUNDS[0]:g} s and {T2_BOUNDS[1]:g} s"
+    )
+
+
 def _calibrate(word: BraidWord, fidelity: Callable[[float], float],
                target_fidelity: float) -> CalibrationResult:
     """:func:`calibrate_t2` of one target, given the word's ``fidelity(T2)``."""
     evaluated: dict[float, float] = {}  # log T2 -> fidelity
-
-    def at(log_t2: float) -> float:
-        if log_t2 not in evaluated:
-            evaluated[log_t2] = fidelity(math.exp(log_t2))
-        return evaluated[log_t2]
-
-    def gap(log_t2: float) -> float:
-        return at(log_t2) - target_fidelity
+    residuals: dict[float, float] = {}  # log T2 -> residual
 
     def residual(log_t2: float) -> float:
-        return log_target - _log_exponent(at(log_t2))
+        if log_t2 not in residuals:
+            evaluated[log_t2] = at = fidelity(math.exp(log_t2))
+            residuals[log_t2] = log_target - _log_exponent(at)
+        return residuals[log_t2]
 
-    def unbracketed() -> UnbracketedTargetError:
-        return UnbracketedTargetError(
-            f"target fidelity {target_fidelity!r} lies outside the fidelities "
-            f"reached between T2 = {T2_BOUNDS[0]:g} s and {T2_BOUNDS[1]:g} s"
-        )
+    def gap(log_t2: float) -> float:
+        residual(log_t2)
+        return evaluated[log_t2] - target_fidelity
 
-    lo, hi = math.log(T2_BOUNDS[0]), math.log(T2_BOUNDS[1])
+    lo, hi = _LOG_T2_BOUNDS
     tau = word.crossing_count * BRAIDING_STEP_SECONDS / 2
     log_tau = math.log(tau) if tau else -math.inf
     log_target = _log_exponent(target_fidelity)
@@ -529,18 +579,18 @@ def _calibrate(word: BraidWord, fidelity: Callable[[float], float],
     y, gy = x, gx
     while gy and (gy < 0) == (gx < 0):
         if y == (lo if gx > 0 else hi):
-            raise unbracketed()
+            raise _unbracketed(target_fidelity)
         x, gx = y, gy
         y = min(max(x + step, lo), hi)
         gy = gap(y)
         step *= 2
-    a, b = sorted((x, y))
+    a, b = (y, x) if y < x else (x, y)
     # below T2 = tau / MONOTONE_EXPONENT a bound's fidelity may lie on the
     # other side of the target from the bracket end nearest to it
-    monotone_from = log_tau - math.log(MONOTONE_EXPONENT)
+    monotone_from = log_tau - _LOG_MONOTONE_EXPONENT
     if (lo < a < monotone_from and gap(lo) > 0) or (b < hi < monotone_from and gap(hi) < 0):
-        raise unbracketed()
-    log_t2, _ = _brent_root(residual, a, b, residual(a), residual(b))
+        raise _unbracketed(target_fidelity)
+    log_t2 = _brent_root(residual, a, b, residual(a), residual(b))
     return CalibrationResult(t2=math.exp(log_t2), fidelity=evaluated[log_t2], target=target_fidelity)
 
 

@@ -333,6 +333,105 @@ class TestCliffordGroup:
         assert nearest.tolist() == expected
 
 
+_RARE_BRANCH_DECAYS = {
+    # B = 0 exactly, rate 1, with 1e-7 noise: the r column of the Jacobian
+    # vanishes, and the model then predicts no reduction
+    "rank-deficient Jacobian": ("rb", bench.DEFAULT_M_GRID, [
+        "-0x1.28fd2c8177b94p-3", "-0x1.28fd22f2e32f7p-3", "-0x1.28fd15bb53052p-3",
+        "-0x1.28fd1bf2c63adp-3", "-0x1.28fd29769c924p-3", "-0x1.28fd1ef18b2eep-3",
+        "-0x1.28fd2c91dcd5dp-3"]),
+    "predicted reduction of zero or less": ("rb", bench.DEFAULT_M_GRID, [
+        "-0x1.28fd2c8177b94p-3", "-0x1.28fd22f2e32f7p-3", "-0x1.28fd15bb53052p-3",
+        "-0x1.28fd1bf2c63adp-3", "-0x1.28fd29769c924p-3", "-0x1.28fd1ef18b2eep-3",
+        "-0x1.28fd2c91dcd5dp-3"]),
+    # means below the box (A >= -1, B >= -2): the fit runs into two bounds at once
+    "reflected step with no room": ("pb", bench.DEFAULT_M_GRID, [
+        "-0x1.170cb0ef155b6p+2", "-0x1.64ae0efd1d041p+1", "-0x1.c9093b60cde8fp+0",
+        "-0x1.8e8e6846ba5a9p+0", "-0x1.8c73e88e73c9bp+0", "-0x1.8c12b2063acfdp+0",
+        "-0x1.8c065fd15e6b1p+0"]),
+    "reflected step whose bounds cross": ("pb", bench.DEFAULT_M_GRID, [
+        "-0x1.742d94e00bfe7p+2", "-0x1.1fc70c2939179p+2", "-0x1.8970bd056cb5dp+1",
+        "-0x1.1befb3c256b6fp+1", "-0x1.04bb4bdc8372dp+1", "-0x1.0425191ad1917p+1",
+        "-0x1.040476cc49965p+1"]),
+    "exit on a rejected step that meets xtol": ("pb", bench.DEFAULT_M_GRID, [
+        "-0x1.20bd6937fd2b8p+1", "-0x1.2cc1b623397e4p+1", "-0x1.36012aaff7e6bp+1",
+        "-0x1.38f848ec78171p+1", "-0x1.390d3f40395b1p+1", "-0x1.38be64a375b16p+1",
+        "-0x1.3913de662461ep+1"]),
+    # on a grid of lengths >= 1 every r^e lies in (0, 1] and the residuals stay
+    # finite; negative lengths let a trial's r^e overflow
+    "non-finite trial": ("rb", (-55, -50, -42, -12, 1, 11, 64), [
+        "-0x1.93840c28da3ffp+29", "-0x1.df0d608315ecbp+26", "-0x1.6a125b4fb4f71p+22",
+        "-0x1.f69e96d09771fp+5", "0x1.549608132e45bp-4", "0x1.0987f319351e0p-1",
+        "0x1.0f3dce2bdde6ep-1"]),
+}
+"""Model, lengths and means (hex floats) of a decay that takes each branch."""
+
+
+def _rare_branches_taken(monkeypatch, m, means, model) -> set[str]:
+    """The branches of :data:`_RARE_BRANCH_DECAYS` that ``fit_decay`` takes
+    on these means, seen through the values that ``_trf``'s helpers return."""
+    taken, last = set(), {"xtol": None, "f": None}
+
+    def spy(name, record):
+        original = getattr(_trf, name)
+
+        def spied(*args, **kwargs):
+            result = original(*args, **kwargs)
+            record(args, kwargs, result)
+            return result
+
+        monkeypatch.setattr(_trf, name, spied)
+
+    def residuals(args, kwargs, result):
+        last.update(f=result[1], xtol=None)
+        if not np.isfinite(result[1]).all():
+            taken.add("non-finite trial")
+
+    def regularised_step(args, kwargs, result):
+        if not args[5]:  # full_rank
+            taken.add("rank-deficient Jacobian")
+
+    def to_trust_boundary(args, kwargs, result):
+        last["reflection"] = ("pending", result)
+
+    def step_to_bound(args, kwargs, result):
+        # the call after _to_trust_boundary gives the reflected step's room: r_stride
+        if isinstance(last.get("reflection"), tuple):
+            last["reflection"] = min(result[0], last["reflection"][1])
+
+    def line_quadratic(args, kwargs, result):
+        if kwargs.get("s0") is not None:  # the reflected step's line search
+            last["reflection"] = None
+
+    def select_step(args, kwargs, result):
+        if not result[2] > 0:
+            taken.add("predicted reduction of zero or less")
+        room = last.pop("reflection", None)
+        if room is not None:  # a reflected step without its line search
+            taken.add("reflected step with no room" if not room > 0
+                      else "reflected step whose bounds cross")
+
+    def xtol_satisfied(args, kwargs, result):
+        last["xtol"] = result
+
+    def least_squares(args, kwargs, result):
+        if result[1] is not last["f"] and last["xtol"]:
+            taken.add("exit on a rejected step that meets xtol")
+
+    for name, record in [("_residuals", residuals), ("_regularised_step", regularised_step),
+                         ("_select_step", select_step), ("_to_trust_boundary", to_trust_boundary),
+                         ("_line_quadratic", line_quadratic), ("_step_to_bound", step_to_bound),
+                         ("_xtol_satisfied", xtol_satisfied),
+                         ("least_squares", least_squares)]:
+        spy(name, record)
+    try:
+        with np.errstate(over="ignore"):
+            bench.fit_decay(m, means, np.zeros_like(means), model)
+    finally:
+        monkeypatch.undo()
+    return taken
+
+
 class TestDecayFit:
     def test_flat_data_gives_unit_rate(self):
         fit = bench.fit_decay([1, 2, 4], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
@@ -416,6 +515,28 @@ class TestDecayFit:
                                 p0=bench._initial_guess(exponent, means),
                                 bounds=([-1.0, -2.0, 1e-9], [1.0, 2.0, 1.0]), maxfev=20000)
         fit = bench.fit_decay(m, means, np.zeros_like(means), model)
+        assert (fit.a, fit.b, fit.rate) == tuple(want)
+
+    @pytest.mark.parametrize("branch", sorted(_RARE_BRANCH_DECAYS))
+    def test_rare_branches_match_curve_fit_bit_for_bit(self, branch, monkeypatch):
+        # crafted decays, each of which takes one _trf branch that neither the recorded
+        # nor the drawn fits reach; the fit must still be curve_fit's, bit for bit
+        trf = pytest.importorskip("scipy.optimize._lsq.trf")
+        if not hasattr(trf, "svd"):
+            pytest.skip("scipy's trust-region module no longer imports svd by name")
+        from scipy.optimize import curve_fit
+
+        model, m, means = _RARE_BRANCH_DECAYS[branch]
+        m, means = np.array(m), np.array([float.fromhex(v) for v in means])
+        exponent = m if model == "rb" else m - 1.0
+        assert branch in _rare_branches_taken(monkeypatch, m, means, model)
+        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore"):
+            patch.setattr(trf, "svd", np.linalg.svd)
+            want, _ = curve_fit(lambda x, a, b, r: a + b * np.power(r, x), exponent, means,
+                                p0=bench._initial_guess(exponent, means),
+                                bounds=([-1.0, -2.0, 1e-9], [1.0, 2.0, 1.0]), maxfev=20000)
+        with np.errstate(over="ignore"):
+            fit = bench.fit_decay(m, means, np.zeros_like(means), model)
         assert (fit.a, fit.b, fit.rate) == tuple(want)
 
     def test_initial_guess_matches_polyfit(self):

@@ -190,6 +190,27 @@ class TestCompile:
         assert run(["compile", "--word", "nonsense"]) == 2
         assert "cannot parse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("word,message", [
+        ("s12^", "invalid literal for int() with base 10: ''"),
+        ("s12^x", "invalid literal for int() with base 10: 'x'"),
+        ("s12^2^3", "invalid literal for int() with base 10: '2^3'"),
+        ("S12^2", "cannot parse braid letter 'S12^2'"),
+        ("s12^x S12^2", "invalid literal for int() with base 10: 'x'"),
+        ("s13^1 s12^0", "letter powers must be nonzero"),
+    ])
+    def test_malformed_word_exits_2_with_one_line(self, capsys, word, message):
+        assert run(["compile", "--word", word]) == 2
+        assert capsys.readouterr().err == f"cannot parse braid word: {message}\n"
+
+    def test_power_far_beyond_the_order_does_not_leak(self, tmp_path, capsys):
+        # sigma^(10^18) is the identity; a full matrix_power reported leakage 5.3e19
+        out_file = tmp_path / "word.json"
+        assert run(["compile", "--word", "s12^1000000000000000000", "--out", str(out_file)]) == 0
+        capsys.readouterr()
+        data = json.loads(out_file.read_text())
+        assert data["crossings"] == 10**18
+        assert data["leakage"] < 1e-12
+
 
 class TestBenchmark:
     def test_rb_zero_noise_rate_one(self, tmp_path, capsys):

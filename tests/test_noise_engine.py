@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -625,14 +626,91 @@ class TestCalibrationBracket:
             assert np.sign(residual) == np.sign(gap) or (residual == 0 and abs(gap) <= 2**-52)
 
 
+def letter_block(generator, power):
+    """A letter's ideal transfer matrix and unit dephasing exponents, built
+    on their own, as each letter's cached block held them."""
+    u = bc.letter_matrix("physical4", generator, power)
+    duration = abs(power) * (ne.BRAIDING_STEP_SECONDS / 2.0)
+    return bench.ptm_of_unitary(u).matrix, -duration * ne.pauli_dephasing_rates((1.0, 1.0))[:, None]
+
+
+any_powers = st.sampled_from(bc.SEARCH_POWERS) | st.integers(-40, 40).filter(bool) | st.integers(-10**9, 10**9).filter(bool)
+
+
+class TestLetterTable:
+    @given(st.lists(st.tuples(st.sampled_from([12, 23]), any_powers), max_size=24))
+    @example([])
+    @example([(12, 2)] * 3 + [(23, -2)])
+    @example([(12 if p % 2 else 23, p) for p in range(1, 80)])  # more distinct letters than rows
+    @settings(max_examples=150, deadline=None)
+    def test_gathered_stack_is_the_per_letter_stack(self, letters):
+        word = bc.BraidWord.from_letters(letters)
+        blocks = [letter_block(g, p) for g, p in letters]
+        stack, exponents = ne._word_terms(word)
+        assert stack.shape == (len(letters), 16, 16) and exponents.shape == (len(letters), 16, 1)
+        if letters:
+            np.testing.assert_array_equal(stack, np.stack([ideal for ideal, _ in blocks]))
+            np.testing.assert_array_equal(exponents, np.stack([rates for _, rates in blocks]))
+        noise = ne.NoiseModel(t2=(0.3, 0.7), depolarizing_prob=0.01)
+        durations = np.array([ne.letter_duration(letter, noise) for letter in word.letters])
+        scaling = ne._noise_diagonal(noise, durations.reshape(-1, 1))[..., None]
+        np.testing.assert_array_equal(ne.word_ptm(word, noise).matrix, ne._compose(scaling * stack))
+
+    def test_stays_within_64_rows(self):
+        for power in range(1, 1001):
+            word = bc.BraidWord.from_letters([(12, power), (23, -power)])
+            stack, _ = ne._word_terms(word)
+            row, ideal, exponents = ne._LETTERS.state
+            assert len(row) <= 64 and len(ideal) == len(exponents) == 64
+        np.testing.assert_array_equal(stack[1], letter_block(23, -1000)[0])
+        big = bc.BraidWord.from_letters([(12, p) for p in range(1, 101)])
+        np.testing.assert_array_equal(ne._word_terms(big)[0][-1], letter_block(12, 100)[0])
+        row, ideal, _ = ne._LETTERS.state
+        assert len(row) <= 64 and len(ideal) == 64
+
+    def test_read_only(self):
+        ne._word_terms(bc.hadamard_word())
+        for table in ne._LETTERS.state[1:]:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0, 0] = 1.0
+
+    def test_threads_gather_their_own_letters(self):
+        # four threads gather words of 9 new powers each while the others
+        # refill and restart the table; every gathered row must be its letter's
+        words = [[(12 + 11 * (p % 2), 9 * t + p) for p in range(1, 10)] for t in range(1000)]
+        expected = {letter: letter_block(*letter)[0] for word in words for letter in word}
+        wrong = []
+
+        def gather(start):
+            try:
+                for letters in words[start::4]:
+                    stack, _ = ne._word_terms(bc.BraidWord.from_letters(letters))
+                    wrong.extend(letter for letter, ideal in zip(letters, stack)
+                                 if not np.array_equal(ideal, expected[letter]))
+            except Exception as exc:  # a thread's error would otherwise only warn
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=gather, args=(start,)) for start in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+
+
 class TestFidelityEvaluation:
     @given(canonical_words(max_letters=20), st.floats(1e-3, 1e3))
     @example(bc.empty_word(), 1.0)
     @example(bc.BraidWord.from_letters([(12, 3)]), 1.0)
     @settings(max_examples=60, deadline=None)
     def test_pairwise_compose_matches_left_to_right_product(self, word, t2):
-        terms = ne._word_terms(word)
-        letters = np.exp(terms[..., 16:] / t2) * terms[..., :16]
+        stack, exponents = ne._word_terms(word)
+        letters = np.exp(exponents / t2) * stack
         total = np.eye(16)
         for matrix in letters:
             total = matrix @ total
@@ -643,4 +721,4 @@ class TestFidelityEvaluation:
     def test_cached_exponents_match_duration_times_rates(self, word):
         durations = np.array([abs(letter.power) * ne.BRAIDING_STEP_SECONDS / 2.0 for letter in word.letters])
         exponents = -durations[:, None, None] * ne.pauli_dephasing_rates((1.0, 1.0))[:, None]
-        np.testing.assert_array_equal(ne._word_terms(word)[..., 16:], exponents)
+        np.testing.assert_array_equal(ne._word_terms(word)[1], exponents)
