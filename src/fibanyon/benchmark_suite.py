@@ -326,11 +326,10 @@ class GateSet(NamedTuple):
     group: CliffordGroup
     ptms: np.ndarray  # read-only (24, d^2, d^2): noisy transfer matrix per group element, same order
     prep: np.ndarray  # Pauli coefficients of the initial state and survival effect
-    spam_ptm: PauliTransferMap | None = None
 
 
 def _gateset(group: CliffordGroup, ideal: np.ndarray, zero: np.ndarray,
-             noise: PauliTransferMap | None, spam_ptm: PauliTransferMap | None) -> GateSet:
+             noise: PauliTransferMap | None) -> GateSet:
     """Each Clifford runs as its ideal transfer matrix in ``ideal`` followed
     by ``noise``; ``zero`` is the state vector prepared and read out, and
     sets the dimension."""
@@ -338,23 +337,21 @@ def _gateset(group: CliffordGroup, ideal: np.ndarray, zero: np.ndarray,
     noise = noise or identity_ptm(dim)
     ptms = noise.matrix @ ideal
     ptms.flags.writeable = False
-    return GateSet(dim, group, ptms, state_coefficients(np.outer(zero, zero.conj())), spam_ptm)
+    return GateSet(dim, group, ptms, state_coefficients(np.outer(zero, zero.conj())))
 
 
 def logical_gateset(
     noise: PauliTransferMap | None = None,
     group: CliffordGroup | None = None,
-    spam_ptm: PauliTransferMap | None = None,
 ) -> GateSet:
     """Gate set acting directly on the logical qubit (d = 2)."""
     group = group or CliffordGroup()
-    return _gateset(group, group.logical_ptms, np.eye(2, dtype=complex)[0], noise, spam_ptm)
+    return _gateset(group, group.logical_ptms, np.eye(2, dtype=complex)[0], noise)
 
 
 def physical_gateset(
     noise: PauliTransferMap | None = None,
     group: CliffordGroup | None = None,
-    spam_ptm: PauliTransferMap | None = None,
 ) -> GateSet:
     """Gate set of encoded Cliffords on the two-qubit physical space (d = 4).
 
@@ -364,7 +361,7 @@ def physical_gateset(
     """
     group = group or CliffordGroup()
     zero_l = braid_space.logical_encoding()[:, 0]
-    return _gateset(group, group.physical_ptms, zero_l, noise, spam_ptm)
+    return _gateset(group, group.physical_ptms, zero_l, noise)
 
 
 def rng_for(seed: int, task_index: int) -> np.random.Generator:
@@ -636,9 +633,6 @@ def _run_sequences(
     target = None if interleave is None else interleave.unitary
     if target is not None and target.shape == (4, 4):
         target, _ = braid_space.logical_restrict(target)
-    start = gateset.prep
-    if gateset.spam_ptm is not None:
-        start = gateset.spam_ptm.matrix @ start
     order = sorted(range(len(m_values)), key=lambda mi: -m_values[mi])
     lengths = np.repeat([m_values[mi] for mi in order], k)
     streams = [mi * MAX_SEQUENCES + ki for mi in order for ki in range(k)]
@@ -646,14 +640,14 @@ def _run_sequences(
     for lo in range(0, len(streams), _SEQUENCE_BLOCK):
         block = slice(lo, lo + _SEQUENCE_BLOCK)
         indices = _stream_integers(seed, streams[block], len(gateset.group), lengths[block])
-        values.append(_advance(gateset, start, indices, lengths[block], interleave, target, recovery))
+        values.append(_advance(gateset, indices, lengths[block], interleave, target, recovery))
     values = np.concatenate(values).reshape(len(order), k)
     means, stds = np.empty(len(order)), np.empty(len(order))
     means[order], stds[order] = values.mean(axis=1), values.std(axis=1, ddof=1)
     return means, stds
 
 
-def _advance(gateset: GateSet, start: np.ndarray, indices: np.ndarray, lengths: np.ndarray,
+def _advance(gateset: GateSet, indices: np.ndarray, lengths: np.ndarray,
              interleave: NoisyGate | None, target: np.ndarray | None, recovery: bool) -> np.ndarray:
     """Per-sequence survival (``recovery``) or rescaled purity of sequences
     ordered longest first, sequence i applying ``indices[:lengths[i], i]``:
@@ -666,7 +660,7 @@ def _advance(gateset: GateSet, start: np.ndarray, indices: np.ndarray, lengths: 
     n = len(lengths)
     # sequences longer than t, for each step t
     active = (n - np.searchsorted(lengths[::-1], np.arange(lengths[0]), side="right")).tolist()
-    coeffs = np.tile(start, (n, 1))[..., None]
+    coeffs = np.tile(gateset.prep, (n, 1))[..., None]
     if recovery and target is None:
         frames = np.zeros(n, dtype=np.intp)  # element 0 is the identity
     elif recovery:

@@ -79,14 +79,20 @@ class BraidWord:
         """Parse the operator-product form of :meth:`to_string`.
 
         Each token ``s<generator>^<power>`` is split once at its first
-        ``^``.  The leftmost token that is not of that form, or whose
-        generator or power is not an integer, raises ``ValueError``; the
-        word then validates its letters."""
+        ``^``.  The generator is ASCII digits, and the power ASCII digits
+        after an optional sign.  The leftmost token that is not of that form
+        raises ``ValueError``; the word then validates its letters."""
+        # On ASCII text without "_" or a signed generator, int() accepts
+        # exactly these spellings, so only other text is checked per token.
+        plain = text.isascii() and "_" not in text and "s+" not in text and "s-" not in text
         letters: list[BraidLetter] = []
         for token in text.split():
             head, caret, power = token.partition("^")
             if not caret or head[:1] != "s":
                 raise ValueError(f"cannot parse braid letter {token!r}")
+            if not plain:
+                _check_integer(head[1:], signed=False)
+                _check_integer(power, signed=True)
             letters.append(BraidLetter(int(head[1:]), int(power)))
         letters.reverse()
         return cls(tuple(letters))
@@ -94,6 +100,14 @@ class BraidWord:
     @classmethod
     def from_letters(cls, letters: Iterable[tuple[int, int]]) -> "BraidWord":
         return cls(tuple(BraidLetter(g, p) for g, p in letters))
+
+
+def _check_integer(number: str, signed: bool) -> None:
+    """Raise ``int()``'s ``ValueError`` for ``number`` unless it is one or
+    more ASCII digits, after one ``+`` or ``-`` if ``signed``."""
+    digits = number[1:] if signed and number[:1] in ("+", "-") else number
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {number!r}")
 
 
 def empty_word() -> BraidWord:
@@ -201,24 +215,24 @@ def _letters_from_digits(start_gen: int, digits: Iterable[int]) -> BraidWord:
 def search_word(
     target: np.ndarray,
     max_letters: int,
-    budget: int | None = 10_000_000,
+    budget: int = 10_000_000,
 ) -> SearchResult:
     """Exhaustive enumeration of canonical braid words approximating a gate.
 
     Canonical words alternate generator indices with per-letter powers from
     :data:`SEARCH_POWERS`; they are enumerated in deterministic
     length-lexicographic order and evaluated in the logical space.  The
-    search stops after ``budget`` evaluated words (``None`` = no cap) and
-    reports whether the cap cut the enumeration short.  The result is never
-    worse than the empty word.  A negative ``max_letters`` or ``budget``
-    raises ``ValueError``.
+    search stops after ``budget`` evaluated words and reports whether the
+    cap cut the enumeration short.  The result is never worse than the
+    empty word.  A negative ``max_letters`` or ``budget`` raises
+    ``ValueError``.
     """
     target = np.asarray(target, dtype=complex)
     if target.shape != (2, 2):
         raise ValueError("search target must be a 2x2 matrix")
     if unitarity_defect(target) > 1e-8:
         raise ValueError("search target must be unitary")
-    if max_letters < 0 or (budget is not None and budget < 0):
+    if max_letters < 0 or budget < 0:
         raise ValueError(f"max_letters and budget must be non-negative, got {max_letters} and {budget}")
 
     best_word = empty_word()
@@ -239,7 +253,7 @@ def search_word(
     for length in range(1, max_letters + 1):
         for start_gen in braid_space.GENERATOR_INDICES:
             current = levels[start_gen]
-            if budget is not None and evaluated + current.shape[0] > budget:
+            if evaluated + current.shape[0] > budget:
                 current = current[: budget - evaluated]
                 levels[start_gen] = current
             if current.shape[0] == 0:
@@ -258,15 +272,14 @@ def search_word(
                     rest //= n_powers
                 digits.reverse()
                 best_word = _letters_from_digits(start_gen, digits)
-        if length == max_letters or (budget is not None and evaluated >= budget):
+        if length == max_letters or evaluated >= budget:
             break
         for start_gen in braid_space.GENERATOR_INDICES:
             current = levels[start_gen]
-            if budget is not None:
-                # do not materialize children the budget can never reach
-                max_prefixes = (budget - evaluated + n_powers - 1) // n_powers
-                if current.shape[0] > max_prefixes:
-                    current = current[:max_prefixes]
+            # do not materialize children the budget can never reach
+            max_prefixes = (budget - evaluated + n_powers - 1) // n_powers
+            if current.shape[0] > max_prefixes:
+                current = current[:max_prefixes]
             next_gen = start_gen if length % 2 == 0 else (23 if start_gen == 12 else 12)
             nxt = np.stack([letter_matrix("logical2", next_gen, p) for p in SEARCH_POWERS])
             # left-multiply: the new letter is applied after the prefix

@@ -187,15 +187,13 @@ def _edge_generator(n_anyons: int, position: int) -> np.ndarray:
     f = _tree_transform()
     if n_anyons == 3:
         return dagger(f) @ chain @ f
-    if n_anyons == 5:
-        # environment labels relabel as (i1, i2) = (1 - y1, 1 - y2)
-        flip = np.zeros((4, 4))
-        for y1 in (0, 1):
-            for y2 in (0, 1):
-                flip[basis_index((1 - y1, 1 - y2)), basis_index((y1, y2))] = 1.0
-        dictionary = np.kron(flip, dagger(f))
-        return dictionary @ chain @ dagger(dictionary)
-    raise ValueError(f"unsupported anyon count {n_anyons} (must be 3 or 5)")
+    # five anyons: environment labels relabel as (i1, i2) = (1 - y1, 1 - y2)
+    flip = np.zeros((4, 4))
+    for y1 in (0, 1):
+        for y2 in (0, 1):
+            flip[basis_index((1 - y1, 1 - y2)), basis_index((y1, y2))] = 1.0
+    dictionary = np.kron(flip, dagger(f))
+    return dictionary @ chain @ dagger(dictionary)
 
 
 def build_generator(n_anyons: int, position: int) -> np.ndarray:
@@ -203,21 +201,19 @@ def build_generator(n_anyons: int, position: int) -> np.ndarray:
 
     Built by F moves into the pair's fusion channel, an R-symbol exchange and
     the transform back; for ``n_anyons=3`` this reproduces :func:`sigma`
-    exactly.
+    exactly.  An anyon count other than 3 or 5, or a position outside
+    ``1 .. n_anyons - 1``, raises ``ValueError``.
     """
     if n_anyons not in (3, 5):
         raise ValueError(f"unsupported anyon count {n_anyons} (must be 3 or 5)")
-    if not 1 <= position < n_anyons:
-        raise ValueError(f"position {position} invalid for {n_anyons} anyons")
     return _edge_generator(n_anyons, position).copy()
 
 
-def sigma(index: int, inverse: bool = False) -> np.ndarray:
+def sigma(index: int) -> np.ndarray:
     """The 4x4 braid generator ``sigma12`` or ``sigma23`` in the edge basis."""
     if index not in GENERATOR_INDICES:
         raise ValueError(f"generator index must be one of {GENERATOR_INDICES}, got {index}")
-    u = _edge_generator(3, 1 if index == 12 else 2)
-    return dagger(u) if inverse else u.copy()
+    return _edge_generator(3, 1 if index == 12 else 2).copy()
 
 
 def tree_generator(index: int) -> np.ndarray:

@@ -201,7 +201,8 @@ def run_verification_checks(
     checks.append(Check("pentagon", anyon_model.verify_pentagon(ftable).max_residual, 1e-12))
     checks.append(Check("hexagon", anyon_model.verify_hexagon(ftable, rtable).max_residual, 1e-12))
     checks.append(Check("f-unitarity", anyon_model.verify_f_unitarity(ftable).max_residual, 1e-12))
-    checks.append(Check("qdim-consistency", abs(phi * phi - phi - 1.0), 1e-12))
+    d_vacuum, d_tau = fusion.qdim[anyon_model.VACUUM], fusion.qdim[anyon_model.TAU]
+    checks.append(Check("qdim-consistency", abs(d_tau * d_tau - (d_vacuum + d_tau)), 1e-12))
 
     f4 = braid_space.tree_transform()
     checks.append(Check("tree-transform-unitarity", unitarity_defect(f4), 1e-12))

@@ -69,12 +69,6 @@ class DensityMatrix:
         self.matrix = matrix
         self.dim = matrix.shape[0]
 
-    @classmethod
-    def pure(cls, state: np.ndarray) -> "DensityMatrix":
-        state = np.asarray(state, dtype=complex)
-        state = state / np.linalg.norm(state)
-        return cls(np.outer(state, state.conj()))
-
 
 @dataclass(frozen=True)
 class NoiseModel:

@@ -27,6 +27,14 @@ from ._linalg import dagger
 ENV_PAIR_INDEX = 2  # lexicographic index of (i1, i2) = (1, 0)
 SCENARIOS = (1, 2)
 
+SCENARIO_T2 = (0.5, 0.5, 0.5, 0.5)
+"""Per-qubit T2 times (s) of the four qubits of the extended register in
+:func:`extract_M_noisy`."""
+
+SCENARIO_PULSE_SECONDS = 48e-3
+"""Duration of the one optimized pulse that runs a scenario unitary in
+:func:`extract_M_noisy`."""
+
 
 def build_scenario_operator(q: int) -> np.ndarray:
     """16x16 unitary braiding the created anyon with the nearest tracked one
@@ -37,11 +45,11 @@ def build_scenario_operator(q: int) -> np.ndarray:
     return np.linalg.matrix_power(crossing, q)
 
 
-def _sector(env_index: int = ENV_PAIR_INDEX) -> np.ndarray:
-    """16x2 isometry onto ``|e>_E ⊗ logical qubit`` in the extended edge
-    basis, ``e`` the environment configuration ``env_index``."""
+def _sector() -> np.ndarray:
+    """16x2 isometry onto ``|10>_E ⊗ logical qubit`` in the extended edge
+    basis: the created pair in the environment."""
     env = np.zeros(4, dtype=complex)
-    env[env_index] = 1.0
+    env[ENV_PAIR_INDEX] = 1.0
     return np.kron(env[:, None], braid_space.logical_encoding())
 
 
@@ -68,14 +76,10 @@ def _result_from_matrix(q: int, m: np.ndarray) -> ScenarioResult:
     return ScenarioResult(q, m, deviation, float(np.angle(c)), float(abs(c)))
 
 
-def extract_M(q: int, env_index: int = ENV_PAIR_INDEX) -> ScenarioResult:
+def extract_M(q: int) -> ScenarioResult:
     """The logical block of the scenario operator with the environment
-    projected onto the created-pair state on both sides.
-
-    ``env_index`` may be overridden to project onto a different environment
-    configuration (negative controls); the block may then vanish.
-    """
-    m = dagger(_sector(env_index)) @ build_scenario_operator(q) @ _sector()
+    projected onto the created-pair state on both sides."""
+    m = dagger(_sector()) @ build_scenario_operator(q) @ _sector()
     return _result_from_matrix(q, m)
 
 
@@ -84,25 +88,20 @@ def extract_M(q: int, env_index: int = ENV_PAIR_INDEX) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
-def extract_M_noisy(
-    q: int,
-    t2: tuple[float, float, float, float] = (0.5, 0.5, 0.5, 0.5),
-    pulse_duration: float = 48e-3,
-) -> ScenarioResult:
+def extract_M_noisy(q: int) -> ScenarioResult:
     """Scenario block reconstructed from decohered simulations.
 
-    The scenario unitary runs as one optimized pulse of ``pulse_duration``
-    with per-qubit dephasing, starting from ``|0_L>``, ``|1_L>`` and
+    The scenario unitary runs as one optimized pulse of
+    :data:`SCENARIO_PULSE_SECONDS` with per-qubit dephasing at
+    :data:`SCENARIO_T2`, starting from ``|0_L>``, ``|1_L>`` and
     ``|+_L>`` in the created-pair sector.  The output states need no
     positivity repair: the rotated input is a pure state, and the dephasing
     factors are a Kronecker product of per-qubit ``[[1, e], [e, 1]]`` blocks,
     so their Schur product is positive semidefinite with unit trace.
     """
-    if not all(np.isfinite(t) and t > 0 for t in t2):
-        raise ValueError(f"T2 times must be positive and finite, got {t2!r}")
     op = build_scenario_operator(q)
     sector = _sector()
-    rates = tuple(1.0 / t for t in t2)
+    rates = tuple(1.0 / t for t in SCENARIO_T2)
 
     def run(a: complex, b: complex) -> np.ndarray:
         """Logical block of the decohered output, environment projected on
@@ -110,7 +109,7 @@ def extract_M_noisy(
         psi = logical_environment_state(a, b)
         rho = np.outer(psi, psi.conj())
         rho = op @ rho @ dagger(op)
-        rho = rho * noise_engine.dephasing_factors(rates, pulse_duration)
+        rho = rho * noise_engine.dephasing_factors(rates, SCENARIO_PULSE_SECONDS)
         return dagger(sector) @ rho @ sector
 
     rho0 = run(1.0, 0.0)

@@ -62,7 +62,7 @@ def test_criterion_03_braid_group_laws():
 
 def test_criterion_04_logical_protection():
     rng = bench.rng_for(424242, 0)
-    gens = [bs.sigma(12), bs.sigma(23), bs.sigma(12, inverse=True), bs.sigma(23, inverse=True)]
+    gens = [bs.sigma(12), bs.sigma(23), dagger(bs.sigma(12)), dagger(bs.sigma(23))]
     p_l = bs.logical_projector()
     worst_leak = 0.0
     for _ in range(1000):
@@ -264,7 +264,8 @@ def test_criterion_08_fidelity_formula_cross_check():
 
 def test_criterion_09_noise_model_analytics():
     t2, dt = 0.23, 0.017
-    plus = ne.DensityMatrix.pure(np.kron(np.array([1, 1]) / math.sqrt(2), np.array([1, 0])))
+    plus_state = np.kron(np.array([1, 1]) / math.sqrt(2), np.array([1, 0]))
+    plus = ne.DensityMatrix(np.outer(plus_state, plus_state))
     out = ne.apply_dephasing(plus, ne.NoiseModel(t2=(t2, None)).rates(), dt)
     analytic_err = abs(out.matrix[0, 2] - 0.5 * math.exp(-dt / t2))
 

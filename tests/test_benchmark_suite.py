@@ -237,7 +237,8 @@ class TestPurity:
         # |+> prepared, then dephased; noiseless Cliffords keep its purity
         t, t2 = 0.05, 0.2
         spam = bench.dephasing_ptm(math.exp(-t / t2)).compose(bench.ptm_of_unitary(bc.hadamard_gate()))
-        gateset = bench.logical_gateset(group=group, spam_ptm=spam)
+        gateset = bench.logical_gateset(group=group)
+        gateset = gateset._replace(prep=spam.matrix @ gateset.prep)
         np.testing.assert_allclose(self.purities(gateset), math.exp(-2 * t / t2), rtol=0, atol=1e-12)
 
 
@@ -654,10 +655,10 @@ class TestRandomizedBenchmarking:
     def test_spam_insensitivity(self, group):
         noise = bench.depolarizing_ptm(2, 0.011)
         spam = bench.depolarizing_ptm(2, 0.25)
-        plain = bench.rb_reference(bench.logical_gateset(noise=noise, group=group), M_GRID, 30, 4)
-        spammed = bench.rb_reference(
-            bench.logical_gateset(noise=noise, group=group, spam_ptm=spam), M_GRID, 30, 4
-        )
+        gateset = bench.logical_gateset(noise=noise, group=group)
+        plain = bench.rb_reference(gateset, M_GRID, 30, 4)
+        # preparation and measurement both pass through the SPAM channel
+        spammed = bench.rb_reference(gateset._replace(prep=spam.matrix @ gateset.prep), M_GRID, 30, 4)
         assert abs(plain.rate - spammed.rate) < 1e-6
         assert spammed.means[0] < plain.means[0] - 0.1  # raw survival shifted
 
@@ -805,8 +806,6 @@ def _sequences_one_by_one(gateset, m_values, k, seed, interleave, recovery):
         for ki in range(k):
             indices = bench.rng_for(seed, mi * 100_000 + ki).integers(0, len(group), size=m)
             coeffs = gateset.prep.copy()
-            if gateset.spam_ptm is not None:
-                coeffs = gateset.spam_ptm.matrix @ coeffs
             ideal = np.eye(2, dtype=complex)
             for idx in indices:
                 coeffs = gateset.ptms[idx] @ coeffs
@@ -840,14 +839,11 @@ def _sequences_per_length(gateset, m_values, k, seed, interleave, recovery):
         target, _ = bs.logical_restrict(target)
     steps = ptms if interleave is None else interleave.ptm.matrix @ ptms
     step_frames = group.elements if target is None else target @ group.elements
-    start = gateset.prep
-    if gateset.spam_ptm is not None:
-        start = gateset.spam_ptm.matrix @ start
     means, stds = [], []
     for mi, m in enumerate(m_values):
         indices = np.array([bench.rng_for(seed, mi * 100_000 + ki).integers(0, len(group), size=m)
                             for ki in range(k)])
-        coeffs = np.tile(start, (k, 1))[..., None]
+        coeffs = np.tile(gateset.prep, (k, 1))[..., None]
         ideal = np.tile(np.eye(2, dtype=complex), (k, 1, 1))
         for idx in indices.T:
             coeffs = steps[idx] @ coeffs
@@ -864,13 +860,13 @@ def _sequences_per_length(gateset, m_values, k, seed, interleave, recovery):
     return np.asarray(means), np.asarray(stds)
 
 
-def _float_frame_survivals(gateset, start, indices, lengths):
+def _float_frame_survivals(gateset, indices, lengths):
     """Oracle for reference-RB survivals from ``_advance``: the same batched
     steps over the step-major ``indices``, but the logical frames are
     multiplied as 2x2 matrices and inverted by one batched ``nearest``, as
     interleaved RB still does."""
     group, ptms, d = gateset.group, gateset.ptms, gateset.dim
-    coeffs = np.tile(start, (len(lengths), 1))[..., None]
+    coeffs = np.tile(gateset.prep, (len(lengths), 1))[..., None]
     frames = np.tile(np.eye(2, dtype=complex), (len(lengths), 1, 1))
     for t in range(lengths[0]):
         a = np.count_nonzero(lengths > t)
@@ -902,8 +898,8 @@ class TestBatchedSequences:
         gateset = make(noise=ne.clifford_noise_ptm(model, dim), group=group)
         lengths = np.array(sorted(lengths, reverse=True))
         indices = bench.rng_for(seed, 0).integers(0, len(group), size=(lengths[0], len(lengths)))
-        got = bench._advance(gateset, gateset.prep, indices, lengths, None, None, True)
-        want = _float_frame_survivals(gateset, gateset.prep, indices, lengths)
+        got = bench._advance(gateset, indices, lengths, None, None, True)
+        want = _float_frame_survivals(gateset, indices, lengths)
         assert np.array_equal(got, want)
 
     @given(
@@ -927,8 +923,9 @@ class TestBatchedSequences:
                               over_rotation_angle=angle, over_rotation_axis=axis)
         noise = ne.clifford_noise_ptm(model, dim)
         make = bench.physical_gateset if space == "ps" else bench.logical_gateset
-        spam_ptm = None if spam is None else bench.depolarizing_ptm(dim, spam)
-        gateset = make(noise=noise, group=group, spam_ptm=spam_ptm)
+        gateset = make(noise=noise, group=group)
+        if spam is not None:
+            gateset = gateset._replace(prep=bench.depolarizing_ptm(dim, spam).matrix @ gateset.prep)
         interleave = None
         if target is not None:
             # the frame unitary may be 2x2 or 4x4 in either space; the
@@ -963,8 +960,9 @@ class TestBatchedSequences:
         dim = 4 if space == "ps" else 2
         noise = ne.clifford_noise_ptm(ne.NoiseModel(t2=(t2, t2), depolarizing_prob=depolarizing), dim)
         make = bench.physical_gateset if space == "ps" else bench.logical_gateset
-        spam_ptm = None if spam is None else bench.depolarizing_ptm(dim, spam)
-        gateset = make(noise=noise, group=group, spam_ptm=spam_ptm)
+        gateset = make(noise=noise, group=group)
+        if spam is not None:
+            gateset = gateset._replace(prep=bench.depolarizing_ptm(dim, spam).matrix @ gateset.prep)
         interleave = None
         if target is not None:
             word = bc.hadamard_word()

@@ -173,6 +173,18 @@ class TestCanonicalize:
         ("s12^x S12^2", "invalid literal for int() with base 10: 'x'"),
         ("S12^2 s12^x", "cannot parse braid letter 'S12^2'"),
         ("s12^0 q1", "cannot parse braid letter 'q1'"),
+        # integer spellings that int() accepts and a braid token does not:
+        # the generator and power are ASCII digits, the power after one sign
+        ("s1_2^2", "invalid literal for int() with base 10: '1_2'"),
+        ("s12^1_0", "invalid literal for int() with base 10: '1_0'"),
+        ("s\u0661\u0662^2", "invalid literal for int() with base 10: '\u0661\u0662'"),
+        ("s12^\u00b2", "invalid literal for int() with base 10: '\u00b2'"),
+        ("s+12^2", "invalid literal for int() with base 10: '+12'"),
+        ("s-12^2", "invalid literal for int() with base 10: '-12'"),
+        ("s12^--2", "invalid literal for int() with base 10: '--2'"),
+        ("s12^2 s1_2^x S12^2", "invalid literal for int() with base 10: '1_2'"),
+        ("S12^2 s1_2^2", "cannot parse braid letter 'S12^2'"),
+        ("s12^x s1_2^2", "invalid literal for int() with base 10: 'x'"),
         # tokens that parse are validated as letters, first applied first
         ("s13^1 s12^0", "letter powers must be nonzero"),
         ("s12^0 s13^1", "unknown generator index 13"),
@@ -253,20 +265,20 @@ class TestSearch:
         assert result.distance == 0.0
 
     def test_single_generator_recovered(self):
-        result = bc.search_word(bs.sigma_logical(12), max_letters=1, budget=None)
+        result = bc.search_word(bs.sigma_logical(12), max_letters=1, budget=16)
         assert result.word.letters == (bc.BraidLetter(12, 1),)
         assert result.distance < 1e-6
         assert not result.budget_exhausted
 
     def test_short_word_recovered_exactly(self):
         target = bc.evaluate(word_from([(23, -1), (12, 2)]), "logical2")
-        result = bc.search_word(target, max_letters=2, budget=None)
+        result = bc.search_word(target, max_letters=2, budget=144)
         assert result.distance < 1e-6
 
     def test_search_dominates_enumerated_words(self):
         # any word inside the enumerated space can never beat the search
         target = bc.hadamard_gate()
-        result = bc.search_word(target, max_letters=3, budget=None)
+        result = bc.search_word(target, max_letters=3, budget=1168)
         probe = word_from([(12, 2), (23, -2), (12, 2)])
         probe_dist = bc.distance_up_to_phase(bc.evaluate(probe, "logical2"), target)
         assert result.distance <= probe_dist + 1e-12
@@ -283,7 +295,8 @@ class TestSearch:
         assert result.evaluated == 500
 
     def test_exhaustive_run_not_flagged(self):
-        result = bc.search_word(bc.hadamard_gate(), max_letters=2, budget=None)
+        # a budget of exactly every word of up to 2 letters cuts nothing
+        result = bc.search_word(bc.hadamard_gate(), max_letters=2, budget=2 * (8 + 64))
         assert not result.budget_exhausted
         assert result.evaluated == 2 * (8 + 64)
 
@@ -302,7 +315,7 @@ class TestSearch:
         with pytest.raises(ValueError, match="unitary"):
             bc.search_word(np.array([[1, 0], [0, np.nan]]), max_letters=1)
 
-    @pytest.mark.parametrize("max_letters, budget", [(-1, None), (3, -5)])
+    @pytest.mark.parametrize("max_letters, budget", [(-1, 100), (3, -5)])
     def test_negative_arguments_rejected(self, max_letters, budget):
         with pytest.raises(ValueError, match="non-negative"):
             bc.search_word(bc.hadamard_gate(), max_letters=max_letters, budget=budget)
@@ -316,7 +329,7 @@ class TestSearch:
         # lengths 1..5: monotone non-increasing best distance
         target = bc.hadamard_gate()
         dists = [
-            bc.search_word(target, max_letters=n, budget=None).distance
+            bc.search_word(target, max_letters=n, budget=2 * sum(8**i for i in range(1, n + 1))).distance
             for n in range(1, 5)
         ]
         assert all(d2 <= d1 + 1e-12 for d1, d2 in zip(dists, dists[1:]))

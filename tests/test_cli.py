@@ -55,6 +55,20 @@ class TestVerify:
         assert "FAIL  pentagon" in out
         assert "FAILED:" in out and "pentagon" in out.split("FAILED:")[1]
 
+    def test_injected_qdim_error_fails_qdim_consistency(self, capsys, monkeypatch):
+        fibonacci = am.FusionData.fibonacci
+
+        def corrupted():
+            fusion = fibonacci()
+            return dataclasses.replace(fusion, qdim={**fusion.qdim, am.TAU: 1.6})
+
+        bs._fib_tables()  # cache the true tables first: the generators must not see the corruption
+        monkeypatch.setattr(am.FusionData, "fibonacci", corrupted)
+        assert run(["verify", "--leakage-words", "5"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  qdim-consistency" in out
+        assert out.split("FAILED:")[1].split() == ["qdim-consistency"]
+
     def test_json_report(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         assert run(["verify", "--leakage-words", "5", "--json", str(report)]) == 0
@@ -197,6 +211,7 @@ class TestCompile:
         ("S12^2", "cannot parse braid letter 'S12^2'"),
         ("s12^x S12^2", "invalid literal for int() with base 10: 'x'"),
         ("s13^1 s12^0", "letter powers must be nonzero"),
+        ("s1_2^2", "invalid literal for int() with base 10: '1_2'"),
     ])
     def test_malformed_word_exits_2_with_one_line(self, capsys, word, message):
         assert run(["compile", "--word", word]) == 2

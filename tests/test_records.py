@@ -20,7 +20,7 @@ RECORDS = {
     am.FSymbolTable: (("fusion", "entries"), {}),
     am.RSymbolTable: (("fusion", "entries"), {}),
     bench.NoisyGate: (("unitary", "ptm"), {}),
-    bench.GateSet: (("dim", "group", "ptms", "prep", "spam_ptm"), {"spam_ptm": None}),
+    bench.GateSet: (("dim", "group", "ptms", "prep"), {}),
     bench.DecayFit: (("a", "b", "rate", "m_values", "means", "stddevs", "residual", "model"), {}),
     bench.InterleavedResult: (("fit", "f_rb", "warnings"), {"warnings": ()}),
     bench.PurityResult: (("fit", "incoherent_per_gate"), {}),

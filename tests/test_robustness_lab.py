@@ -9,9 +9,26 @@ from conftest import global_phase_sweep
 from fibanyon import braid_space as bs
 from fibanyon import noise_engine as ne
 from fibanyon import robustness_lab as rob
-from fibanyon._linalg import unitarity_defect
+from fibanyon._linalg import dagger, unitarity_defect
 
 PHI = (1 + math.sqrt(5)) / 2
+
+
+def env_sector(label: int) -> np.ndarray:
+    """16x2 isometry onto ``|e>_E ⊗ logical qubit``, ``e`` the environment
+    configuration with lexicographic index ``label``."""
+    return np.kron(np.eye(4)[label][:, None], bs.logical_encoding())
+
+
+def pair_block(letters) -> np.ndarray:
+    """The created-pair block of the five-anyon word ``letters``, pairs
+    ``(position, sign)`` in application order, a sign of -1 the inverse."""
+    sector = env_sector(rob.ENV_PAIR_INDEX)
+    u = np.eye(16, dtype=complex)
+    for position, sign in letters:
+        g = bs.build_generator(5, position)
+        u = (g if sign > 0 else dagger(g)) @ u
+    return dagger(sector) @ u @ sector
 
 
 class TestScenarioOperator:
@@ -65,8 +82,10 @@ class TestExtractM:
         # projecting the output environment onto |01>_E instead: the block
         # vanishes (recorded as the zero-norm flag), so no proportionality
         # statement is asserted there
+        m = dagger(env_sector(1)) @ rob.build_scenario_operator(1) @ env_sector(rob.ENV_PAIR_INDEX)
+        assert np.abs(m).max() < 1e-12
         with pytest.raises(ValueError, match="vanishes"):
-            rob.extract_M(1, env_index=1)
+            rob._result_from_matrix(1, m)
 
     def test_deterministic(self):
         a, b = rob.extract_M(2), rob.extract_M(2)
@@ -117,15 +136,10 @@ class TestNoisyReconstruction:
         exact = rob.extract_M(1)
         assert abs(noisy.modulus - exact.modulus) < 0.05
 
-    def test_weak_noise_approaches_exact_block(self):
-        result = rob.extract_M_noisy(1, t2=(50.0, 50.0, 50.0, 50.0))
+    def test_weak_noise_approaches_exact_block(self, monkeypatch):
+        monkeypatch.setattr(rob, "SCENARIO_T2", (50.0, 50.0, 50.0, 50.0))
+        result = rob.extract_M_noisy(1)
         assert result.proportionality_deviation < 1e-3
-
-    @pytest.mark.parametrize("t2", [(0.5, 0.5, 0.5, -0.5), (0.0, 0.5, 0.5, 0.5), (math.nan,) * 4])
-    def test_nonpositive_t2_rejected(self, t2):
-        # a negative T2 grows coherences into a state that is not positive
-        with pytest.raises(ValueError, match="positive and finite"):
-            rob.extract_M_noisy(1, t2=t2)
 
     @given(
         q=st.sampled_from(rob.SCENARIOS),
@@ -143,3 +157,31 @@ class TestNoisyReconstruction:
             rho = factors * np.outer(out, out.conj())
             assert np.linalg.eigvalsh(rho).min() >= -1e-12
             assert abs(np.trace(rho) - 1.0) < 1e-12
+
+
+class TestProtectionOverPairWords:
+    """Every local process of the thermal pair, not only the two scenarios:
+    any word over the pair's own generators (positions 1 and 2) acts on the
+    created-pair sector as a global phase times a post-selection amplitude."""
+
+    @given(st.lists(st.tuples(st.sampled_from((1, 2)), st.sampled_from((1, -1))), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_block_proportional_to_identity(self, letters):
+        m = pair_block(letters)
+        c = m[0, 0]
+        assert abs(c) > 1e-12
+        assert np.abs(m / c - np.eye(2)).max() < 1e-12
+
+    def test_negative_control_through_tracked_generator(self):
+        # words that also braid a tracked anyon (position 3) leave the block
+        # proportional to the identity only by accident, so the check above
+        # has power: it fails if the pair's generator positions are wrong
+        rng = np.random.Generator(np.random.Philox(key=[10, 3]))
+        deviations = []
+        for _ in range(40):
+            n = int(rng.integers(1, 13))
+            positions = rng.integers(1, 4, size=n)
+            positions[rng.integers(n)] = 3
+            m = pair_block(zip(positions.tolist(), rng.choice((1, -1), size=n).tolist()))
+            deviations.append(np.abs(m - m[0, 0] * np.eye(2)).max())
+        assert max(deviations) > 1e-9
