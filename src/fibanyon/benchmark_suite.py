@@ -630,9 +630,11 @@ def _run_sequences(
         raise ValueError(f"need at least 3 distinct sequence lengths of at least 1, got {tuple(m_values)}")
     if max(m_values) > MAX_LENGTH:
         raise ValueError(f"need sequence lengths of at most {MAX_LENGTH}, got {max(m_values)}")
-    target = None if interleave is None else interleave.unitary
+    # the recovery's logical block of the target, the iso† u iso of braid_space.logical_restrict
+    target = interleave.unitary if recovery and interleave is not None else None
     if target is not None and target.shape == (4, 4):
-        target, _ = braid_space.logical_restrict(target)
+        iso = braid_space.logical_encoding()
+        target = dagger(iso) @ target @ iso
     order = sorted(range(len(m_values)), key=lambda mi: -m_values[mi])
     lengths = np.repeat([m_values[mi] for mi in order], k)
     streams = [mi * MAX_SEQUENCES + ki for mi in order for ki in range(k)]

@@ -14,21 +14,20 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 from pathlib import Path
-from typing import NamedTuple, NoReturn
+from typing import TYPE_CHECKING, Collection, NamedTuple, NoReturn
 
 import numpy as np
 
-from . import (
-    anyon_model,
-    benchmark_suite as bench,
-    braid_compiler,
-    braid_space,
-    noise_engine,
-    robustness_lab,
-)
+from . import anyon_model, braid_compiler, braid_space
 from ._linalg import phase_aligned_defect, unitarity_defect
+
+# benchmark_suite, noise_engine and robustness_lab are imported by the commands
+# that use them, so a process loads only its own subcommand's modules
+if TYPE_CHECKING:
+    from . import benchmark_suite as bench, noise_engine
 
 DEFAULT_SEED = 20230517
 
@@ -154,7 +153,9 @@ def _random_words(seed: int, count: int):
     ``integers(2)`` for the generator (1: sigma12, 0: sigma23) and
     ``integers(2)`` for the power (1: +1, 0: -1).  A letter is ``2 *
     generator + power``."""
-    stream = bench.PhiloxStream(seed, 0)
+    from .benchmark_suite import PhiloxStream
+
+    stream = PhiloxStream(seed, 0)
     for lo in range(0, count, _WORD_BATCH):
         lengths, letters = [], []
         for _ in range(min(_WORD_BATCH, count - lo)):
@@ -192,6 +193,8 @@ def run_verification_checks(
     tolerance_scale: float = 1.0,
 ) -> list[Check]:
     """The full invariant suite, in the order of :data:`VERIFICATION_CHECK_NAMES`."""
+    from . import noise_engine, robustness_lab
+
     phi = anyon_model.PHI
     fusion = anyon_model.FusionData.fibonacci()
     ftable = anyon_model.FSymbolTable.fibonacci(fusion)
@@ -423,6 +426,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 def _noise_model(args: argparse.Namespace) -> noise_engine.NoiseModel | None:
     """The ``--noise`` model, or None after reporting why it is unusable."""
+    from . import noise_engine
+
     if not args.noise:
         return noise_engine.NoiseModel()
     try:
@@ -433,6 +438,8 @@ def _noise_model(args: argparse.Namespace) -> noise_engine.NoiseModel | None:
 
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
+    from . import benchmark_suite as bench, noise_engine
+
     noise = _noise_model(args)
     if noise is None:
         return 2
@@ -517,6 +524,8 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
 
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
+    from . import robustness_lab
+
     if args.noisy:
         result = robustness_lab.extract_M_noisy(args.q)
     else:
@@ -548,6 +557,8 @@ def _cmd_dump_matrices(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
+    from . import noise_engine
+
     targets = (("t2", args.target), ("t2_star", args.star_target))
     for label, target in targets:
         if not 0.0 < target < 1.0:
@@ -602,9 +613,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-_BENCHMARK_SEED = _int_at_least(0, bench.MAX_SEED)
-"""argparse type of ``benchmark --seed``: a master seed of the benchmark pipeline."""
-
 _VERIFY_SEED = _int_at_least(0, 2**64 - 1)
 """argparse type of ``verify --seed``: verify draws only the stream
 ``(seed, 0)``, so the seed may be any uint64 generator key."""
@@ -621,72 +629,102 @@ class _SequenceLengths(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--list", action="store_true", help="print check names without running")
+    p.add_argument("--leakage-words", type=_int_at_least(0), default=100)
+    p.add_argument("--seed", type=_VERIFY_SEED, default=DEFAULT_SEED)
+    p.add_argument("--tolerance", type=_positive_float, default=1.0,
+                   help="scale factor applied to every check tolerance")
+    p.add_argument("--json", help="write the report to this JSON file")
+    p.set_defaults(func=_cmd_verify)
+
+
+def _compile_arguments(p: argparse.ArgumentParser) -> None:
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--hadamard", action="store_true",
+                        help="evaluate the fixed 15-operation Hadamard word")
+    target.add_argument("--named", help=f"named gate target: {', '.join(NAMED_GATES)}")
+    target.add_argument("--target", help="JSON file with a 2x2 matrix of [re, im] pairs")
+    target.add_argument("--word", help='evaluate a braid word, e.g. "s12^4 s23^-2"')
+    p.add_argument("--max-letters", type=_int_at_least(0), default=5)
+    p.add_argument("--budget", type=_int_at_least(1), default=1_000_000)
+    p.add_argument("--out", help="write the result to this JSON file")
+    p.set_defaults(func=_cmd_compile)
+
+
+def _benchmark_arguments(p: argparse.ArgumentParser) -> None:
+    from . import benchmark_suite as bench
+
+    p.add_argument("--protocol", choices=("qpt", "rb", "pb"), required=True)
+    p.add_argument("--space", choices=("ps", "ls"), default="ls")
+    p.add_argument("--noise", help="NoiseModel JSON file")
+    p.add_argument("--m-grid", type=_int_at_least(1, bench.MAX_LENGTH), nargs="+",
+                   action=_SequenceLengths, default=list(bench.DEFAULT_M_GRID))
+    p.add_argument("--k", type=_int_at_least(2, bench.MAX_SEQUENCES), default=bench.DEFAULT_SEQUENCES)
+    # a master seed of the benchmark pipeline
+    p.add_argument("--seed", type=_int_at_least(0, bench.MAX_SEED), default=DEFAULT_SEED)
+    p.add_argument("--interleave-hadamard", action="store_true")
+    p.add_argument("--format", choices=("json", "csv"),
+                   help="transfer-map file format of --protocol qpt (default json)")
+    p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(func=_cmd_benchmark)
+
+
+def _robustness_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q", type=int, choices=(1, 2), required=True)
+    p.add_argument("--noisy", action="store_true")
+    p.add_argument("--out", help="write the result to this JSON file")
+    p.add_argument("--csv", help="also write the block's re/im parts as CSV")
+    p.set_defaults(func=_cmd_robustness)
+
+
+def _dump_matrices_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.set_defaults(func=_cmd_dump_matrices)
+
+
+def _calibrate_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--target", type=float, default=T2_FIDELITY_TARGET)
+    p.add_argument("--star-target", type=float, default=T2_STAR_FIDELITY_TARGET)
+    p.add_argument("--out", help="write the results to this JSON file")
+    p.set_defaults(func=_cmd_calibrate)
+
+
+SUBCOMMANDS = {
+    "verify": ("run the invariant suite", _verify_arguments),
+    "compile": ("braid-word compilation and evaluation", _compile_arguments),
+    "benchmark": ("QPT / RB / PB protocols", _benchmark_arguments),
+    "robustness": ("thermal anyon-pair scenarios", _robustness_arguments),
+    "dump-matrices": ("emit oracle matrices for external diffing", _dump_matrices_arguments),
+    "calibrate": ("find T2 values reproducing target fidelities", _calibrate_arguments),
+}
+"""Each subcommand's help line and the function adding its arguments, in the
+order of the help."""
+
+
+def build_parser(commands: Collection[str] = SUBCOMMANDS) -> argparse.ArgumentParser:
+    """The ``fibanyon`` parser.  It lists every subcommand, but only those
+    named in ``commands`` get their arguments; the top-level help, the
+    subcommand list and the top-level errors do not depend on them."""
     parser = argparse.ArgumentParser(
         prog="fibanyon",
         description="Fibonacci-anyon braiding workbench: verification, "
                     "compilation, noisy simulation, benchmarking, robustness.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run the invariant suite")
-    p_verify.add_argument("--list", action="store_true", help="print check names without running")
-    p_verify.add_argument("--leakage-words", type=_int_at_least(0), default=100)
-    p_verify.add_argument("--seed", type=_VERIFY_SEED, default=DEFAULT_SEED)
-    p_verify.add_argument("--tolerance", type=_positive_float, default=1.0,
-                          help="scale factor applied to every check tolerance")
-    p_verify.add_argument("--json", help="write the report to this JSON file")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_compile = sub.add_parser("compile", help="braid-word compilation and evaluation")
-    target = p_compile.add_mutually_exclusive_group(required=True)
-    target.add_argument("--hadamard", action="store_true",
-                        help="evaluate the fixed 15-operation Hadamard word")
-    target.add_argument("--named", help=f"named gate target: {', '.join(NAMED_GATES)}")
-    target.add_argument("--target", help="JSON file with a 2x2 matrix of [re, im] pairs")
-    target.add_argument("--word", help='evaluate a braid word, e.g. "s12^4 s23^-2"')
-    p_compile.add_argument("--max-letters", type=_int_at_least(0), default=5)
-    p_compile.add_argument("--budget", type=_int_at_least(1), default=1_000_000)
-    p_compile.add_argument("--out", help="write the result to this JSON file")
-    p_compile.set_defaults(func=_cmd_compile)
-
-    p_bench = sub.add_parser("benchmark", help="QPT / RB / PB protocols")
-    p_bench.add_argument("--protocol", choices=("qpt", "rb", "pb"), required=True)
-    p_bench.add_argument("--space", choices=("ps", "ls"), default="ls")
-    p_bench.add_argument("--noise", help="NoiseModel JSON file")
-    p_bench.add_argument("--m-grid", type=_int_at_least(1, bench.MAX_LENGTH), nargs="+",
-                         action=_SequenceLengths, default=list(bench.DEFAULT_M_GRID))
-    p_bench.add_argument("--k", type=_int_at_least(2, bench.MAX_SEQUENCES), default=bench.DEFAULT_SEQUENCES)
-    p_bench.add_argument("--seed", type=_BENCHMARK_SEED, default=DEFAULT_SEED)
-    p_bench.add_argument("--interleave-hadamard", action="store_true")
-    p_bench.add_argument("--format", choices=("json", "csv"),
-                         help="transfer-map file format of --protocol qpt (default json)")
-    p_bench.add_argument("--out", required=True, help="output directory")
-    p_bench.set_defaults(func=_cmd_benchmark)
-
-    p_rob = sub.add_parser("robustness", help="thermal anyon-pair scenarios")
-    p_rob.add_argument("--q", type=int, choices=(1, 2), required=True)
-    p_rob.add_argument("--noisy", action="store_true")
-    p_rob.add_argument("--out", help="write the result to this JSON file")
-    p_rob.add_argument("--csv", help="also write the block's re/im parts as CSV")
-    p_rob.set_defaults(func=_cmd_robustness)
-
-    p_dump = sub.add_parser("dump-matrices", help="emit oracle matrices for external diffing")
-    p_dump.add_argument("--out", required=True, help="output directory")
-    p_dump.add_argument("--format", choices=("json", "csv"), default="json")
-    p_dump.set_defaults(func=_cmd_dump_matrices)
-
-    p_cal = sub.add_parser("calibrate", help="find T2 values reproducing target fidelities")
-    p_cal.add_argument("--target", type=float, default=T2_FIDELITY_TARGET)
-    p_cal.add_argument("--star-target", type=float, default=T2_STAR_FIDELITY_TARGET)
-    p_cal.add_argument("--out", help="write the results to this JSON file")
-    p_cal.set_defaults(func=_cmd_calibrate)
-
+    for name, (help_line, add_arguments) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name in commands:
+            add_arguments(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # The top-level parser has no option that takes a value, so the first
+    # argument naming a subcommand is the one argparse dispatches to, if any.
+    parser = build_parser([a for a in argv if a in SUBCOMMANDS][:1])
     args = parser.parse_args(argv)
     if args.command == "benchmark" and args.format is not None and args.protocol != "qpt":
         parser.error(f"benchmark --format applies only to --protocol qpt, not {args.protocol}")
@@ -704,18 +742,29 @@ def run() -> NoReturn:
     """Process entry of the ``fibanyon`` script and of ``python -m
     fibanyon.cli``: :func:`main` on the command line, then exit with its status.
 
-    Before the process exits, ``gc.freeze()`` moves every tracked object to the
-    permanent generation, which the collections of interpreter shutdown skip;
+    Once ``main`` has returned, ``run`` flushes stdout and stderr and ends the
+    process with ``os._exit``, skipping interpreter shutdown, which only tears
+    down what the process has loaded.  Every output file is closed before
+    ``main`` returns, and fibanyon starts no thread and registers no exit
+    handler, so outputs, streams and exit codes are unchanged.  Two cases keep
+    the full shutdown through ``sys.exit``: argparse's ``SystemExit`` (help and
+    usage errors), and a failed flush, such as stdout on a pipe whose reader
+    has gone, which shutdown reports in one ``Exception ignored`` line and
+    exit status 120.  Before either exit, ``gc.freeze()`` moves every tracked
+    object to the permanent generation, which shutdown's collections skip:
     walking the objects numpy and fibanyon allocate at import took 30-45 ms of
-    each process on a 2-vCPU Xeon VM.  Every output file is closed before
-    ``main`` returns, so outputs, streams and exit codes are unchanged,
-    argparse's ``SystemExit(2)`` included.  :func:`main` never touches the
+    each process on a 2-vCPU Xeon VM.  :func:`main` never touches the
     collector, so an in-process caller's objects are not frozen."""
     try:
         status = main()
     finally:
         gc.freeze()
-    sys.exit(status)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(status)
+    os._exit(status)
 
 
 if __name__ == "__main__":

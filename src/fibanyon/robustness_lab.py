@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import braid_space, noise_engine
+from . import braid_space
 from ._linalg import dagger
 
 ENV_PAIR_INDEX = 2  # lexicographic index of (i1, i2) = (1, 0)
@@ -99,6 +99,8 @@ def extract_M_noisy(q: int) -> ScenarioResult:
     factors are a Kronecker product of per-qubit ``[[1, e], [e, 1]]`` blocks,
     so their Schur product is positive semidefinite with unit trace.
     """
+    from . import noise_engine  # only the noisy scenarios need the simulator
+
     op = build_scenario_operator(q)
     sector = _sector()
     rates = tuple(1.0 / t for t in SCENARIO_T2)

@@ -624,17 +624,55 @@ class TestCalibrate:
         assert not out.exists()
 
 
-# One process through cli.run, which reports the status it exits with and the
-# collector's freeze count to the file named by its first argument.
+def outcome(parse, argv, capsys):
+    """Exit status, stdout and stderr of ``parse(argv)``, which must exit
+    through argparse's ``SystemExit``."""
+    with pytest.raises(SystemExit) as exit_:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exit_.value.code, captured.out, captured.err
+
+
+# help of the program, also when a subcommand follows, and of each subcommand,
+# and argparse's errors: an unknown or missing subcommand, and one usage error
+# per subcommand
+PARSER_CASES = [
+    ["-h"], *(["-h", name] for name in cli.SUBCOMMANDS), *([name, "-h"] for name in cli.SUBCOMMANDS),
+    ["no-such-command"], [],
+    ["verify", "--seed", "-1"], ["compile", "--max-letters", "3"],
+    ["benchmark", "--protocol", "xyz", "--out", "out"], ["robustness", "--q", "3"],
+    ["dump-matrices", "--format", "csv"], ["calibrate", "--target", "high"],
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+    def test_main_parses_as_the_full_parser(self, capsys, argv):
+        # main adds arguments only to the subcommand it runs
+        full = outcome(cli.build_parser().parse_args, argv, capsys)
+        assert outcome(cli.main, argv, capsys) == full
+        assert full[0] == (0 if "-h" in argv else 2)
+
+
+# One process through cli.run, which reports how it leaves (os._exit, or
+# argparse's SystemExit), the status it exits with and the collector's freeze
+# count to the file named by its first argument.
 ENTRY_PROBE = """\
-import gc, json, sys
+import gc, json, os, sys
 from fibanyon import cli
 report, sys.argv = sys.argv[1], ["fibanyon", *sys.argv[2:]]
+def record(exit, code):
+    with open(report, "w") as handle:
+        json.dump({"exit": exit, "code": code, "frozen": gc.get_freeze_count()}, handle)
+exit_process = os._exit
+def probed_exit(code):
+    record("os._exit", code)
+    exit_process(code)
+os._exit = probed_exit
 try:
     cli.run()
 except SystemExit as exc:
-    with open(report, "w") as handle:
-        json.dump({"code": exc.code, "frozen": gc.get_freeze_count()}, handle)
+    record("SystemExit", exc.code)
     raise
 """
 
@@ -656,6 +694,12 @@ def in_process(argv, capsys):
     return code, captured.out, captured.err
 
 
+def process_env():
+    """The environment of a child process that imports this tree's fibanyon."""
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def files_under(root):
     return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
 
@@ -675,17 +719,34 @@ class TestProcessEntry:
         process_dir.mkdir()
         main_dir.mkdir()
         report = tmp_path / "report.json"
-        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         done = subprocess.run([sys.executable, "-c", ENTRY_PROBE, str(report), *argv], cwd=process_dir,
-                              env=env, capture_output=True, text=True, timeout=120)
+                              env=process_env(), capture_output=True, text=True, timeout=120)
         exited = json.loads(report.read_text())
         assert done.returncode == exited["code"] == code
+        assert exited["exit"] == ("SystemExit" if code == 2 else "os._exit")
         assert exited["frozen"] > 0
 
         monkeypatch.chdir(main_dir)
         assert (done.returncode, done.stdout, done.stderr) == in_process(argv, capsys)
         assert files_under(process_dir) == files_under(main_dir)
+
+    @pytest.mark.parametrize("argv", [argv for argv, code in EXIT_CASES if code != 2])
+    def test_stdout_to_a_closed_pipe_exits_120(self, tmp_path, argv):
+        # block-buffered stdout is still unwritten when main returns; the failed
+        # flush leaves through interpreter shutdown, which reports it in one
+        # line and exits 120, whatever main's status
+        env = {name: value for name, value in process_env().items() if name != "PYTHONUNBUFFERED"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "fibanyon.cli", *argv], cwd=tmp_path, env=env,
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 120
+        ignored, error = done.stderr.splitlines()
+        assert ignored.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+        assert error.startswith("BrokenPipeError:")
 
     def test_installed_script_is_the_main_block_entry(self):
         tomllib = pytest.importorskip("tomllib")

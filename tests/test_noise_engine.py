@@ -475,6 +475,18 @@ class TestCalibration:
                       "ne.predict_gate_fidelity(bc.hadamard_word(), ne.NoiseModel(t2=(0.4, 0.4)))"]
         assert modules_after_each(statements, "numpy.random") == [[] for _ in statements]
 
+    @pytest.mark.parametrize("command", [
+        ["compile", "--hadamard"], ["compile", "--word", "s12^4 s23^-2"],
+        ["compile", "--named", "sigma12", "--max-letters", "2"], ["dump-matrices", "--out", "{out}"],
+        ["dump-matrices", "--out", "{out}", "--format", "csv"], ["robustness", "--q", "1"]], ids=" ".join)
+    def test_command_loads_neither_simulator_nor_protocols(self, tmp_path, command):
+        # cli imports benchmark_suite and noise_engine only in the commands that use
+        # them; one fresh process per command
+        argv = [a.replace("{out}", str(tmp_path)) for a in command]
+        (loaded,) = modules_after_each([f"assert cli.main({argv!r}) == 0"], "fibanyon")
+        assert "fibanyon.braid_space" in loaded
+        assert not {"fibanyon.benchmark_suite", "fibanyon.noise_engine"} & set(loaded)
+
 
 def cli_commands(tmp_path):
     """Every subcommand, and rb and pb in both spaces, writing under

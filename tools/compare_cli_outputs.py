@@ -8,8 +8,10 @@ tree's ``src`` directory, in a fresh working directory: its input files are in
 ``in/`` and it writes to ``out/``, both given as relative paths, so the two
 runs see identical arguments.  The command forms are every cli-session pool
 case of perfbench (``perfbench/workloads.py``), ``verify --json`` at seeds 0,
-7 and 2**64 - 1, a ``compile --word`` with powers outside the search alphabet
-and ``compile --named hadamard --max-letters 5``.
+7 and 2**64 - 1, a ``compile --word`` with powers outside the search alphabet,
+``compile --named hadamard --max-letters 5``, and the help and usage forms:
+``-h`` alone and after each subcommand, an unknown subcommand, no subcommand,
+and one argparse usage error per subcommand.
 
 Every output file, stdout, stderr and exit status that differs is printed.
 The script exits 1 if anything differs and 0 if every result is
@@ -37,6 +39,18 @@ EXTRA_CASES = [
     (["compile", "--word", "s12^4 s23^-2 s12^3 s23^7", "--out", "{out}/compile.json"], {}),
     (["compile", "--named", "hadamard", "--max-letters", "5", "--out", "{out}/compile.json"], {}),
 ]
+SUBCOMMANDS = ("verify", "compile", "benchmark", "robustness", "dump-matrices", "calibrate")
+HELP_AND_USAGE_CASES = [
+    (argv, {}) for argv in [
+        ["-h"], *([name, "-h"] for name in SUBCOMMANDS), ["no-such-command"], [],
+        ["verify", "--seed", "-1"],
+        ["compile", "--max-letters", "3"],
+        ["benchmark", "--protocol", "xyz", "--out", "{out}"],
+        ["robustness", "--q", "3"],
+        ["dump-matrices", "--format", "csv"],
+        ["calibrate", "--target", "high"],
+    ]
+]
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 SHOWN_DIFF_LINES = 20
 
@@ -46,7 +60,7 @@ def command_forms() -> list[tuple[list[str], dict[str, str]]]:
     files of every command form."""
     pool = [cli_case(kind, i) for kind, size in CLI_POOL.items() for i in range(size)]
     return [([a.replace("{in}", "in").replace("{out}", "out") for a in argv], files)
-            for argv, files in pool + EXTRA_CASES]
+            for argv, files in pool + EXTRA_CASES + HELP_AND_USAGE_CASES]
 
 
 def run(src: Path, args: list[str], files: dict[str, str]) -> dict[str, bytes]:
