@@ -475,9 +475,17 @@ def _brent_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: 
 
 
 def calibrate_t2(word: BraidWord, target_fidelity: float) -> CalibrationResult:
-    """Find a common per-qubit T2 in :data:`T2_BOUNDS` at which the simulated
-    word fidelity hits a target, by Brent's method on log T2 to ``xtol = rtol
-    = 1e-12``.
+    """:func:`calibrate_t2_each` of one target."""
+    return next(calibrate_t2_each(word, (target_fidelity,)))
+
+
+def calibrate_t2_each(word: BraidWord, targets: Iterable[float]) -> Iterator[CalibrationResult]:
+    """For each target in turn, find a common per-qubit T2 in
+    :data:`T2_BOUNDS` at which the simulated word fidelity hits the target,
+    by Brent's method on log T2 to ``xtol = rtol = 1e-12``.  The word's
+    T2-independent set-up (:func:`_t2_fidelity`) is built once, for the first
+    target; a target is calibrated, or rejected, only when its result is
+    asked for.
 
     The search brackets its root from the word's physics before Brent starts.
     With word duration ``tau`` (half a :data:`BRAIDING_STEP_SECONDS` per
@@ -518,15 +526,6 @@ def calibrate_t2(word: BraidWord, target_fidelity: float) -> CalibrationResult:
     against the noiseless product of the same letters, and the reported one
     is the fidelity evaluated at the returned T2;
     :func:`predict_gate_fidelity` computes the same number by tomography."""
-    if math.isnan(target_fidelity):
-        raise ValueError(f"target fidelity {target_fidelity!r} is not a number")
-    return _calibrate(word, _t2_fidelity(word), target_fidelity)
-
-
-def calibrate_t2_each(word: BraidWord, targets: Iterable[float]) -> Iterator[CalibrationResult]:
-    """:func:`calibrate_t2` for each target in turn, building the word's
-    T2-independent set-up (:func:`_t2_fidelity`) once for all of them; a
-    target is calibrated, or rejected, only when its result is asked for."""
     fidelity = None
     for target_fidelity in targets:
         if math.isnan(target_fidelity):
@@ -548,7 +547,7 @@ def _unbracketed(target_fidelity: float) -> UnbracketedTargetError:
 
 def _calibrate(word: BraidWord, fidelity: Callable[[float], float],
                target_fidelity: float) -> CalibrationResult:
-    """:func:`calibrate_t2` of one target, given the word's ``fidelity(T2)``."""
+    """:func:`calibrate_t2_each` of one target, given the word's ``fidelity(T2)``."""
     evaluated: dict[float, float] = {}  # log T2 -> fidelity
     residuals: dict[float, float] = {}  # log T2 -> residual
 

@@ -67,6 +67,20 @@ def b2_printed() -> np.ndarray:
 
 
 @pytest.fixture(scope="session")
+def logical12_printed() -> np.ndarray:
+    """The 2x2 logical-qubit block of ``sigma12``, in closed form."""
+    return np.diag([np.exp(-4j * np.pi / 5), np.exp(3j * np.pi / 5)])
+
+
+@pytest.fixture(scope="session")
+def logical23_printed() -> np.ndarray:
+    return np.array([
+        [np.exp(4j * np.pi / 5) / PHI, np.exp(7j * np.pi / 5) / math.sqrt(PHI)],
+        [np.exp(7j * np.pi / 5) / math.sqrt(PHI), -1 / PHI],
+    ])
+
+
+@pytest.fixture(scope="session")
 def f_printed() -> np.ndarray:
     """The published 4x4 edge-to-tree basis transform."""
     s = 1 + math.sqrt(5)
