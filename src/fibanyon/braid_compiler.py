@@ -51,7 +51,7 @@ class BraidWord:
 
     @property
     def crossing_count(self) -> int:
-        return sum(abs(l.power) for l in self.letters)
+        return sum([abs(power) for _, power in self.letters])
 
     def canonicalize(self) -> "BraidWord":
         """Merge adjacent letters with equal generator index; drop zeros."""
@@ -135,25 +135,31 @@ GENERATOR_ORDER = 10
 as the R-symbols are tenth roots of unity."""
 
 
+def reduced_power(power: int) -> int:
+    """The power that :func:`letter_matrix` raises a generator to: ``power``
+    itself below :data:`GENERATOR_ORDER` in magnitude, else ``sign(power) *
+    (|power| mod 10)``; so always in -9..9, with the sign of ``power`` or 0."""
+    if -GENERATOR_ORDER < power < GENERATOR_ORDER:
+        return power
+    return power % GENERATOR_ORDER if power > 0 else -(-power % GENERATOR_ORDER)
+
+
 @functools.lru_cache(maxsize=128)
 def letter_matrix(space: str, generator: int, power: int) -> np.ndarray:
     """Read-only ``sigma_generator ** power`` on ``space``, one of
     :data:`SPACES`: the one rule by which a braid letter becomes a matrix,
     cached per letter.
 
-    A power of magnitude :data:`GENERATOR_ORDER` or more is first reduced to
-    ``sign(power) * (|power| mod 10)``, so the rounding does not grow with the
-    power; a letter's duration still counts every crossing.  Smaller powers
-    are exactly ``np.linalg.matrix_power``'s."""
+    The power is first reduced by :func:`reduced_power`, so the rounding does
+    not grow with the power; a letter's duration still counts every crossing.
+    Powers below 10 in magnitude are exactly ``np.linalg.matrix_power``'s."""
     if space == "physical4":
         base = braid_space.sigma(generator)
     elif space == "logical2":
         base = braid_space.sigma_logical(generator)
     else:
         raise ValueError(f"unknown space {space!r}; expected one of {SPACES}")
-    if not -GENERATOR_ORDER < power < GENERATOR_ORDER:
-        power = abs(power) % GENERATOR_ORDER if power > 0 else -(-power % GENERATOR_ORDER)
-    u = np.linalg.matrix_power(base, power)
+    u = np.linalg.matrix_power(base, reduced_power(power))
     u.flags.writeable = False
     return u
 

@@ -11,12 +11,12 @@ operation takes :data:`BRAIDING_STEP_SECONDS`, so an elementary crossing
 accounts for half of that.  Channels are Pauli transfer maps throughout: a
 braid word is the composition of per-letter maps (:func:`word_ptm`), and
 the noise after a Clifford pulse is :func:`clifford_noise_ptm`; both read
-their dephasing-then-depolarizing diagonal from one rule.  Every letter's
-ideal transfer matrix and unit dephasing exponents live in one read-only
-letter table of at most 64 rows, from which a word is gathered with one
-``take`` per array.
+their dephasing-then-depolarizing diagonal from one rule.  As
+``sigma ** 10`` is the identity, there are 38 distinct ideal letter transfer
+matrices, one per generator and reduced power -9..9; they live in one fixed
+read-only letter table, from which a word is gathered with one ``take``.
 :func:`calibrate_t2` composes the same per-letter maps, rescaled for each
-trial T2 from the gathered exponents, and finds the
+trial T2 by the word's unit dephasing exponents, and finds the
 target with a Brent root on log T2, started from a bracket built around the
 root that the word's closed-form fidelity slope at zero dephasing predicts.
 Brent runs on the residual of the single-exponential model's log exponent,
@@ -29,10 +29,10 @@ tomography as a cross-check.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
-import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -227,69 +227,47 @@ def clifford_noise_ptm(noise: NoiseModel, dim: int) -> benchmark_suite.PauliTran
     return ptm
 
 
-class _LetterTable:
-    """Read-only table of the braid letters met so far, one row per letter:
-    ``ideal`` holds the ``(16, 16)`` transfer matrix of the letter's ideal
-    unitary, and ``exponents`` the ``(16, 1)`` column of its dephasing
-    exponents at a unit common T2, minus its duration at the default
-    :data:`BRAIDING_STEP_SECONDS` times the number of qubits on which each
-    Pauli string is transverse.
-
-    A letter gets its row on first use.  The table holds ``size`` rows; when
-    a word's new letters do not fit, it starts again, in new arrays, from
-    that word's letters, and a word with more distinct letters than that
-    gets arrays of its own.  A row is written before it is published and
-    never rewritten, so a gather needs no lock; filling takes one."""
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self.lock = threading.Lock()
-        self.state: tuple[dict[tuple[int, int], int], np.ndarray, np.ndarray] = self._empty(size)
-
-    @staticmethod
-    def _empty(size: int) -> tuple[dict[tuple[int, int], int], np.ndarray, np.ndarray]:
-        ideal, exponents = np.empty((size, 16, 16)), np.empty((size, 16, 1))
-        ideal.flags.writeable = exponents.flags.writeable = False
-        return {}, ideal, exponents
-
-    def rows(self, letters: Sequence[braid_compiler.BraidLetter]) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        """The ideal and exponent arrays that hold ``letters``, and their
-        rows in them, in order."""
-        row, ideal, exponents = self.state
-        try:
-            return ideal, exponents, [row[letter] for letter in letters]
-        except KeyError:
-            pass
-        with self.lock:
-            row, ideal, exponents = self.state
-            distinct = dict.fromkeys(letters)
-            new = [letter for letter in distinct if letter not in row]
-            if len(row) + len(new) > self.size:
-                row, ideal, exponents = self._empty(max(self.size, len(distinct)))
-                new = list(distinct)
-            ideal.flags.writeable = exponents.flags.writeable = True
-            for letter in new:
-                generator, power = letter
-                u = braid_compiler.letter_matrix("physical4", generator, power)
-                duration = abs(power) * (BRAIDING_STEP_SECONDS / 2.0)
-                ideal[len(row)] = benchmark_suite.ptm_of_unitary(u).matrix
-                exponents[len(row), :, 0] = -duration * pauli_dephasing_rates((1.0, 1.0))
-                row[letter] = len(row)
-            ideal.flags.writeable = exponents.flags.writeable = False
-            if len(ideal) == self.size:
-                self.state = row, ideal, exponents
-        return ideal, exponents, [row[letter] for letter in letters]
+# The letter table: the transfer matrices of the 38 distinct ideal braid
+# letters, one row per generator and power -9..9 (braid_compiler.reduced_power),
+# each written on first use into _IDEAL_ROWS and read through the read-only
+# view _IDEAL.
+_POWERS = 2 * braid_compiler.GENERATOR_ORDER - 1
+_IDEAL_ROWS = np.empty((len(braid_space.GENERATOR_INDICES) * _POWERS, 16, 16))
+_IDEAL = _IDEAL_ROWS.view()
+_IDEAL.flags.writeable = False
+# A letter's unit dephasing exponents per crossing: minus half a default
+# braiding step times the number of qubits on which each Pauli string is
+# transverse, as a (16, 1) column.
+_CROSSING_EXPONENTS = -(BRAIDING_STEP_SECONDS / 2.0) * pauli_dephasing_rates((1.0, 1.0))[:, None]
 
 
-_LETTERS = _LetterTable(64)
+@functools.lru_cache(maxsize=256)
+def _letter_row(letter: braid_compiler.BraidLetter) -> int:
+    """The row of the letter table that holds ``letter``, written first.
+    Letters whose powers reduce alike write the same values to one row, so a
+    gather needs no lock; the cache is bounded, so words with ever new powers
+    take no more memory."""
+    generator, power = letter
+    power = braid_compiler.reduced_power(power)
+    row = braid_space.GENERATOR_INDICES.index(generator) * _POWERS + power + _POWERS // 2
+    u = braid_compiler.letter_matrix("physical4", generator, power)
+    _IDEAL_ROWS[row] = benchmark_suite.ptm_of_unitary(u).matrix
+    return row
 
 
 def _word_terms(word: BraidWord) -> tuple[np.ndarray, np.ndarray]:
-    """``(L, 16, 16)`` ideal transfer matrices and ``(L, 16, 1)`` unit
-    dephasing exponents of the word's letters, in application order, each
-    gathered from the letter table with one ``take``."""
-    ideal, exponents, rows = _LETTERS.rows(word.letters)
-    return ideal.take(rows, 0), exponents.take(rows, 0)
+    """``(L, 16, 16)`` ideal transfer matrices of the word's letters, in
+    application order, gathered from the letter table with one ``take``, and
+    their ``(L, 16, 1)`` dephasing exponents at a unit common T2: each
+    letter's duration at the default :data:`BRAIDING_STEP_SECONDS` times
+    minus the number of qubits on which each Pauli string is transverse.
+
+    The exponents are ``|power|`` times the per-crossing column, which is
+    the duration times that count to the bit: the count is 0, 1 or 2."""
+    letters = word.letters
+    crossings = np.array([abs(power) for _, power in letters], dtype=float)
+    return (_IDEAL.take([_letter_row(letter) for letter in letters], 0),
+            np.multiply.outer(crossings, _CROSSING_EXPONENTS))
 
 
 def _compose(letters: np.ndarray) -> np.ndarray:
@@ -321,8 +299,8 @@ def word_ptm(word: BraidWord, noise: NoiseModel) -> benchmark_suite.PauliTransfe
     """
     durations = np.array([letter_duration(letter, noise) for letter in word.letters])
     scaling = _noise_diagonal(noise, durations.reshape(-1, 1))[..., None]
-    ideal, _, rows = _LETTERS.rows(word.letters)
-    return benchmark_suite.PauliTransferMap(_compose(scaling * ideal.take(rows, 0)), 4)
+    stack, _ = _word_terms(word)
+    return benchmark_suite.PauliTransferMap(_compose(scaling * stack), 4)
 
 
 def clifford_gateset(noise: NoiseModel, space: str,
@@ -400,9 +378,9 @@ def _t2_fidelity(word: BraidWord) -> Callable[[float], float]:
     other noise, as a function of that T2.
 
     Everything that does not depend on T2 is done here, once: the letters'
-    transfer-matrix stack and unit dephasing exponents, gathered from the
-    letter table (:func:`_word_terms`), and the ideal transfer matrix, the
-    noiseless product of the same stack.  An evaluation is then
+    transfer-matrix stack, gathered from the letter table, and their unit
+    dephasing exponents (:func:`_word_terms`), and the ideal transfer
+    matrix, the noiseless product of the same stack.  An evaluation is then
     one exp, a row scaling, about log2 L stacked matmuls and one dot product:
     the arithmetic of :func:`word_ptm`, up to rounding."""
     stack, exponents = _word_terms(word)

@@ -123,6 +123,16 @@ class TestLetterMatrix:
             expected = np.linalg.matrix_power(bases[space](generator), reduced(power)) @ expected
         np.testing.assert_array_equal(bc.evaluate(word_from(letters), space), expected)
 
+    @given(space=st.sampled_from(bc.SPACES), generator=st.sampled_from([12, 23]),
+           power=st.integers(-10**12, 10**12))
+    @settings(max_examples=100, deadline=None)
+    def test_reduced_power_raises_to_the_same_matrix(self, space, generator, power):
+        # the one reduction that letter_matrix and the noise engine's letter table share
+        reduced = bc.reduced_power(power)
+        np.testing.assert_array_equal(bc.letter_matrix(space, generator, power),
+                                      bc.letter_matrix(space, generator, reduced))
+        assert reduced == 0 or (-9 <= reduced <= 9 and (reduced > 0) == (power > 0))
+
     @pytest.mark.parametrize("space", bc.SPACES)
     @pytest.mark.parametrize("power", [10, -10, 10**6, -(10**15), 10**18, 10**400])
     def test_multiples_of_the_order_are_the_identity(self, space, power):

@@ -675,27 +675,24 @@ class TestLetterTable:
         scaling = ne._noise_diagonal(noise, durations.reshape(-1, 1))[..., None]
         np.testing.assert_array_equal(ne.word_ptm(word, noise).matrix, ne._compose(scaling * stack))
 
-    def test_stays_within_64_rows(self):
-        for power in range(1, 1001):
-            word = bc.BraidWord.from_letters([(12, power), (23, -power)])
-            stack, _ = ne._word_terms(word)
-            row, ideal, exponents = ne._LETTERS.state
-            assert len(row) <= 64 and len(ideal) == len(exponents) == 64
-        np.testing.assert_array_equal(stack[1], letter_block(23, -1000)[0])
-        big = bc.BraidWord.from_letters([(12, p) for p in range(1, 101)])
-        np.testing.assert_array_equal(ne._word_terms(big)[0][-1], letter_block(12, 100)[0])
-        row, ideal, _ = ne._LETTERS.state
-        assert len(row) <= 64 and len(ideal) == 64
+    def test_holds_one_row_per_reduced_power(self):
+        # 2 generators x powers -9..9; every power gathers the row of its reduced power
+        assert ne._IDEAL.shape == (38, 16, 16)
+        expected = {(g, p): letter_block(g, p)[0] for g in (12, 23) for p in range(-9, 10)}
+        for power in [*range(1, 1001), 10**9]:
+            letters = [(12, power), (23, power), (12, -power), (23, -power)]
+            stack, _ = ne._word_terms(bc.BraidWord.from_letters(letters))
+            for (generator, p), ideal in zip(letters, stack):
+                np.testing.assert_array_equal(ideal, expected[generator, bc.reduced_power(p)])
 
     def test_read_only(self):
         ne._word_terms(bc.hadamard_word())
-        for table in ne._LETTERS.state[1:]:
-            with pytest.raises(ValueError, match="read-only"):
-                table[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            ne._IDEAL[0, 0, 0] = 1.0
 
     def test_threads_gather_their_own_letters(self):
         # four threads gather words of 9 new powers each while the others
-        # refill and restart the table; every gathered row must be its letter's
+        # write the rows of theirs; every gathered row must be its letter's
         words = [[(12 + 11 * (p % 2), 9 * t + p) for p in range(1, 10)] for t in range(1000)]
         expected = {letter: letter_block(*letter)[0] for word in words for letter in word}
         wrong = []
