@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import braid_space
+from . import braid_compiler, braid_space
 from ._linalg import dagger, phase_distances
 
 PAULI_1Q = (
@@ -228,7 +228,6 @@ def dephasing_ptm(decay: float) -> PauliTransferMap:
 # ---------------------------------------------------------------------------
 
 
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _PHASE_S = np.array([[1, 0], [0, 1j]], dtype=complex)
 
 
@@ -247,9 +246,10 @@ class CliffordGroup:
     """
 
     def __init__(self) -> None:
+        generators = (braid_compiler.hadamard_gate(), _PHASE_S)
         seen = [np.eye(2, dtype=complex)]
         for u in seen:  # seen grows while it is read: a breadth-first queue
-            for g in (_HADAMARD, _PHASE_S):
+            for g in generators:
                 cand = _phase_canonical(g @ u)
                 # dedup tolerance must sit well above the sqrt noise
                 # floor of the phase distance (~1e-8 for equal matrices)
@@ -675,29 +675,23 @@ def _run_sequences(
     values = []
     for block, active in plan.blocks:
         indices = _stream_integers(seed, plan.streams[block], len(gateset.group), plan.lengths[block])
-        values.append(_advance_active(gateset, indices, active, interleave, target, recovery))
+        values.append(_advance(gateset, indices, active, interleave, target, recovery))
     values = np.concatenate(values).reshape(len(plan.order), k)
     means, stds = np.empty(len(plan.order)), np.empty(len(plan.order))
     means[plan.order], stds[plan.order] = values.mean(axis=1), values.std(axis=1, ddof=1)
     return means, stds
 
 
-def _advance(gateset: GateSet, indices: np.ndarray, lengths: np.ndarray,
+def _advance(gateset: GateSet, indices: np.ndarray, active: Sequence[int],
              interleave: NoisyGate | None, target: np.ndarray | None, recovery: bool) -> np.ndarray:
     """Per-sequence survival (``recovery``) or rescaled purity of sequences
     ordered longest first, sequence i applying ``indices[:lengths[i], i]``:
     row t of the step-major ``indices`` (:func:`_stream_integers`) is the
-    contiguous step t of every sequence.  :func:`_run_sequences` takes the
-    per-step counts from its plan and calls :func:`_advance_active`."""
-    return _advance_active(gateset, indices, _active_counts(lengths), interleave, target, recovery)
-
-
-def _advance_active(gateset: GateSet, indices: np.ndarray, active: Sequence[int],
-                    interleave: NoisyGate | None, target: np.ndarray | None,
-                    recovery: bool) -> np.ndarray:
-    """:func:`_advance` given ``active[t]``, the number of sequences longer
-    than t.  The interleaved target is folded into the 24 maps and frames it
-    follows once, so each step gathers and multiplies one stack of each.
+    contiguous step t of every sequence.  ``active[t]`` is the number of
+    sequences longer than t, :func:`_active_counts` of the lengths, which
+    :func:`_run_sequences` takes from its plan.  The interleaved target is
+    folded into the 24 maps and frames it follows once, so each step gathers
+    and multiplies one stack of each.
     Step 0 acts on the prepared state in every sequence, so its 24 products
     are taken once and gathered: the same matrix-vector products as a
     gathered step, on the same operands.  The 2x2 frames update in place."""

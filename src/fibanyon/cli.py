@@ -170,6 +170,8 @@ def _random_word_leakage(seed: int, count: int, s12: np.ndarray, s23: np.ndarray
     sigma12, sigma23 and their inverses (:func:`_random_words`).  A batch's
     words advance together, longest first, one letter on the left of each
     per step."""
+    from .benchmark_suite import _active_counts
+
     generators = np.array([s23.conj().T, s23, s12.conj().T, s12])  # by letter
     p_l = braid_space.logical_projector()
     worst = 0.0
@@ -178,9 +180,8 @@ def _random_word_leakage(seed: int, count: int, s12: np.ndarray, s23: np.ndarray
         index[np.arange(lengths.max()) < lengths[:, None]] = letters
         order = np.argsort(-lengths, kind="stable")
         index, lengths = index[order], lengths[order]
-        active = len(lengths) - np.searchsorted(lengths[::-1], np.arange(lengths[0]), side="right")
         u = np.tile(np.eye(4, dtype=complex), (len(lengths), 1, 1))
-        for a, step in zip(active, index.T):
+        for a, step in zip(_active_counts(lengths), index.T):
             u[:a] = generators[step[:a]] @ u[:a]
         leak = np.linalg.norm((np.eye(4) - p_l) @ u @ p_l, 2, axis=(1, 2))
         worst = max(worst, float(leak.max()))
@@ -564,12 +565,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         if not 0.0 < target < 1.0:
             print(f"{label} target fidelity must lie in (0, 1), got {target!r}", file=sys.stderr)
             return 2
-    calibrations = noise_engine.calibrate_t2_each(braid_compiler.hadamard_word(),
-                                                  [target for _, target in targets])
+    word = braid_compiler.hadamard_word()
     results = {}
     for label, target in targets:
         try:
-            cal = next(calibrations)
+            cal = noise_engine.calibrate_t2(word, target)
         except noise_engine.UnbracketedTargetError as exc:
             print(f"{label}: {exc}", file=sys.stderr)
             return 2

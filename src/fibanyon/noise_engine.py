@@ -35,7 +35,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -197,7 +197,8 @@ def _noise_diagonal(noise: NoiseModel, duration: float | np.ndarray) -> np.ndarr
     mixing = np.full(gamma.shape, 1.0 - noise.depolarizing_prob)
     mixing[0] = 1.0
     exponent = np.zeros(np.broadcast_shapes(np.shape(duration), gamma.shape))
-    np.multiply(duration, gamma, out=exponent, where=gamma > 0)
+    with np.errstate(over="ignore"):  # an overflowed exponent decays to exactly 0
+        np.multiply(duration, gamma, out=exponent, where=gamma > 0)
     return np.exp(-exponent) * mixing
 
 
@@ -452,18 +453,23 @@ def _brent_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: 
     raise RuntimeError("root search did not converge in 100 steps")
 
 
+_LOG_T2_BOUNDS = (math.log(T2_BOUNDS[0]), math.log(T2_BOUNDS[1]))
+_LOG_MONOTONE_EXPONENT = math.log(MONOTONE_EXPONENT)
+
+
+def _unbracketed(target_fidelity: float) -> UnbracketedTargetError:
+    return UnbracketedTargetError(
+        f"target fidelity {target_fidelity!r} lies outside the fidelities "
+        f"reached between T2 = {T2_BOUNDS[0]:g} s and {T2_BOUNDS[1]:g} s"
+    )
+
+
 def calibrate_t2(word: BraidWord, target_fidelity: float) -> CalibrationResult:
-    """:func:`calibrate_t2_each` of one target."""
-    return next(calibrate_t2_each(word, (target_fidelity,)))
-
-
-def calibrate_t2_each(word: BraidWord, targets: Iterable[float]) -> Iterator[CalibrationResult]:
-    """For each target in turn, find a common per-qubit T2 in
-    :data:`T2_BOUNDS` at which the simulated word fidelity hits the target,
-    by Brent's method on log T2 to ``xtol = rtol = 1e-12``.  The word's
-    T2-independent set-up (:func:`_t2_fidelity`) is built once, for the first
-    target; a target is calibrated, or rejected, only when its result is
-    asked for.
+    """Find a common per-qubit T2 in :data:`T2_BOUNDS` at which the simulated
+    word fidelity hits the target, by Brent's method on log T2 to ``xtol =
+    rtol = 1e-12``.  The word's T2-independent set-up is
+    :func:`_t2_fidelity`.  A NaN target raises ``ValueError``, and one that
+    the bracket does not reach :class:`UnbracketedTargetError`.
 
     The search brackets its root from the word's physics before Brent starts.
     With word duration ``tau`` (half a :data:`BRAIDING_STEP_SECONDS` per
@@ -504,40 +510,20 @@ def calibrate_t2_each(word: BraidWord, targets: Iterable[float]) -> Iterator[Cal
     against the noiseless product of the same letters, and the reported one
     is the fidelity evaluated at the returned T2;
     :func:`predict_gate_fidelity` computes the same number by tomography."""
-    fidelity = None
-    for target_fidelity in targets:
-        if math.isnan(target_fidelity):
-            raise ValueError(f"target fidelity {target_fidelity!r} is not a number")
-        fidelity = fidelity or _t2_fidelity(word)
-        yield _calibrate(word, fidelity, target_fidelity)
-
-
-_LOG_T2_BOUNDS = (math.log(T2_BOUNDS[0]), math.log(T2_BOUNDS[1]))
-_LOG_MONOTONE_EXPONENT = math.log(MONOTONE_EXPONENT)
-
-
-def _unbracketed(target_fidelity: float) -> UnbracketedTargetError:
-    return UnbracketedTargetError(
-        f"target fidelity {target_fidelity!r} lies outside the fidelities "
-        f"reached between T2 = {T2_BOUNDS[0]:g} s and {T2_BOUNDS[1]:g} s"
-    )
-
-
-def _calibrate(word: BraidWord, fidelity: Callable[[float], float],
-               target_fidelity: float) -> CalibrationResult:
-    """:func:`calibrate_t2_each` of one target, given the word's ``fidelity(T2)``."""
-    evaluated: dict[float, float] = {}  # log T2 -> fidelity
-    residuals: dict[float, float] = {}  # log T2 -> residual
+    if math.isnan(target_fidelity):
+        raise ValueError(f"target fidelity {target_fidelity!r} is not a number")
+    fidelity = _t2_fidelity(word)
+    evaluated: dict[float, tuple[float, float]] = {}  # log T2 -> (fidelity, residual)
 
     def residual(log_t2: float) -> float:
-        if log_t2 not in residuals:
-            evaluated[log_t2] = at = fidelity(math.exp(log_t2))
-            residuals[log_t2] = log_target - _log_exponent(at)
-        return residuals[log_t2]
+        if log_t2 not in evaluated:
+            at = fidelity(math.exp(log_t2))
+            evaluated[log_t2] = at, log_target - _log_exponent(at)
+        return evaluated[log_t2][1]
 
     def gap(log_t2: float) -> float:
         residual(log_t2)
-        return evaluated[log_t2] - target_fidelity
+        return evaluated[log_t2][0] - target_fidelity
 
     lo, hi = _LOG_T2_BOUNDS
     tau = word.crossing_count * BRAIDING_STEP_SECONDS / 2
@@ -562,7 +548,7 @@ def _calibrate(word: BraidWord, fidelity: Callable[[float], float],
     if (lo < a < monotone_from and gap(lo) > 0) or (b < hi < monotone_from and gap(hi) < 0):
         raise _unbracketed(target_fidelity)
     log_t2 = _brent_root(residual, a, b, residual(a), residual(b))
-    return CalibrationResult(t2=math.exp(log_t2), fidelity=evaluated[log_t2], target=target_fidelity)
+    return CalibrationResult(t2=math.exp(log_t2), fidelity=evaluated[log_t2][0], target=target_fidelity)
 
 
 # ---------------------------------------------------------------------------

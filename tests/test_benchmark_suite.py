@@ -909,6 +909,13 @@ def _float_frame_survivals(gateset, indices, lengths):
 
 
 class TestBatchedSequences:
+    @given(st.lists(st.integers(1, 300), min_size=1, max_size=40))
+    def test_active_counts_count_the_longer_sequences(self, lengths):
+        lengths = np.array(sorted(lengths, reverse=True))
+        counts = bench._active_counts(lengths)
+        assert len(counts) == lengths[0]
+        assert counts == [np.count_nonzero(lengths > t) for t in range(lengths[0])]
+
     @given(
         space=st.sampled_from(("ls", "ps")),
         t2=st.one_of(st.none(), st.floats(0.05, 5.0)),
@@ -929,7 +936,7 @@ class TestBatchedSequences:
         gateset = make(noise=ne.clifford_noise_ptm(model, dim), group=group)
         lengths = np.array(sorted(lengths, reverse=True))
         indices = bench.rng_for(seed, 0).integers(0, len(group), size=(lengths[0], len(lengths)))
-        got = bench._advance(gateset, indices, lengths, None, None, True)
+        got = bench._advance(gateset, indices, bench._active_counts(lengths), None, None, True)
         want = _float_frame_survivals(gateset, indices, lengths)
         assert np.array_equal(got, want)
 

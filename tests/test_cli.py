@@ -409,14 +409,11 @@ class TestBenchmark:
         ["--protocol", "rb", "--space", "ps", "--interleave-hadamard", "--m-grid", "1", "2", "4", "--k", "3"],
         ["--protocol", "pb", "--space", "ls", "--m-grid", "1", "2", "4", "--k", "3"],
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_largest_braiding_step_writes_finite_numbers(self, tmp_path, capsys, argv):
-        # a letter's duration once overflowed to inf here, and inf times a zero rate is NaN
-        noise = tmp_path / "noise.json"
-        noise.write_text('{"braiding_step": 1e308}')
-        out_dir = tmp_path / "out"
-        assert run(["benchmark", *argv, "--noise", str(noise), "--out", str(out_dir)]) == 0
-        capsys.readouterr()
-
+        # a letter's duration once overflowed to inf here, and inf times a zero rate is NaN;
+        # with T2 set, a letter's or a physical-space Clifford's duration times its rate
+        # overflows too, which must not warn
         def numbers(value):
             if isinstance(value, dict):
                 return [x for v in value.values() for x in numbers(v)]
@@ -424,13 +421,20 @@ class TestBenchmark:
                 return [x for v in value for x in numbers(v)]
             return [value] if isinstance(value, float) else []
 
-        written = []
-        for path in out_dir.iterdir():
-            if path.suffix == ".json":
-                written += numbers(json.loads(path.read_text()))
-            else:
-                written += [float(c) for line in path.read_text().splitlines()[1:] for c in line.split(",")]
-        assert written and all(np.isfinite(written))
+        for i, content in enumerate(('{"braiding_step": 1e308}', '{"t2": [1, 1], "braiding_step": 1e308}',
+                                     '{"t2": [1, 1], "clifford_duration": 1e308}')):
+            noise = tmp_path / f"noise{i}.json"
+            noise.write_text(content)
+            out_dir = tmp_path / f"out{i}"
+            assert run(["benchmark", *argv, "--noise", str(noise), "--out", str(out_dir)]) == 0
+            capsys.readouterr()
+            written = []
+            for path in out_dir.iterdir():
+                if path.suffix == ".json":
+                    written += numbers(json.loads(path.read_text()))
+                else:
+                    written += [float(c) for line in path.read_text().splitlines()[1:] for c in line.split(",")]
+            assert written and all(np.isfinite(written))
 
     def test_fit_divergence_exits_2(self, tmp_path, capsys, monkeypatch):
         def diverge(*args, **kwargs):
@@ -600,13 +604,21 @@ class TestCalibrate:
         assert abs(data["t2"]["fidelity"] - 0.9823) < 5e-4
         assert abs(data["t2_star"]["fidelity"] - 0.9463) < 5e-4
 
-    def test_word_set_up_built_once_for_both_targets(self, tmp_path, capsys, monkeypatch):
-        built = []
-        word_terms = ne._word_terms
-        monkeypatch.setattr(ne, "_word_terms", lambda word: built.append(word) or word_terms(word))
-        assert run(["calibrate", "--out", str(tmp_path / "cal.json")]) == 0
+    @pytest.mark.parametrize("flags, targets", [
+        ([], (cli.T2_FIDELITY_TARGET, cli.T2_STAR_FIDELITY_TARGET)),
+        (["--target", "0.97", "--star-target", "0.93"], (0.97, 0.93)),
+    ])
+    def test_writes_the_library_calibrations(self, tmp_path, capsys, flags, targets):
+        out = tmp_path / "cal.json"
+        assert run(["calibrate", *flags, "--out", str(out)]) == 0
         capsys.readouterr()
-        assert built == [bc.hadamard_word()]
+        data = json.loads(out.read_text())
+        for label, target in zip(("t2", "t2_star"), targets):
+            cal = ne.calibrate_t2(bc.hadamard_word(), target)
+            written = data[label]
+            assert written["target"] == target
+            assert written["t2_seconds"].hex() == cal.t2.hex()
+            assert written["fidelity"].hex() == cal.fidelity.hex()
 
     @pytest.mark.parametrize("flags", [
         ["--target", "1.5"],

@@ -27,9 +27,10 @@ The four corpora:
   hex floats, or the error a fit raised.
 * calibrations: ``calibrate_t2`` of every word of 500 seeded noise-sweep
   rounds, parsed with ``BraidWord.from_string`` as the workload's task does,
-  and ``calibrate_t2_each`` of the Hadamard word, once at ``fibanyon
-  calibrate``'s default targets and once per unbracketed or invalid target,
-  each after the default T2 target as when ``calibrate`` meets it second.
+  and ``calibrate_t2`` of the Hadamard word at each of ``fibanyon
+  calibrate``'s default targets in turn, and at the default T2 target and
+  then at each unbracketed or invalid target, as when ``calibrate`` meets it
+  second.
   ``t2`` and ``fidelity`` are compared as hex floats, or the error raised.
 * RB/PB runs: ``run_protocols(..., purity=True)`` of the braided Hadamard
   (``noise_engine.clifford_gateset`` and ``hadamard_target``, as ``fibanyon
@@ -127,10 +128,9 @@ for r in range(rounds):
                (ne.calibrate_t2(bc.BraidWord.from_string(word), target) for _ in (0,)))
 hadamard = bc.hadamard_word()
 defaults = (cli.T2_FIDELITY_TARGET, cli.T2_STAR_FIDELITY_TARGET)
-record(f"calibrate_t2_each(hadamard, {defaults!r})", ne.calibrate_t2_each(hadamard, defaults))
-for target in unbracketed:
-    targets = (cli.T2_FIDELITY_TARGET, target)
-    record(f"calibrate_t2_each(hadamard, {targets!r})", ne.calibrate_t2_each(hadamard, targets))
+for targets in (defaults, *((cli.T2_FIDELITY_TARGET, target) for target in unbracketed)):
+    record(f"calibrate_t2(hadamard, each of {targets!r})",
+           (ne.calibrate_t2(hadamard, target) for target in targets))
 json.dump(results, sys.stdout)
 """
 RUN_ALL = """
