@@ -19,12 +19,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import braid_compiler, braid_space
-from ._linalg import dagger, phase_distances
+from ._linalg import check_unitary, dagger, phase_distances
 
 PAULI_1Q = (
     np.eye(2, dtype=complex),
@@ -41,6 +41,10 @@ MAX_SEQUENCES = 100_000
 from stream ``mi * MAX_SEQUENCES + ki``, so more would share the streams of
 the next length."""
 _SEQUENCE_BLOCK = 4096  # sequences advanced together; bounds the gathered (n, d^2, d^2) stack
+_RECOVERY_CHUNK = 256
+"""Steps whose recovery frames are reduced together: bounds the padded copy
+of a block's indices and the wider levels of its integer product to a few
+MiB (:func:`_recoveries`)."""
 MAX_LENGTH = 4096
 """Longest sequence: one block's Clifford indices are ``MAX_LENGTH *
 _SEQUENCE_BLOCK`` uint8 draws, 16 MiB, and drawing them peaks a few MiB above
@@ -641,18 +645,16 @@ def _run_sequences(
     either space the RB recovery gate inverts the logical frame: the product
     of 2x2 group elements and the interleaved target's logical block.  Raises
     ``ValueError`` for k < 2 or k > :data:`MAX_SEQUENCES`, fewer than 3
-    distinct lengths, or a length < 1 or > :data:`MAX_LENGTH`.
+    distinct lengths, a length < 1 or > :data:`MAX_LENGTH`, or, with
+    recovery, a target whose logical block is not unitary within
+    ``UNITARY_TOL`` (a leaking target has no logical frame).
 
     Sequence ``ki`` of the ``mi``-th length draws its Clifford indices from
     the stream ``rng_for(seed, mi * MAX_SEQUENCES + ki)``.  All k sequences of
     every length advance together, longest first, in blocks of at most
-    ``_SEQUENCE_BLOCK``: step t moves the prefix of sequences longer than t,
-    applying a gathered stack of transfer matrices to their ``(d^2, 1)``
-    coefficient columns and updating their logical frames, so a block takes
-    max(m) Python steps.  Reference RB frames stay in the group and are
-    tracked as element indices through :attr:`CliffordGroup.table`; the
-    braided target leaves it, so interleaved RB multiplies 2x2 frames and
-    takes one batched ``nearest`` per block.
+    ``_SEQUENCE_BLOCK``: each block's recovery gates come from its indices
+    alone (:func:`_recoveries`), and :func:`_advance` then applies the
+    transfer maps, max(m) Python steps a block.
 
     The order, lengths, stream ids, blocks and per-step counts depend only on
     the grid: they come from :func:`_plan`, which keeps the last grid's, so
@@ -666,16 +668,20 @@ def _run_sequences(
         raise ValueError(f"need at least 3 distinct sequence lengths of at least 1, got {tuple(m_values)}")
     if max(m_values) > MAX_LENGTH:
         raise ValueError(f"need sequence lengths of at most {MAX_LENGTH}, got {max(m_values)}")
-    # the recovery's logical block of the target, the iso† u iso of braid_space.logical_restrict
-    target = interleave.unitary if recovery and interleave is not None else None
-    if target is not None and target.shape == (4, 4):
-        iso = braid_space.logical_encoding()
-        target = dagger(iso) @ target @ iso
+    target = None
+    if recovery and interleave is not None:
+        # the recovery's logical block of the target, the iso† u iso of braid_space.logical_restrict
+        target = np.asarray(interleave.unitary, dtype=complex)
+        if target.shape == (4, 4):
+            iso = braid_space.logical_encoding()
+            target = dagger(iso) @ target @ iso
+        check_unitary(target, what="the interleaved target's logical block")
     plan = _plan(tuple(m_values), k, _SEQUENCE_BLOCK)
     values = []
     for block, active in plan.blocks:
         indices = _stream_integers(seed, plan.streams[block], len(gateset.group), plan.lengths[block])
-        values.append(_advance(gateset, indices, active, interleave, target, recovery))
+        recoveries = _recoveries(gateset.group, indices, active, target) if recovery else None
+        values.append(_advance(gateset, indices, active, interleave, recoveries))
     values = np.concatenate(values).reshape(len(plan.order), k)
     means, stds = np.empty(len(plan.order)), np.empty(len(plan.order))
     means[plan.order], stds[plan.order] = values.mean(axis=1), values.std(axis=1, ddof=1)
@@ -683,49 +689,119 @@ def _run_sequences(
 
 
 def _advance(gateset: GateSet, indices: np.ndarray, active: Sequence[int],
-             interleave: NoisyGate | None, target: np.ndarray | None, recovery: bool) -> np.ndarray:
-    """Per-sequence survival (``recovery``) or rescaled purity of sequences
-    ordered longest first, sequence i applying ``indices[:lengths[i], i]``:
-    row t of the step-major ``indices`` (:func:`_stream_integers`) is the
-    contiguous step t of every sequence.  ``active[t]`` is the number of
-    sequences longer than t, :func:`_active_counts` of the lengths, which
+             interleave: NoisyGate | None, recoveries: np.ndarray | None) -> np.ndarray:
+    """Per-sequence survival after the recovery gates ``recoveries`` (RB), or
+    rescaled purity when they are None (PB), of sequences ordered longest
+    first, sequence i applying ``indices[:lengths[i], i]``: row t of the
+    step-major ``indices`` (:func:`_stream_integers`) is the contiguous step
+    t of every sequence.  ``active[t]`` is the number of sequences longer
+    than t, :func:`_active_counts` of the lengths, which
     :func:`_run_sequences` takes from its plan.  The interleaved target is
-    folded into the 24 maps and frames it follows once, so each step gathers
-    and multiplies one stack of each.
+    folded into the 24 maps once, so each step gathers and multiplies one
+    stack of transfer matrices; the loop does nothing else.
     Step 0 acts on the prepared state in every sequence, so its 24 products
     are taken once and gathered: the same matrix-vector products as a
-    gathered step, on the same operands.  The 2x2 frames update in place."""
-    group, ptms, d = gateset.group, gateset.ptms, gateset.dim
+    gathered step, on the same operands."""
+    ptms, d = gateset.ptms, gateset.dim
     steps = ptms if interleave is None else interleave.ptm.matrix @ ptms
-    n = active[0]
     # take gathers like indexing, with less overhead
     coeffs = (steps @ gateset.prep[:, None]).take(indices[0], axis=0)
-    if recovery and target is None:
-        frames = np.zeros(n, dtype=np.intp)  # element 0 is the identity
-    elif recovery:
-        # (2, 2, n) frames: each entry of the 2x2 product runs over one long axis
-        frames = np.zeros((2, 2, n), dtype=complex)
-        frames[0, 0] = frames[1, 1] = 1.0
-        step_frames = np.ascontiguousarray((target @ group.elements).transpose(1, 2, 0))
-    for t, (a, idx) in enumerate(zip(active, indices)):
-        idx = idx[:a]
-        if t:
-            coeffs[:a] = steps.take(idx, axis=0) @ coeffs[:a]
-        if recovery and target is None:
-            frames[:a] = group.table[idx, frames[:a]]
-        elif recovery:
-            s, f = step_frames.take(idx, axis=2), frames[:, :, :a]
-            np.add(s[:, :1] * f[:1], s[:, 1:] * f[1:], out=f)
-    if recovery:
-        if target is None:
-            inverses = group.inverse[frames]
-        else:
-            frames = np.ascontiguousarray(frames.transpose(2, 0, 1))
-            inverses = group.nearest(frames.conj().swapaxes(1, 2))
-        coeffs = ptms[inverses] @ coeffs
+    for a, idx in zip(active[1:], indices[1:]):
+        coeffs[:a] = steps.take(idx[:a], axis=0) @ coeffs[:a]
+    if recoveries is not None:
+        coeffs = ptms[recoveries] @ coeffs
         return (gateset.prep @ coeffs)[:, 0] / d
     plain = np.sum(coeffs[..., 0] ** 2, axis=1) / d
     return (d * plain - 1.0) / (d - 1.0)
+
+
+def _recoveries(group: CliffordGroup, indices: np.ndarray, active: Sequence[int],
+                target: np.ndarray | None) -> np.ndarray:
+    """Index of each sequence's RB recovery gate, the group element nearest
+    the inverse of its logical frame, for :func:`_advance`'s ``indices`` and
+    ``active``.  The frame is the product of the sequence's step frames,
+    later steps on the left; a step frame is the drawn element, followed in
+    interleaved RB by the target's logical block ``target``.  Steps are
+    reduced :data:`_RECOVERY_CHUNK` at a time from a copy of the indices in
+    which every step past a sequence's end is the identity.
+
+    Reference RB frames stay in the group: a chunk's element indices are
+    multiplied pairwise in log depth through a uint8 copy of
+    :attr:`CliffordGroup.table`, exact integer arithmetic, and the recovery
+    is the frame's inverse.  Interleaved frames leave the group, so each is
+    a real unit quaternion F, updated two steps at a time from
+    :func:`_quaternion_tables`, and the recovery is the argmax of
+    ``|(C F)_0|`` over the 24 Clifford quaternions C.  Since ``|tr(C F)| =
+    2 |(C F)_0|`` on SU(2), that ranks the elements as
+    :meth:`CliffordGroup.nearest`'s phase distance does."""
+    size = len(group)
+    if target is None:
+        table = group.table.astype(np.uint8).ravel()
+        frames = np.zeros(active[0], dtype=np.uint8)  # element 0 is the identity
+        for _, chunk in _chunks(indices, active, 0, np.uint8):
+            while len(chunk) > 1:
+                even = len(chunk) - len(chunk) % 2
+                merged = table.take(chunk[1:even:2].astype(np.uint16) * size + chunk[0:even:2])
+                chunk = np.concatenate([merged, chunk[even:]])
+            head = frames[:chunk.shape[1]]
+            head[:] = table.take(chunk[0].astype(np.uint16) * size + head)
+        return group.inverse[frames]
+    pairs, scalar_rows = _quaternion_tables(group, target.tobytes())
+    frames = np.zeros((4, active[0]))
+    frames[0] = 1.0
+    for lo, chunk in _chunks(indices, active, size, np.uint16):
+        for t, pair in zip(range(lo, lo + len(chunk), 2), chunk[0::2] * (size + 1) + chunk[1::2]):
+            head = frames[:, :active[t]]
+            left = pairs.take(pair[:active[t]], axis=1).reshape(4, 4, -1)
+            head[:] = np.einsum("kjn,jn->kn", left, head)
+    return np.argmax(np.abs(scalar_rows @ frames), axis=0)
+
+
+def _chunks(indices: np.ndarray, active: Sequence[int], identity: int,
+            dtype: type) -> Iterator[tuple[int, np.ndarray]]:
+    """Each chunk's first step and a copy, as ``dtype``, of its
+    :data:`_RECOVERY_CHUNK` or fewer steps of the sequences running at that
+    step, with ``identity`` at every step past a sequence's end, and one more
+    row of it in a chunk of odd length, so that its steps pair up."""
+    for lo in range(0, len(active), _RECOVERY_CHUNK):
+        rows, a = min(_RECOVERY_CHUNK, len(active) - lo), active[lo]
+        chunk = np.full((rows + rows % 2, a), identity, dtype=dtype)
+        chunk[:rows] = indices[lo:lo + rows, :a]
+        for t in range(lo + 1, lo + rows):
+            if active[t] < active[t - 1]:  # sequences active[t]: to active[t - 1] end at step t
+                chunk[t - lo:, active[t]:active[t - 1]] = identity
+        yield lo, chunk
+
+
+_QUATERNION_BASIS = np.array([PAULI_1Q[0], *(-1j * p for p in PAULI_1Q[1:])])
+"""I, -iX, -iY, -iZ: in these real coordinates a product in SU(2) is the
+Hamilton product."""
+
+
+def _left_products(u: np.ndarray) -> np.ndarray:
+    """``(..., 4, 4)`` real matrices of left multiplication by the ``(..., 2,
+    2)`` unitaries ``u`` scaled to SU(2), in the coordinates ``q_m = Re tr(B_m†
+    U) / 2`` of :data:`_QUATERNION_BASIS` B: column j holds those of ``u
+    B_j``, so row 0 maps F to the scalar part of ``u F``."""
+    special = u / np.sqrt(np.linalg.det(u))[..., None, None]
+    products = special[..., None, :, :] @ _QUATERNION_BASIS
+    return np.einsum("kab,...jab->...kj", _QUATERNION_BASIS.conj(), products).real / 2
+
+
+@functools.lru_cache(maxsize=4)
+def _quaternion_tables(group: CliffordGroup, target: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only interleaved-RB tables for the 2x2 logical block whose bytes
+    are ``target``, built on first use: the ``(16, 625)`` left-multiplication
+    matrices, flattened, of every two steps, column ``25 i + j`` for the
+    step frames ``target @ elements[i]`` then ``target @ elements[j]``, with
+    index 24 the identity; and the ``(24, 4)`` rows taking a frame F to
+    ``(C F)_0`` for each element C."""
+    frames = np.frombuffer(target, dtype=complex).reshape(2, 2) @ group.elements
+    left = _left_products(np.concatenate([frames, np.eye(2)[None]]))
+    pairs = np.ascontiguousarray((left[None, :] @ left[:, None]).reshape(-1, 16).T)
+    scalar_rows = np.ascontiguousarray(_left_products(group.elements)[:, 0])
+    pairs.flags.writeable = scalar_rows.flags.writeable = False
+    return pairs, scalar_rows
 
 
 def reference_fidelity_from_rate(rate: float, dim: int) -> float:

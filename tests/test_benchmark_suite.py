@@ -894,8 +894,7 @@ def _sequences_per_length(gateset, m_values, k, seed, interleave, recovery):
 def _float_frame_survivals(gateset, indices, lengths):
     """Oracle for reference-RB survivals from ``_advance``: the same batched
     steps over the step-major ``indices``, but the logical frames are
-    multiplied as 2x2 matrices and inverted by one batched ``nearest``, as
-    interleaved RB still does."""
+    multiplied as 2x2 matrices and inverted by one batched ``nearest``."""
     group, ptms, d = gateset.group, gateset.ptms, gateset.dim
     coeffs = np.tile(gateset.prep, (len(lengths), 1))[..., None]
     frames = np.tile(np.eye(2, dtype=complex), (len(lengths), 1, 1))
@@ -906,6 +905,109 @@ def _float_frame_survivals(gateset, indices, lengths):
         frames[:a] = group.elements[idx] @ frames[:a]
     coeffs = ptms[group.nearest(frames.conj().swapaxes(1, 2))] @ coeffs
     return (gateset.prep @ coeffs)[:, 0] / d
+
+
+def _complex_frame_recoveries(group, indices, active, target):
+    """Oracle for interleaved-RB recoveries: ``(2, 2, n)`` complex frames,
+    each entry of the 2x2 product running over all sequences, updated in
+    place step by step, then one batched ``nearest`` of their inverses."""
+    frames = np.zeros((2, 2, active[0]), dtype=complex)
+    frames[0, 0] = frames[1, 1] = 1.0
+    step_frames = np.ascontiguousarray((target @ group.elements).transpose(1, 2, 0))
+    for a, idx in zip(active, indices):
+        s, f = step_frames.take(idx[:a], axis=2), frames[:, :, :a]
+        np.add(s[:, :1] * f[:1], s[:, 1:] * f[1:], out=f)
+    frames = np.ascontiguousarray(frames.transpose(2, 0, 1))
+    return group.nearest(frames.conj().swapaxes(1, 2))
+
+
+def _table_recoveries(group, indices, active):
+    """Oracle for reference-RB recoveries: the frame index updated through
+    ``table`` one step at a time, then inverted."""
+    frames = np.zeros(active[0], dtype=np.intp)
+    for a, idx in zip(active, indices):
+        frames[:a] = group.table[idx[:a], frames[:a]]
+    return group.inverse[frames]
+
+
+def _drawn_indices(lengths, seed):
+    """Step-major uint8 Clifford indices for the longest-first ``lengths``,
+    with values up to 255 past each sequence's end, where the draws of
+    ``_stream_integers`` are unspecified."""
+    rng = np.random.default_rng(seed)
+    indices = rng.integers(0, 256, size=(lengths[0], len(lengths)), dtype=np.uint8)
+    for i, m in enumerate(lengths):
+        indices[:m, i] = rng.integers(0, 24, size=m)
+    return indices
+
+
+class TestRecoveries:
+    @given(
+        target=st.sampled_from(("ls", "ps", "over-rotated", "haar")),
+        element=st.integers(0, 23),
+        # well below pi/4, where a frame can sit exactly half way between two Cliffords
+        angle=st.floats(-0.3, 0.3),
+        axis=st.sampled_from("xyz"),
+        # odd and even lengths, long enough for the frames to drift from the group
+        lengths=st.lists(st.integers(1, 600), min_size=1, max_size=12),
+        chunk=st.sampled_from((1, 2, 3, 7, 64, bench._RECOVERY_CHUNK)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(target="ps", element=0, angle=0.0, axis="x", lengths=[600, 599, 301, 2, 1],
+             chunk=7, seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_quaternion_frames_match_complex_frames(self, group, target, element, angle, axis,
+                                                    lengths, chunk, seed):
+        if target == "haar":
+            block = haar_unitary(2, np.random.default_rng(seed))
+        elif target == "over-rotated":
+            block = group.elements[element] @ ne.over_rotation_unitary(axis, angle)
+        elif target == "ps":
+            block, _ = bs.logical_restrict(bc.evaluate(bc.hadamard_word(), "physical4"))
+        else:
+            block = bc.evaluate(bc.hadamard_word(), "logical2")
+        lengths = np.array(sorted(lengths, reverse=True))
+        indices = _drawn_indices(lengths, seed)
+        active = bench._active_counts(lengths)
+        with mock.patch.object(bench, "_RECOVERY_CHUNK", chunk):
+            got = bench._recoveries(group, indices, active, block)
+        assert got.tolist() == _complex_frame_recoveries(group, indices, active, block).tolist()
+
+    @given(
+        lengths=st.lists(st.integers(1, 600), min_size=1, max_size=12),
+        chunk=st.sampled_from((1, 2, 3, 7, 64, bench._RECOVERY_CHUNK)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_log_depth_product_matches_table_steps(self, group, lengths, chunk, seed):
+        lengths = np.array(sorted(lengths, reverse=True))
+        indices = _drawn_indices(lengths, seed)
+        active = bench._active_counts(lengths)
+        with mock.patch.object(bench, "_RECOVERY_CHUNK", chunk):
+            got = bench._recoveries(group, indices, active, None)
+        assert got.tolist() == _table_recoveries(group, indices, active).tolist()
+
+    def test_leaking_target_rejected_with_recovery(self, group):
+        # a random 4x4 unitary mixes the code space with its complement
+        unitary = haar_unitary(4, np.random.default_rng(5))
+        singular = np.linalg.svd(bs.logical_restrict(unitary)[0], compute_uv=False)
+        assert singular.min() < 0.99
+        gateset = bench.physical_gateset(noise=bench.depolarizing_ptm(4, 0.01), group=group)
+        target = bench.NoisyGate(unitary, bench.ptm_of_unitary(unitary))
+        reference = bench.rb_reference(gateset, M_GRID, 5, 1)
+        with pytest.raises(ValueError, match="logical block is not unitary"):
+            bench.rb_interleaved(target, gateset, M_GRID, 5, 1, reference)
+        # purity benchmarking has no recovery gate, so no logical frame
+        bench.pb_run(gateset, target, M_GRID, 5, 1)
+
+    @pytest.mark.parametrize("space", ["ls", "ps"])
+    @pytest.mark.parametrize("frame_space", ["logical2", "physical4"])
+    def test_braided_targets_accepted(self, group, space, frame_space):
+        gateset = ne.clifford_gateset(ne.NoiseModel(t2=(0.9, 0.9)), space, group)
+        target = ne.hadamard_target(ne.NoiseModel(t2=(0.9, 0.9)), space)
+        target = target._replace(unitary=bc.evaluate(bc.hadamard_word(), frame_space))
+        reference = bench.rb_reference(gateset, M_GRID, 5, 1)
+        assert 0.9 < bench.rb_interleaved(target, gateset, M_GRID, 5, 1, reference).f_rb <= 1.0
 
 
 class TestBatchedSequences:
@@ -936,7 +1038,9 @@ class TestBatchedSequences:
         gateset = make(noise=ne.clifford_noise_ptm(model, dim), group=group)
         lengths = np.array(sorted(lengths, reverse=True))
         indices = bench.rng_for(seed, 0).integers(0, len(group), size=(lengths[0], len(lengths)))
-        got = bench._advance(gateset, indices, bench._active_counts(lengths), None, None, True)
+        active = bench._active_counts(lengths)
+        recoveries = bench._recoveries(group, indices, active, None)
+        got = bench._advance(gateset, indices, active, None, recoveries)
         want = _float_frame_survivals(gateset, indices, lengths)
         assert np.array_equal(got, want)
 
@@ -1123,14 +1227,23 @@ def test_stream_integers_memory_bounded():
     assert peak < 8 * 2**20
 
 
-@pytest.mark.parametrize("make", [bench.logical_gateset, bench.physical_gateset])
-def test_longest_run_memory_bounded(group, make):
+@pytest.mark.parametrize("make, space, interleaved", [
+    pytest.param(make, space, interleaved, id=make.__name__ + ("-interleaved" if interleaved else ""))
+    for interleaved in (False, True)
+    for make, space in ((bench.logical_gateset, "logical2"), (bench.physical_gateset, "physical4"))
+])
+def test_longest_run_memory_bounded(group, make, space, interleaved):
     # 1536 sequences up to MAX_LENGTH: 6 MiB of step-major uint8 indices, no
-    # transposed copy, and the Philox lanes of one draw
+    # transposed copy, the Philox lanes of one draw and one padded chunk of
+    # the recovery frames
     gateset = make(group=group)
-    bench._run_sequences(gateset, (1, 2, 3), 2, 0, None, True)
+    target = None
+    if interleaved:
+        unitary = bc.evaluate(bc.hadamard_word(), space)
+        target = bench.NoisyGate(unitary, bench.ptm_of_unitary(unitary))
+    bench._run_sequences(gateset, (1, 2, 3), 2, 0, target, True)
     peak = traced_peak(lambda: bench._run_sequences(gateset, (1, 2, bench.MAX_LENGTH), 512,
-                                                    20230517, None, True))
+                                                    20230517, target, True))
     assert peak <= 16 * 2**20
 
 

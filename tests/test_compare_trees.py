@@ -107,3 +107,16 @@ def test_command_form_difference_shows_a_unified_diff(capsys):
     assert "  stdout:" in out and "    -b" in out and "    +c" in out
     assert "  out/x.json: only in base" in out
     assert not any("exit status" in line for line in out)
+
+
+def test_run_cases_end_with_the_long_grid():
+    # 56 runs, five results each; the long grid comes last, so the seeded
+    # models and seeds of the shorter grids are drawn as before it
+    cases = compare_trees.run_cases()
+    assert len(cases) == sum(2 * models for *_, models in compare_trees.RUN_GRIDS) == 56
+    assert compare_trees.CORPORA[-1][1].endswith("of 56 run_protocols runs with purity)")
+    assert [label for label, *_ in cases[-4:]] == [f"{space} m<=4096 k=64 model {i}"
+                                                   for i in (0, 1) for space in ("ls", "ps")]
+    for _, _, _, grid, k, _ in cases[-4:]:
+        assert (grid, k) == ((1, 2, 300, 1000, 4096), 64)
+    assert [label for label, *_ in cases[:2]] == ["ls m<=64 k=30 model 0", "ps m<=64 k=30 model 0"]

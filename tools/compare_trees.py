@@ -35,9 +35,12 @@ The four corpora:
 * RB/PB runs: ``run_protocols(..., purity=True)`` of the braided Hadamard
   (``noise_engine.clifford_gateset`` and ``hadamard_target``, as ``fibanyon
   benchmark --protocol pb`` builds them) for seeded noise models in both
-  spaces: 24 models on the default grid with 30 sequences per length, and 2
-  on the lengths 1 to 300 with 700 sequences per length, which spans two
-  blocks of ``_SEQUENCE_BLOCK`` (4096) sequences.  Each run's four fits
+  spaces: 24 models on the default grid with 30 sequences per length, 2 on
+  the lengths 1 to 300 with 700 sequences per length, which spans two
+  blocks of ``_SEQUENCE_BLOCK`` (4096) sequences, and 2 on the lengths 1, 2,
+  300, 1000 and 4096 with 64 sequences per length, where the interleaved
+  frames drift farthest from the group and a near tie in the recovery is
+  likeliest.  Each run's four fits
   (means, standard deviations, ``A``, ``B``, the rate and the residual) and
   its derived values (``f_rb``, the oracle fidelity, both incoherent
   errors, the budget and the warnings) are compared as hex floats, or the
@@ -90,7 +93,8 @@ NOISE_SWEEP_ROUNDS = 500
 CALIBRATION_SEED = 2023
 UNBRACKETED = (0.1, 0.99999, 1.0 + 1e-12, 1.5, float("nan"))
 RUN_SEED = 2024
-RUN_GRIDS = (((1, 2, 4, 8, 16, 32, 64), 30, 24), ((1, 3, 10, 40, 120, 300), 700, 2))
+RUN_GRIDS = (((1, 2, 4, 8, 16, 32, 64), 30, 24), ((1, 3, 10, 40, 120, 300), 700, 2),
+             ((1, 2, 300, 1000, 4096), 64, 2))
 """Lengths, sequences per length and noise models of the RB/PB runs."""
 
 FIT_ALL = """
