@@ -37,10 +37,10 @@ from typing import Sequence
 import numpy as np
 from numpy.linalg import LinAlgError
 
-try:
-    from numpy.linalg._umath_linalg import svd_s as _svd_gufunc
-except ImportError:  # numpy 1.24-1.26 names it by the shorter side
-    from numpy.linalg._umath_linalg import svd_n_s as _svd_gufunc
+try:  # lstsq: numpy.linalg.lstsq's gufunc, for the initial guess of benchmark_suite.fit_decay
+    from numpy.linalg._umath_linalg import lstsq, svd_s as _svd_gufunc
+except ImportError:  # numpy 1.24-1.26 names them by the shorter side
+    from numpy.linalg._umath_linalg import lstsq_n as lstsq, svd_n_s as _svd_gufunc
 
 LOWER = (-1.0, -2.0, 1e-9)
 UPPER = (1.0, 2.0, 1.0)

@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -481,31 +481,48 @@ def _stream_integers(seed: int, streams: Sequence[int], high: int, sizes: np.nda
 
     Every stream's draws come from one :func:`philox_halves` computation over
     the counter blocks it needs, eight draws a block, at most
-    :data:`_PHILOX_LANES` blocks at a time; no ``numpy.random`` generator is
-    built.  A stream with a rejected draw among its first ``sizes[i]`` is
-    read again in order through :class:`PhiloxStream`, which skips the
-    rejected draws; at 24 that happens with probability 16/2**32 per draw.
+    :data:`_PHILOX_LANES` blocks at a time (:func:`_lanes`); no ``numpy.random``
+    generator is built.  A stream with a rejected draw among its first
+    ``sizes[i]`` is read again in order through :class:`PhiloxStream`, which
+    skips the rejected draws; at 24 that happens with probability 16/2**32.
     """
-    streams = np.asarray(streams, dtype=np.uint64)
+    return _draw(seed, np.asarray(streams, dtype=np.uint64), high, sizes, _lanes(sizes))
+
+
+def _lanes(sizes: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Read-only chunks of at most :data:`_PHILOX_LANES` Philox lanes of
+    streams drawing ``sizes`` values, one at a time: each lane's counter
+    block from 0 and its stream's column, in the smallest unsigned dtypes."""
     blocks = -(-sizes // 8)
-    width = int(blocks.max())
     ends = np.cumsum(blocks)
     starts = ends - blocks
-    out = np.empty((8 * width, len(streams)), dtype=np.min_scalar_type(high - 1))
-    by_block = out.reshape(width, 8, len(streams))
-    short = np.zeros(len(streams), dtype=bool)
+    block_type, column_type = np.min_scalar_type(blocks.max()), np.min_scalar_type(len(sizes) - 1)
     for lo in range(0, int(ends[-1]), _PHILOX_LANES):
         lanes = np.arange(lo, min(lo + _PHILOX_LANES, int(ends[-1])))
         columns = np.searchsorted(ends, lanes, side="right")
-        block = lanes - starts[columns]  # from 0; Philox counters start at 1
+        chunk = (lanes - starts[columns]).astype(block_type), columns.astype(column_type)
+        chunk[0].flags.writeable = chunk[1].flags.writeable = False
+        yield chunk
+
+
+def _draw(seed: int, streams: np.ndarray, high: int, sizes: np.ndarray,
+          lanes: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """:func:`_stream_integers` of the uint64 ``streams`` over their ``lanes``."""
+    out = np.empty((-(-int(sizes.max()) // 8) * 8, len(streams)), dtype=np.min_scalar_type(high - 1))
+    short = np.zeros(len(streams), dtype=bool)
+    for block, columns in lanes:
         draws, accepted = _bounded(philox_halves(seed, streams[columns], block + 1), high)
-        by_block[block, :, columns] = draws
+        out.reshape(-1, 8, len(streams))[block, :, columns] = draws
         if not accepted.all():
-            needed = 8 * block[:, None] + np.arange(8) < sizes[columns, None]
+            needed = 8 * block[:, None].astype(np.int64) + np.arange(8) < sizes[columns, None]
             short[columns[(needed & ~accepted).any(axis=1)]] = True
     for column in np.flatnonzero(short):
         out[:sizes[column], column] = PhiloxStream(seed, int(streams[column])).integers(high, int(sizes[column]))
     return out[:sizes.max()]
+
+
+FLAT_SPREAD = 1e-9
+"""Spread of the per-length means below which :func:`fit_decay` does not fit."""
 
 
 class DecayFit(NamedTuple):
@@ -519,6 +536,12 @@ class DecayFit(NamedTuple):
     stddevs: tuple[float, ...]
     residual: float
     model: str  # "rb": A + B r^m, "pb": A + B r^(m-1)
+
+    @property
+    def flat(self) -> bool:
+        """Whether the means were too flat to fit: B is then their mean and
+        the rate 1 by convention."""
+        return max(self.means) - min(self.means) < FLAT_SPREAD
 
     def to_dict(self) -> dict:
         return {
@@ -560,11 +583,10 @@ def fit_decay(
     if not (np.isfinite(m).all() and np.isfinite(y).all()):
         raise FitDivergenceError("decay fit failed to converge: data are not finite", _spread(y))
 
-    if max(values := y.tolist()) - min(values) < 1e-9:
+    if max(values := y.tolist()) - min(values) < FLAT_SPREAD:
         # flat data: no decay information; rate 1 by convention
         return DecayFit(0.0, float(y.mean()), 1.0, tuple(int(v) for v in m_values),
-                        tuple(float(v) for v in means), tuple(float(v) for v in stddevs),
-                        _spread(y), model)
+                        tuple(values), tuple(float(v) for v in stddevs), _spread(y), model)
 
     try:
         (a, b, rate), f = _trf.least_squares(exponent, y, _initial_guess(exponent, y))
@@ -573,8 +595,7 @@ def fit_decay(
 
     residual = math.sqrt((f**2).sum() / f.size)  # np.mean's sum and quotient
     return DecayFit(a, b, rate, tuple(int(v) for v in m_values),
-                    tuple(float(v) for v in means), tuple(float(v) for v in stddevs),
-                    residual, model)
+                    tuple(values), tuple(float(v) for v in stddevs), residual, model)
 
 
 def _spread(y: np.ndarray) -> float:
@@ -587,15 +608,28 @@ def _initial_guess(exponent: np.ndarray, y: np.ndarray) -> np.ndarray:
     ``y - 0.5``, clipped to ``[1e-4, 1 - 1e-9]``."""
     a_guess, b_guess = 0.5, 0.5
     shifted = np.maximum(y - a_guess, 1e-6)  # what np.clip(..., 1e-6, None) calls
-    # np.polyfit(exponent, log(shifted), 1) without its argument checks: the
-    # same column-scaled Vandermonde least squares, so the same bits
-    lhs = np.ones((len(exponent), 2))
-    lhs[:, 0] = exponent
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    coef = np.linalg.lstsq(lhs / scale, np.log(shifted), len(exponent) * np.finfo(float).eps)[0]
-    slope = coef[0] / scale[0]
+    # np.polyfit(exponent, log(shifted), 1) without its argument checks: the same
+    # column-scaled Vandermonde least squares by numpy.linalg.lstsq's gufunc, so the same bits
+    from ._trf import lstsq
+
+    lhs, scale = _scaled_vandermonde(np.asarray(exponent, dtype=float).tobytes())
+    coef = lstsq(lhs, np.log(shifted)[:, None], len(exponent) * np.finfo(float).eps)[0]
+    if np.isnan(coef).any():  # where numpy.linalg.lstsq raises
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    slope = coef[0, 0] / scale
     r_guess = min(max(float(np.exp(slope)), 1e-4), 1.0 - 1e-9)
     return np.array([a_guess, b_guess, r_guess])
+
+
+@functools.lru_cache(maxsize=4)
+def _scaled_vandermonde(exponent: bytes) -> tuple[np.ndarray, np.float64]:
+    """np.polyfit's degree-1 Vandermonde of the float64 ``exponent`` bytes,
+    read-only with unit-norm columns, and its first column's scale."""
+    lhs = np.stack([np.frombuffer(exponent), np.ones(len(exponent) // 8)], axis=1)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    lhs.flags.writeable = False
+    return lhs, scale[0]
 
 
 class _Plan(NamedTuple):
@@ -608,13 +642,15 @@ class _Plan(NamedTuple):
     lengths: np.ndarray  # read-only
     streams: np.ndarray  # read-only uint64
     blocks: tuple[tuple[slice, tuple[int, ...]], ...]
+    lanes: tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]  # per block, its _lanes
 
 
 @functools.lru_cache(maxsize=1)
 def _plan(m_values: tuple[int, ...], k: int, block: int) -> _Plan:
     """The plan of a valid grid in blocks of ``block`` sequences, kept for the
-    last grid: the four runs of one benchmark share it.  Nothing in it is
-    sized by the draws."""
+    last grid: the four runs of one benchmark share it.  Its lanes hold 4 bytes
+    per 8 draws: 1 MiB at 512 x (1, 2, MAX_LENGTH), 8 MiB a block at MAX_LENGTH,
+    391 GiB for the largest valid grid, MAX_SEQUENCES x every length to MAX_LENGTH."""
     order = sorted(range(len(m_values)), key=lambda mi: -m_values[mi])
     lengths = np.repeat([m_values[mi] for mi in order], k)
     streams = np.array([mi * MAX_SEQUENCES + ki for mi in order for ki in range(k)], dtype=np.uint64)
@@ -622,7 +658,7 @@ def _plan(m_values: tuple[int, ...], k: int, block: int) -> _Plan:
     order.flags.writeable = lengths.flags.writeable = streams.flags.writeable = False
     blocks = tuple((part, tuple(_active_counts(lengths[part])))
                    for part in (slice(lo, lo + block) for lo in range(0, len(lengths), block)))
-    return _Plan(order, lengths, streams, blocks)
+    return _Plan(order, lengths, streams, blocks, tuple(tuple(_lanes(lengths[part])) for part, _ in blocks))
 
 
 def _active_counts(lengths: np.ndarray) -> list[int]:
@@ -656,9 +692,9 @@ def _run_sequences(
     alone (:func:`_recoveries`), and :func:`_advance` then applies the
     transfer maps, max(m) Python steps a block.
 
-    The order, lengths, stream ids, blocks and per-step counts depend only on
-    the grid: they come from :func:`_plan`, which keeps the last grid's, so
-    only the draws and the steps depend on the seed and the gate set.
+    The order, lengths, stream ids, blocks, per-step counts and Philox lanes
+    depend only on the grid: they come from :func:`_plan`, which keeps the last
+    grid's, so only the draws and the steps depend on the seed and the gate set.
     """
     if k < 2:
         raise ValueError(f"need at least 2 sequences per length, got {k}")
@@ -678,11 +714,11 @@ def _run_sequences(
         check_unitary(target, what="the interleaved target's logical block")
     plan = _plan(tuple(m_values), k, _SEQUENCE_BLOCK)
     values = []
-    for block, active in plan.blocks:
-        indices = _stream_integers(seed, plan.streams[block], len(gateset.group), plan.lengths[block])
+    for (block, active), lanes in zip(plan.blocks, plan.lanes):
+        indices = _draw(seed, plan.streams[block], len(gateset.group), plan.lengths[block], lanes)
         recoveries = _recoveries(gateset.group, indices, active, target) if recovery else None
         values.append(_advance(gateset, indices, active, interleave, recoveries))
-    values = np.concatenate(values).reshape(len(plan.order), k)
+    values = (values[0] if len(values) == 1 else np.concatenate(values)).reshape(len(plan.order), k)
     means, stds = np.empty(len(plan.order)), np.empty(len(plan.order))
     means[plan.order], stds[plan.order] = values.mean(axis=1), values.std(axis=1, ddof=1)
     return means, stds
@@ -698,16 +734,20 @@ def _advance(gateset: GateSet, indices: np.ndarray, active: Sequence[int],
     than t, :func:`_active_counts` of the lengths, which
     :func:`_run_sequences` takes from its plan.  The interleaved target is
     folded into the 24 maps once, so each step gathers and multiplies one
-    stack of transfer matrices; the loop does nothing else.
+    stack of transfer matrices, the last product as it stands; a sequence's
+    coefficients are copied out once, when it ends.
     Step 0 acts on the prepared state in every sequence, so its 24 products
     are taken once and gathered: the same matrix-vector products as a
     gathered step, on the same operands."""
     ptms, d = gateset.ptms, gateset.dim
     steps = ptms if interleave is None else interleave.ptm.matrix @ ptms
     # take gathers like indexing, with less overhead
-    coeffs = (steps @ gateset.prep[:, None]).take(indices[0], axis=0)
+    coeffs = head = (steps @ gateset.prep[:, None]).take(indices[0], axis=0)
     for a, idx in zip(active[1:], indices[1:]):
-        coeffs[:a] = steps.take(idx[:a], axis=0) @ coeffs[:a]
+        if a < len(head):  # sequences a: to len(head) ended with the last step
+            coeffs[a:len(head)] = head[a:]
+        head = steps.take(idx[:a], axis=0) @ head[:a]
+    coeffs[:len(head)] = head
     if recoveries is not None:
         coeffs = ptms[recoveries] @ coeffs
         return (gateset.prep @ coeffs)[:, 0] / d
@@ -904,7 +944,8 @@ MAX_SEED = 2**64 - 4
 
 
 class ProtocolResults(NamedTuple):
-    """The runs of :func:`run_protocols`, None where not asked for."""
+    """The runs of :func:`run_protocols`, None where not asked for, and the
+    warnings about the run as a whole (:func:`_flat_warnings`)."""
 
     reference: DecayFit
     interleaved: InterleavedResult | None = None
@@ -912,6 +953,7 @@ class ProtocolResults(NamedTuple):
     pb_reference: PurityResult | None = None
     pb_interleaved: PurityResult | None = None
     budget: ErrorBudget | None = None
+    warnings: tuple[str, ...] = ()
 
 
 def run_protocols(gateset: GateSet, target: NoisyGate | None, m_values: Sequence[int], k: int,
@@ -920,17 +962,33 @@ def run_protocols(gateset: GateSet, target: NoisyGate | None, m_values: Sequence
     RB on the stream ``seed``; given a ``target``, interleaved RB on
     ``seed + 1`` and the target's channel-oracle fidelity; with ``purity``,
     reference and interleaved PB on ``seed + 2`` and ``seed + 3`` and the
-    error budget."""
+    error budget.  A warning about flat fits (:func:`_flat_warnings`) is also
+    added to the interleaved result's and the budget's warnings."""
     if purity and target is None:
         raise ValueError("purity benchmarking needs an interleaving target")
     reference = rb_reference(gateset, m_values, k, seed)
-    if target is None:
-        return ProtocolResults(reference)
-    interleaved = rb_interleaved(target, gateset, m_values, k, seed, reference)
-    oracle = average_gate_fidelity(target.ptm, target.unitary)
-    if not purity:
-        return ProtocolResults(reference, interleaved, oracle)
-    pb_ref = pb_run(gateset, None, m_values, k, seed + 2)
-    pb_int = pb_run(gateset, target, m_values, k, seed + 3)
-    budget = error_budget(interleaved, pb_ref, pb_int, dim=gateset.dim)
-    return ProtocolResults(reference, interleaved, oracle, pb_ref, pb_int, budget)
+    interleaved = oracle = pb_ref = pb_int = budget = None
+    fits = {"reference RB": reference}
+    if target is not None:
+        interleaved = rb_interleaved(target, gateset, m_values, k, seed, reference)
+        oracle = average_gate_fidelity(target.ptm, target.unitary)
+        fits["interleaved RB"] = interleaved.fit
+    if purity:
+        pb_ref = pb_run(gateset, None, m_values, k, seed + 2)
+        pb_int = pb_run(gateset, target, m_values, k, seed + 3)
+        fits["reference PB"], fits["interleaved PB"] = pb_ref.fit, pb_int.fit
+    flat = _flat_warnings(fits)
+    if interleaved is not None:
+        interleaved = interleaved._replace(warnings=interleaved.warnings + flat)
+    if purity:
+        budget = error_budget(interleaved, pb_ref, pb_int, dim=gateset.dim)
+    return ProtocolResults(reference, interleaved, oracle, pb_ref, pb_int, budget, flat)
+
+
+def _flat_warnings(fits: dict[str, DecayFit]) -> tuple[str, ...]:
+    """One warning naming each labelled fit whose means were flat off the
+    noiseless level 1, where its rate 1 hides a decay; else none."""
+    off = [f"{label} at {fit.b:.6g}" for label, fit in fits.items()
+           if fit.flat and abs(fit.b - 1.0) >= FLAT_SPREAD]
+    return (f"flat decay off the noiseless level 1 ({', '.join(off)}): "
+            "a flat fit's rate 1 is a convention, not a measured decay",) if off else ()

@@ -476,6 +476,8 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     except bench.FitDivergenceError as exc:
         print(f"fibanyon benchmark: {exc}", file=sys.stderr)
         return 2
+    for warning in run.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
 
     if not purity:
         reference = run.reference

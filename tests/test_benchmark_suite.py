@@ -579,6 +579,28 @@ class TestDecayFit:
             want = [0.5, 0.5, float(np.clip(np.exp(slope), 1e-4, 1.0 - 1e-9))]
             assert bench._initial_guess(exponent, means).tolist() == want, (model, means)
 
+    @given(grid=st.lists(st.integers(0, bench.MAX_LENGTH), min_size=2, max_size=12, unique=True),
+           y=st.lists(st.floats(-1.0, 2.0), min_size=12, max_size=12),
+           offset=st.sampled_from((0, 1, 1.0)))
+    @settings(max_examples=100, deadline=None)
+    def test_initial_guess_matches_lstsq(self, grid, y, offset):
+        # integer and float exponent grids, each guessed twice, so the second call of
+        # each reads the cached Vandermonde: an integer grid must not key another grid's
+        y = np.array(y[:len(grid)])
+        for exponent in (np.array(grid) - offset, np.array(grid, dtype=float) - offset) * 2:
+            assert np.array_equal(bench._initial_guess(exponent, y), _lstsq_initial_guess(exponent, y))
+
+
+def _lstsq_initial_guess(exponent, y):
+    """Oracle for ``_initial_guess``: the slope of ``numpy.linalg.lstsq`` on
+    np.polyfit's column-scaled Vandermonde, built afresh per call."""
+    shifted = np.maximum(y - 0.5, 1e-6)
+    lhs = np.ones((len(exponent), 2))
+    lhs[:, 0] = exponent
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    coef = np.linalg.lstsq(lhs / scale, np.log(shifted), len(exponent) * np.finfo(float).eps)[0]
+    return np.array([0.5, 0.5, min(max(float(np.exp(coef[0] / scale[0])), 1e-4), 1.0 - 1e-9)])
+
 
 def _decay_corpus():
     """Seeded RB and PB decays on the default grid: noisy synthetic
@@ -941,6 +963,22 @@ def _drawn_indices(lengths, seed):
     return indices
 
 
+def _write_back_advance(gateset, indices, active, interleave, recoveries):
+    """Oracle for ``_advance``: the step loop that writes each step's product
+    back into the leading rows of one coefficient array, so the sequences
+    that end are left behind in place."""
+    ptms, d = gateset.ptms, gateset.dim
+    steps = ptms if interleave is None else interleave.ptm.matrix @ ptms
+    coeffs = (steps @ gateset.prep[:, None]).take(indices[0], axis=0)
+    for a, idx in zip(active[1:], indices[1:]):
+        coeffs[:a] = steps.take(idx[:a], axis=0) @ coeffs[:a]
+    if recoveries is not None:
+        coeffs = ptms[recoveries] @ coeffs
+        return (gateset.prep @ coeffs)[:, 0] / d
+    plain = np.sum(coeffs[..., 0] ** 2, axis=1) / d
+    return (d * plain - 1.0) / (d - 1.0)
+
+
 class TestRecoveries:
     @given(
         target=st.sampled_from(("ls", "ps", "over-rotated", "haar")),
@@ -1017,6 +1055,40 @@ class TestBatchedSequences:
         counts = bench._active_counts(lengths)
         assert len(counts) == lengths[0]
         assert counts == [np.count_nonzero(lengths > t) for t in range(lengths[0])]
+
+    @given(
+        space=st.sampled_from(("ls", "ps")),
+        t2=st.floats(0.05, 5.0),
+        depolarizing=st.floats(0.0, 0.05),
+        target=st.sampled_from((None, "logical2", "physical4")),
+        recovery=st.booleans(),
+        # lengths with repeats, as a grid's k sequences of each length run
+        runs=st.lists(st.tuples(st.integers(1, 70), st.integers(1, 4)), min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(space="ps", t2=0.43, depolarizing=0.02, target="physical4", recovery=True,
+             runs=[(64, 3), (1, 2), (2, 3), (64, 1), (7, 1)], seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_advance_matches_write_back_loop(self, group, space, t2, depolarizing, target,
+                                             recovery, runs, seed):
+        dim = 4 if space == "ps" else 2
+        noise = ne.clifford_noise_ptm(ne.NoiseModel(t2=(t2, t2), depolarizing_prob=depolarizing), dim)
+        make = bench.physical_gateset if space == "ps" else bench.logical_gateset
+        gateset = make(noise=noise, group=group)
+        interleave = None
+        if target is not None:
+            word = bc.hadamard_word()
+            applied = bench.ptm_of_unitary(bc.evaluate(word, "physical4" if space == "ps" else "logical2"))
+            interleave = bench.NoisyGate(bc.evaluate(word, target), noise.compose(applied))
+        lengths = np.array(sorted((m for m, count in runs for _ in range(count)), reverse=True))
+        indices = _drawn_indices(lengths, seed)
+        active = bench._active_counts(lengths)
+        recoveries = None
+        if recovery:
+            recoveries = np.random.default_rng(seed).integers(0, len(group), size=len(lengths))
+        got = bench._advance(gateset, indices, active, interleave, recoveries)
+        want = _write_back_advance(gateset, indices, active, interleave, recoveries)
+        assert np.array_equal(got, want)
 
     @given(
         space=st.sampled_from(("ls", "ps")),
@@ -1158,6 +1230,34 @@ class TestPlan:
         for array in (plan.order, plan.lengths, plan.streams):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+
+    @pytest.mark.parametrize("m_values, k, block, lanes_per_chunk", [
+        (bench.DEFAULT_M_GRID, 30, bench._SEQUENCE_BLOCK, bench._PHILOX_LANES),
+        ((16, 130, 1, 65, 2), 5, 7, 3),
+        ((1, 2, bench.MAX_LENGTH), 512, bench._SEQUENCE_BLOCK, bench._PHILOX_LANES),
+    ])
+    def test_lanes_are_read_only_and_built_per_call(self, m_values, k, block, lanes_per_chunk):
+        # each stream's lanes are its counter blocks from 0 in its own column, in chunks
+        # of at most _PHILOX_LANES, in the smallest unsigned dtypes: 4 bytes a lane here
+        bench._plan.cache_clear()  # a cached plan was chunked at the default _PHILOX_LANES
+        with mock.patch.object(bench, "_PHILOX_LANES", lanes_per_chunk):
+            plan = bench._plan(m_values, k, block)
+            assert len(plan.lanes) == len(plan.blocks)
+            for (part, _), lanes in zip(plan.blocks, plan.lanes):
+                sizes = plan.lengths[part]
+                per_call = tuple(bench._lanes(sizes))
+                assert len(lanes) == len(per_call) == -(-int((-(-sizes // 8)).sum()) // lanes_per_chunk)
+                for (blocks, columns), (want_blocks, want_columns) in zip(lanes, per_call):
+                    assert blocks.dtype == want_blocks.dtype and columns.dtype == want_columns.dtype
+                    assert np.array_equal(blocks, want_blocks) and np.array_equal(columns, want_columns)
+                    assert blocks.dtype.itemsize + columns.dtype.itemsize <= 4
+                    for array in (blocks, columns):
+                        with pytest.raises(ValueError, match="read-only"):
+                            array[0] = 0
+                blocks, columns = (np.concatenate(parts) for parts in zip(*lanes))
+                assert np.array_equal(columns, np.repeat(np.arange(len(sizes)), -(-sizes // 8)))
+                assert np.array_equal(blocks, np.concatenate([np.arange(-(-m // 8)) for m in sizes]))
+        bench._plan.cache_clear()
 
 
 @given(

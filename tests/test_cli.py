@@ -436,6 +436,33 @@ class TestBenchmark:
                     written += [float(c) for line in path.read_text().splitlines()[1:] for c in line.split(",")]
             assert written and all(np.isfinite(written))
 
+    @pytest.mark.parametrize("argv, flat, listed", [
+        (["--protocol", "rb"], "reference RB at 0.5", None),
+        (["--protocol", "rb", "--interleave-hadamard"], "reference RB at 0.5", "rb_fit.json"),
+        (["--protocol", "pb"], "reference RB at 0.5, reference PB at ", "error_budget.json"),
+    ])
+    def test_flat_decay_off_its_noiseless_level_warns(self, tmp_path, capsys, argv, flat, listed):
+        # full depolarization leaves the survival flat at 1/2 and the rescaled purity at 0
+        # from the first length on, where the flat fit's rate 1 reads as a perfect gate
+        noise = tmp_path / "noise.json"
+        noise.write_text(json.dumps({"t2": [1, 1], "depolarizing_prob": 1.0}))
+        assert run(["benchmark", *argv, "--space", "ls", "--noise", str(noise),
+                    "--out", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: flat decay off the noiseless level 1 (" + flat)
+        if listed:
+            payload = json.loads((tmp_path / "out" / listed).read_text())
+            warnings = payload["interleaved"]["warnings"] if listed == "rb_fit.json" else payload["warnings"]
+            assert warnings == [err[0].removeprefix("warning: ")]
+
+    @pytest.mark.parametrize("protocol", [["rb", "--interleave-hadamard"], ["pb"]])
+    def test_noiseless_flat_decay_is_silent(self, tmp_path, capsys, protocol):
+        assert run(["benchmark", "--protocol", *protocol, "--space", "ls",
+                    "--m-grid", "1", "2", "4", "--k", "4", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        fit = json.loads((tmp_path / f"{protocol[0]}_fit.json").read_text())
+        assert fit["reference"]["rate"] == 1.0
+
     def test_fit_divergence_exits_2(self, tmp_path, capsys, monkeypatch):
         def diverge(*args, **kwargs):
             raise bench.FitDivergenceError("decay fit failed to converge: data are not finite", math.nan)

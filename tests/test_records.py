@@ -26,9 +26,10 @@ RECORDS = {
     bench.PurityResult: (("fit", "incoherent_per_gate"), {}),
     bench.ErrorBudget: (("total_infidelity", "incoherent", "coherent", "warnings"), {"warnings": ()}),
     bench.ProtocolResults: (
-        ("reference", "interleaved", "channel_oracle_fidelity", "pb_reference", "pb_interleaved", "budget"),
-        dict.fromkeys(("interleaved", "channel_oracle_fidelity", "pb_reference", "pb_interleaved",
-                       "budget")),
+        ("reference", "interleaved", "channel_oracle_fidelity", "pb_reference", "pb_interleaved", "budget",
+         "warnings"),
+        {**dict.fromkeys(("interleaved", "channel_oracle_fidelity", "pb_reference", "pb_interleaved",
+                          "budget")), "warnings": ()},
     ),
     bc.SearchResult: (("word", "distance", "evaluated", "budget_exhausted"), {}),
     ne.CNOT: (("control", "target"), {}),
