@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import braid_compiler, braid_space
-from ._linalg import check_unitary, dagger, phase_distances
+from ._linalg import active_counts, check_unitary, dagger, longest_first_products, pairwise_product, phase_distances
 
 PAULI_1Q = (
     np.eye(2, dtype=complex),
@@ -373,8 +373,8 @@ def rng_for(seed: int, task_index: int) -> np.random.Generator:
     seed; identical whether tasks run serially or in parallel.
 
     This is the definition of a stream: the protocols draw the same values
-    through :func:`_stream_integers`, which computes Philox in numpy and so
-    never imports ``numpy.random``."""
+    through :func:`_draw` and :class:`PhiloxStream`, which compute Philox in
+    numpy and so never import ``numpy.random``."""
     return np.random.Generator(np.random.Philox(key=np.array([seed, task_index], dtype=np.uint64)))
 
 
@@ -472,23 +472,6 @@ class PhiloxStream:
         return taken
 
 
-def _stream_integers(seed: int, streams: Sequence[int], high: int, sizes: np.ndarray) -> np.ndarray:
-    """Column ``i`` begins with ``rng_for(seed, streams[i]).integers(0, high,
-    size=sizes[i])`` for ``0 < high < 2**32``; entries past ``sizes[i]`` are
-    unspecified.  The array is step-major, ``(max(sizes), len(streams))``,
-    so row t holds every stream's t-th draw, in the smallest unsigned dtype
-    that holds ``high - 1`` (uint8 for the 24 Cliffords).
-
-    Every stream's draws come from one :func:`philox_halves` computation over
-    the counter blocks it needs, eight draws a block, at most
-    :data:`_PHILOX_LANES` blocks at a time (:func:`_lanes`); no ``numpy.random``
-    generator is built.  A stream with a rejected draw among its first
-    ``sizes[i]`` is read again in order through :class:`PhiloxStream`, which
-    skips the rejected draws; at 24 that happens with probability 16/2**32.
-    """
-    return _draw(seed, np.asarray(streams, dtype=np.uint64), high, sizes, _lanes(sizes))
-
-
 def _lanes(sizes: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Read-only chunks of at most :data:`_PHILOX_LANES` Philox lanes of
     streams drawing ``sizes`` values, one at a time: each lane's counter
@@ -507,7 +490,14 @@ def _lanes(sizes: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 def _draw(seed: int, streams: np.ndarray, high: int, sizes: np.ndarray,
           lanes: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """:func:`_stream_integers` of the uint64 ``streams`` over their ``lanes``."""
+    """Column ``i`` begins with ``rng_for(seed, streams[i]).integers(0, high,
+    size=sizes[i])`` for the uint64 ``streams``, ``0 < high < 2**32`` and the
+    :func:`_lanes` of ``sizes``; entries past ``sizes[i]`` are unspecified.  The
+    array is step-major, ``(max(sizes), len(streams))``, in the smallest
+    unsigned dtype that holds ``high - 1``.  The draws are :func:`philox_halves`
+    over each lane chunk, eight a lane; a stream with a rejected draw among its
+    first ``sizes[i]`` (probability 16/2**32 a draw at 24) is read again in
+    order through :class:`PhiloxStream`."""
     out = np.empty((-(-int(sizes.max()) // 8) * 8, len(streams)), dtype=np.min_scalar_type(high - 1))
     short = np.zeros(len(streams), dtype=bool)
     for block, columns in lanes:
@@ -656,14 +646,9 @@ def _plan(m_values: tuple[int, ...], k: int, block: int) -> _Plan:
     streams = np.array([mi * MAX_SEQUENCES + ki for mi in order for ki in range(k)], dtype=np.uint64)
     order = np.array(order)
     order.flags.writeable = lengths.flags.writeable = streams.flags.writeable = False
-    blocks = tuple((part, tuple(_active_counts(lengths[part])))
+    blocks = tuple((part, tuple(active_counts(lengths[part])))
                    for part in (slice(lo, lo + block) for lo in range(0, len(lengths), block)))
     return _Plan(order, lengths, streams, blocks, tuple(tuple(_lanes(lengths[part])) for part, _ in blocks))
-
-
-def _active_counts(lengths: np.ndarray) -> list[int]:
-    """For each step t, how many of the longest-first ``lengths`` exceed t."""
-    return (len(lengths) - np.searchsorted(lengths[::-1], np.arange(lengths[0]), side="right")).tolist()
 
 
 def _run_sequences(
@@ -687,15 +672,10 @@ def _run_sequences(
 
     Sequence ``ki`` of the ``mi``-th length draws its Clifford indices from
     the stream ``rng_for(seed, mi * MAX_SEQUENCES + ki)``.  All k sequences of
-    every length advance together, longest first, in blocks of at most
-    ``_SEQUENCE_BLOCK``: each block's recovery gates come from its indices
-    alone (:func:`_recoveries`), and :func:`_advance` then applies the
-    transfer maps, max(m) Python steps a block.
-
-    The order, lengths, stream ids, blocks, per-step counts and Philox lanes
-    depend only on the grid: they come from :func:`_plan`, which keeps the last
-    grid's, so only the draws and the steps depend on the seed and the gate set.
-    """
+    every length run together, longest first, in blocks of at most
+    ``_SEQUENCE_BLOCK``: :func:`_recoveries` from a block's indices alone,
+    then :func:`_advance`.  All that depends only on the grid comes from the
+    cached :func:`_plan`."""
     if k < 2:
         raise ValueError(f"need at least 2 sequences per length, got {k}")
     if k > MAX_SEQUENCES:
@@ -727,27 +707,12 @@ def _run_sequences(
 def _advance(gateset: GateSet, indices: np.ndarray, active: Sequence[int],
              interleave: NoisyGate | None, recoveries: np.ndarray | None) -> np.ndarray:
     """Per-sequence survival after the recovery gates ``recoveries`` (RB), or
-    rescaled purity when they are None (PB), of sequences ordered longest
-    first, sequence i applying ``indices[:lengths[i], i]``: row t of the
-    step-major ``indices`` (:func:`_stream_integers`) is the contiguous step
-    t of every sequence.  ``active[t]`` is the number of sequences longer
-    than t, :func:`_active_counts` of the lengths, which
-    :func:`_run_sequences` takes from its plan.  The interleaved target is
-    folded into the 24 maps once, so each step gathers and multiplies one
-    stack of transfer matrices, the last product as it stands; a sequence's
-    coefficients are copied out once, when it ends.
-    Step 0 acts on the prepared state in every sequence, so its 24 products
-    are taken once and gathered: the same matrix-vector products as a
-    gathered step, on the same operands."""
+    rescaled purity when they are None (PB), from the prepared state's
+    :func:`~fibanyon._linalg.longest_first_products` over the 24 maps (the
+    interleaved target folded in once), the draws ``indices`` and the plan's ``active``."""
     ptms, d = gateset.ptms, gateset.dim
     steps = ptms if interleave is None else interleave.ptm.matrix @ ptms
-    # take gathers like indexing, with less overhead
-    coeffs = head = (steps @ gateset.prep[:, None]).take(indices[0], axis=0)
-    for a, idx in zip(active[1:], indices[1:]):
-        if a < len(head):  # sequences a: to len(head) ended with the last step
-            coeffs[a:len(head)] = head[a:]
-        head = steps.take(idx[:a], axis=0) @ head[:a]
-    coeffs[:len(head)] = head
+    coeffs = longest_first_products(steps, indices, active, gateset.prep[:, None])
     if recoveries is not None:
         coeffs = ptms[recoveries] @ coeffs
         return (gateset.prep @ coeffs)[:, 0] / d
@@ -766,9 +731,9 @@ def _recoveries(group: CliffordGroup, indices: np.ndarray, active: Sequence[int]
     which every step past a sequence's end is the identity.
 
     Reference RB frames stay in the group: a chunk's element indices are
-    multiplied pairwise in log depth through a uint8 copy of
-    :attr:`CliffordGroup.table`, exact integer arithmetic, and the recovery
-    is the frame's inverse.  Interleaved frames leave the group, so each is
+    multiplied by :func:`~fibanyon._linalg.pairwise_product` through a uint8
+    copy of :attr:`CliffordGroup.table`, exact integer arithmetic, and the
+    recovery is the frame's inverse.  Interleaved frames leave the group, so each is
     a real unit quaternion F, updated two steps at a time from
     :func:`_quaternion_tables`, and the recovery is the argmax of
     ``|(C F)_0|`` over the 24 Clifford quaternions C.  Since ``|tr(C F)| =
@@ -777,14 +742,11 @@ def _recoveries(group: CliffordGroup, indices: np.ndarray, active: Sequence[int]
     size = len(group)
     if target is None:
         table = group.table.astype(np.uint8).ravel()
+        product = lambda later, earlier: table.take(later.astype(np.uint16) * size + earlier)
         frames = np.zeros(active[0], dtype=np.uint8)  # element 0 is the identity
         for _, chunk in _chunks(indices, active, 0, np.uint8):
-            while len(chunk) > 1:
-                even = len(chunk) - len(chunk) % 2
-                merged = table.take(chunk[1:even:2].astype(np.uint16) * size + chunk[0:even:2])
-                chunk = np.concatenate([merged, chunk[even:]])
             head = frames[:chunk.shape[1]]
-            head[:] = table.take(chunk[0].astype(np.uint16) * size + head)
+            head[:] = product(pairwise_product(chunk, product), head)
         return group.inverse[frames]
     pairs, scalar_rows = _quaternion_tables(group, target.tobytes())
     frames = np.zeros((4, active[0]))

@@ -9,6 +9,7 @@ usual operator-product notation instead, reading right to left, so
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -248,7 +249,6 @@ def search_word(
         return SearchResult(best_word, best_dist, 0, True)
     evaluated = 0
     n_powers = len(SEARCH_POWERS)
-    total_words = 2 * sum(n_powers**length for length in range(1, max_letters + 1))
 
     # levels[start_gen] holds the unitaries of all budget-reachable words of
     # the current length beginning with start_gen
@@ -291,5 +291,6 @@ def search_word(
             # left-multiply: the new letter is applied after the prefix
             levels[start_gen] = np.einsum("pij,njk->npik", nxt, current).reshape(-1, 2, 2)
 
-    exhausted = evaluated < total_words
-    return SearchResult(best_word, best_dist, evaluated, exhausted)
+    # exhausted when fewer were evaluated than there are words; counting stops past the budget
+    words = itertools.accumulate(2 * n_powers**length for length in range(1, max_letters + 1))
+    return SearchResult(best_word, best_dist, evaluated, any(total > evaluated for total in words))

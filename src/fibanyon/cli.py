@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Collection, NamedTuple, NoReturn
 import numpy as np
 
 from . import anyon_model, braid_compiler, braid_space
-from ._linalg import phase_aligned_defect, unitarity_defect
+from ._linalg import active_counts, longest_first_products, phase_aligned_defect, unitarity_defect
 
 # benchmark_suite, noise_engine and robustness_lab are imported by the commands
 # that use them, so a process loads only its own subcommand's modules
@@ -66,7 +66,10 @@ def _complex_pairs(matrix: np.ndarray) -> list:
 def _parse_matrix_json(path: Path) -> np.ndarray:
     """A matrix stored as rows of ``[re, im]`` pairs; raises OSError or
     ValueError when the file is unreadable or holds anything else."""
-    rows = json.loads(path.read_text())
+    try:
+        rows = json.loads(path.read_text())
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     try:
         return np.array([[complex(re, im) for re, im in row] for row in rows])
     except TypeError:
@@ -167,11 +170,8 @@ def _random_words(seed: int, count: int):
 
 def _random_word_leakage(seed: int, count: int, s12: np.ndarray, s23: np.ndarray) -> float:
     """Largest ``||(1 - P_L) U P_L||_2`` over ``count`` random words U of
-    sigma12, sigma23 and their inverses (:func:`_random_words`).  A batch's
-    words advance together, longest first, one letter on the left of each
-    per step."""
-    from .benchmark_suite import _active_counts
-
+    sigma12, sigma23 and their inverses (:func:`_random_words`), a batch's
+    words multiplied by :func:`~fibanyon._linalg.longest_first_products`."""
     generators = np.array([s23.conj().T, s23, s12.conj().T, s12])  # by letter
     p_l = braid_space.logical_projector()
     worst = 0.0
@@ -180,9 +180,7 @@ def _random_word_leakage(seed: int, count: int, s12: np.ndarray, s23: np.ndarray
         index[np.arange(lengths.max()) < lengths[:, None]] = letters
         order = np.argsort(-lengths, kind="stable")
         index, lengths = index[order], lengths[order]
-        u = np.tile(np.eye(4, dtype=complex), (len(lengths), 1, 1))
-        for a, step in zip(_active_counts(lengths), index.T):
-            u[:a] = generators[step[:a]] @ u[:a]
+        u = longest_first_products(generators, index.T, active_counts(lengths), np.eye(4, dtype=complex))
         leak = np.linalg.norm((np.eye(4) - p_l) @ u @ p_l, 2, axis=(1, 2))
         worst = max(worst, float(leak.max()))
     return worst

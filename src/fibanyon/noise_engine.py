@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import benchmark_suite, braid_compiler, braid_space
-from ._linalg import dagger, phase_aligned_defect
+from ._linalg import dagger, pairwise_product, phase_aligned_defect
 from .braid_compiler import BraidWord
 
 BRAIDING_STEP_SECONDS = 2e-3
@@ -115,7 +115,10 @@ class NoiseModel:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "NoiseModel":
-        data = json.loads(Path(path).read_text())
+        try:
+            data = json.loads(Path(path).read_text())
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
         if not isinstance(data, dict):
             raise ValueError("a noise model must be a JSON object")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
@@ -273,19 +276,10 @@ def _word_terms(word: BraidWord) -> tuple[np.ndarray, np.ndarray]:
 
 def _compose(letters: np.ndarray) -> np.ndarray:
     """Product of a stack of per-letter transfer matrices, the first letter
-    acting first.
-
-    Adjacent pairs are multiplied as one stacked product per level, an odd
-    last matrix folded into the last pair, so a stack of L matrices takes
-    about log2 L numpy calls rather than L - 1."""
+    acting first, in log depth (:func:`~fibanyon._linalg.pairwise_product`)."""
     if len(letters) == 0:
         return np.eye(letters.shape[-1])
-    while len(letters) > 1:
-        pairs = letters[1::2] @ letters[:-1:2]
-        if len(letters) % 2:
-            pairs[-1] = letters[-1] @ pairs[-1]
-        letters = pairs
-    return letters[0]
+    return pairwise_product(letters, np.matmul)
 
 
 def word_ptm(word: BraidWord, noise: NoiseModel) -> benchmark_suite.PauliTransferMap:

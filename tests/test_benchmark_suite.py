@@ -14,7 +14,7 @@ from fibanyon import benchmark_suite as bench
 from fibanyon import braid_compiler as bc
 from fibanyon import braid_space as bs
 from fibanyon import noise_engine as ne
-from fibanyon._linalg import dagger
+from fibanyon._linalg import active_counts, dagger
 
 M_GRID = (1, 2, 4, 8, 16, 32)
 
@@ -955,7 +955,7 @@ def _table_recoveries(group, indices, active):
 def _drawn_indices(lengths, seed):
     """Step-major uint8 Clifford indices for the longest-first ``lengths``,
     with values up to 255 past each sequence's end, where the draws of
-    ``_stream_integers`` are unspecified."""
+    ``_draw`` are unspecified."""
     rng = np.random.default_rng(seed)
     indices = rng.integers(0, 256, size=(lengths[0], len(lengths)), dtype=np.uint8)
     for i, m in enumerate(lengths):
@@ -1006,7 +1006,7 @@ class TestRecoveries:
             block = bc.evaluate(bc.hadamard_word(), "logical2")
         lengths = np.array(sorted(lengths, reverse=True))
         indices = _drawn_indices(lengths, seed)
-        active = bench._active_counts(lengths)
+        active = active_counts(lengths)
         with mock.patch.object(bench, "_RECOVERY_CHUNK", chunk):
             got = bench._recoveries(group, indices, active, block)
         assert got.tolist() == _complex_frame_recoveries(group, indices, active, block).tolist()
@@ -1020,7 +1020,7 @@ class TestRecoveries:
     def test_log_depth_product_matches_table_steps(self, group, lengths, chunk, seed):
         lengths = np.array(sorted(lengths, reverse=True))
         indices = _drawn_indices(lengths, seed)
-        active = bench._active_counts(lengths)
+        active = active_counts(lengths)
         with mock.patch.object(bench, "_RECOVERY_CHUNK", chunk):
             got = bench._recoveries(group, indices, active, None)
         assert got.tolist() == _table_recoveries(group, indices, active).tolist()
@@ -1052,7 +1052,7 @@ class TestBatchedSequences:
     @given(st.lists(st.integers(1, 300), min_size=1, max_size=40))
     def test_active_counts_count_the_longer_sequences(self, lengths):
         lengths = np.array(sorted(lengths, reverse=True))
-        counts = bench._active_counts(lengths)
+        counts = active_counts(lengths)
         assert len(counts) == lengths[0]
         assert counts == [np.count_nonzero(lengths > t) for t in range(lengths[0])]
 
@@ -1082,7 +1082,7 @@ class TestBatchedSequences:
             interleave = bench.NoisyGate(bc.evaluate(word, target), noise.compose(applied))
         lengths = np.array(sorted((m for m, count in runs for _ in range(count)), reverse=True))
         indices = _drawn_indices(lengths, seed)
-        active = bench._active_counts(lengths)
+        active = active_counts(lengths)
         recoveries = None
         if recovery:
             recoveries = np.random.default_rng(seed).integers(0, len(group), size=len(lengths))
@@ -1110,7 +1110,7 @@ class TestBatchedSequences:
         gateset = make(noise=ne.clifford_noise_ptm(model, dim), group=group)
         lengths = np.array(sorted(lengths, reverse=True))
         indices = bench.rng_for(seed, 0).integers(0, len(group), size=(lengths[0], len(lengths)))
-        active = bench._active_counts(lengths)
+        active = active_counts(lengths)
         recoveries = bench._recoveries(group, indices, active, None)
         got = bench._advance(gateset, indices, active, None, recoveries)
         want = _float_frame_survivals(gateset, indices, lengths)
@@ -1272,8 +1272,8 @@ class TestPlan:
 @example(0, [(0, 130), (1, 129), (0, 2)], 2**31 + 1)
 @settings(max_examples=40, deadline=None)
 def test_stream_integers_match_rng_for(seed, streams, high):
-    ids, sizes = zip(*streams)
-    draws = bench._stream_integers(seed, list(ids), high, np.array(sizes))
+    ids, sizes = (np.array(column) for column in zip(*streams))
+    draws = bench._draw(seed, ids.astype(np.uint64), high, sizes, bench._lanes(sizes))
     # a stream may repeat after others: a reset must not carry state over
     for column, (stream, m) in enumerate(streams):
         np.testing.assert_array_equal(draws[:m, column],
@@ -1322,8 +1322,9 @@ def test_stream_integers_memory_bounded():
     # 2 MiB of uint8 output and a few MiB of Philox lanes; int64 draws alone
     # would take 16 MiB
     sizes = np.full(512, bench.MAX_LENGTH)
-    bench._stream_integers(1, [0], 24, sizes[:1])
-    peak = traced_peak(lambda: bench._stream_integers(20230517, list(range(512)), 24, sizes))
+    bench._draw(1, np.zeros(1, dtype=np.uint64), 24, sizes[:1], bench._lanes(sizes[:1]))
+    streams = np.arange(512, dtype=np.uint64)
+    peak = traced_peak(lambda: bench._draw(20230517, streams, 24, sizes, bench._lanes(sizes)))
     assert peak < 8 * 2**20
 
 

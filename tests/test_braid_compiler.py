@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -303,6 +305,22 @@ class TestSearch:
         result = bc.search_word(bc.hadamard_gate(), max_letters=10, budget=500)
         assert result.budget_exhausted
         assert result.evaluated == 500
+
+    def test_budget_stops_the_word_count(self):
+        # counting every word up to 10**6 letters would take far longer than this bound
+        start = time.perf_counter()
+        result = bc.search_word(bc.hadamard_gate(), 10**6, budget=1)
+        assert time.perf_counter() - start < 1.0
+        assert result.evaluated == 1
+        assert result.budget_exhausted
+
+    @pytest.mark.parametrize("max_letters", [1, 2, 3])
+    @pytest.mark.parametrize("slack", [-1, 0, 1])
+    def test_flag_is_whether_every_word_was_evaluated(self, max_letters, slack):
+        every_word = 2 * sum(8**length for length in range(1, max_letters + 1))
+        result = bc.search_word(bc.hadamard_gate(), max_letters, budget=every_word + slack)
+        assert result.evaluated == min(every_word, every_word + slack)
+        assert result.budget_exhausted == (slack < 0)
 
     def test_exhaustive_run_not_flagged(self):
         # a budget of exactly every word of up to 2 letters cuts nothing

@@ -179,6 +179,13 @@ class TestCompile:
         assert len(err.strip().splitlines()) == 1
         assert message in err and str(target) in err
 
+    def test_deeply_nested_target_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "deep.json"
+        target.write_text("[" * 100_000 + "]" * 100_000)
+        assert run(["compile", "--target", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"cannot read target matrix {target}: JSON nested too deeply\n"
+
     def test_matrix_file_target(self, tmp_path, capsys):
         h = 1 / np.sqrt(2)
         target = tmp_path / "h.json"
@@ -402,6 +409,14 @@ class TestBenchmark:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert message in err and str(noise) in err
+        assert not out_dir.exists()
+
+    def test_deeply_nested_noise_file_exits_2(self, tmp_path, capsys):
+        noise = tmp_path / "deep.json"
+        noise.write_text("[" * 100_000 + "]" * 100_000)
+        out_dir = tmp_path / "out"
+        assert run(["benchmark", "--protocol", "qpt", "--noise", str(noise), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"cannot use noise model {noise}: JSON nested too deeply\n"
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("argv", [
