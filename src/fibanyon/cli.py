@@ -11,6 +11,7 @@ produce identical output bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import math
@@ -64,16 +65,17 @@ def _complex_pairs(matrix: np.ndarray) -> list:
 
 
 def _parse_matrix_json(path: Path) -> np.ndarray:
-    """A matrix stored as rows of ``[re, im]`` pairs; raises OSError or
-    ValueError when the file is unreadable or holds anything else."""
+    """A matrix stored as rows of ``[re, im]`` pairs of JSON numbers (not
+    booleans); raises OSError or ValueError when the file is unreadable or
+    holds anything else."""
     try:
-        rows = json.loads(path.read_text())
+        rows = json.loads(path.read_text(), parse_int=float)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
-    try:
-        return np.array([[complex(re, im) for re, im in row] for row in rows])
-    except TypeError:
-        raise ValueError("matrix entries must be [re, im] pairs of numbers") from None
+    pair = lambda v: type(v) is list and len(v) == 2 and all(type(x) is float for x in v)
+    if not (type(rows) is list and all(type(row) is list and all(map(pair, row)) for row in rows)):
+        raise ValueError("matrix entries must be [re, im] pairs of numbers")
+    return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -89,31 +91,6 @@ class Check(NamedTuple):
     @property
     def passed(self) -> bool:
         return self.residual < self.tolerance
-
-
-VERIFICATION_CHECK_NAMES = (
-    "pentagon",
-    "hexagon",
-    "f-unitarity",
-    "qdim-consistency",
-    "tree-transform-unitarity",
-    "sigma12-oracle",
-    "sigma23-oracle",
-    "tree-conjugate-b1",
-    "tree-conjugate-b2",
-    "yang-baxter",
-    "generator-order-ten",
-    "logical-restriction-12",
-    "logical-restriction-23",
-    "random-word-leakage",
-    "extended-braid-relations",
-    "extended-restriction",
-    "hadamard-distance-regression",
-    "robustness-m1",
-    "robustness-m2",
-    "circuit-decompositions",
-)
-"""Names of the checks :func:`run_verification_checks` performs, in order."""
 
 
 def _sigma_oracle(index: int) -> np.ndarray:
@@ -138,6 +115,17 @@ def _sigma_oracle(index: int) -> np.ndarray:
         [0, e(3 / 5), 0, 0],
         [0, 0, diag_phase, off],
         [0, 0, off, -1 / phi],
+    ])
+
+
+def _logical_oracle(index: int) -> np.ndarray:
+    """The generators' 2x2 logical-qubit blocks in closed form."""
+    phi = anyon_model.PHI
+    if index == 12:
+        return np.diag([np.exp(-4j * np.pi / 5), np.exp(3j * np.pi / 5)])
+    return np.array([
+        [np.exp(4j * np.pi / 5) / phi, np.exp(7j * np.pi / 5) / np.sqrt(phi)],
+        [np.exp(7j * np.pi / 5) / np.sqrt(phi), -1 / phi],
     ])
 
 
@@ -186,131 +174,109 @@ def _random_word_leakage(seed: int, count: int, s12: np.ndarray, s23: np.ndarray
     return worst
 
 
-def run_verification_checks(
-    leakage_words: int = 100,
-    seed: int = DEFAULT_SEED,
-    tolerance_scale: float = 1.0,
-) -> list[Check]:
-    """The full invariant suite, in the order of :data:`VERIFICATION_CHECK_NAMES`."""
-    from . import noise_engine, robustness_lab
+def _verification_checks(leakage_words: int, seed: int) -> tuple:
+    """The invariant suite as ``(name, tolerance, residual)`` rows, in the
+    order they run.  A residual takes no argument and builds what it checks
+    only when called, so the rows list the suite without running a check or
+    importing noise_engine, robustness_lab or benchmark_suite.  The F and R
+    tables come from ``FusionData.fibonacci`` and ``FSymbolTable.fibonacci``
+    at the first call, not from the tables braid_space caches."""
+    am, bs, bc = anyon_model, braid_space, braid_compiler
 
-    phi = anyon_model.PHI
-    fusion = anyon_model.FusionData.fibonacci()
-    ftable = anyon_model.FSymbolTable.fibonacci(fusion)
-    rtable = anyon_model.RSymbolTable.fibonacci(fusion)
+    @functools.cache
+    def tables():
+        fusion = am.FusionData.fibonacci()
+        return fusion, am.FSymbolTable.fibonacci(fusion), am.RSymbolTable.fibonacci(fusion)
 
-    checks: list[Check] = []
-    checks.append(Check("pentagon", anyon_model.verify_pentagon(ftable).max_residual, 1e-12))
-    checks.append(Check("hexagon", anyon_model.verify_hexagon(ftable, rtable).max_residual, 1e-12))
-    checks.append(Check("f-unitarity", anyon_model.verify_f_unitarity(ftable).max_residual, 1e-12))
-    d_vacuum, d_tau = fusion.qdim[anyon_model.VACUUM], fusion.qdim[anyon_model.TAU]
-    checks.append(Check("qdim-consistency", abs(d_tau * d_tau - (d_vacuum + d_tau)), 1e-12))
+    def qdim():
+        d_vacuum, d_tau = (tables()[0].qdim[label] for label in (am.VACUUM, am.TAU))
+        return abs(d_tau * d_tau - (d_vacuum + d_tau))
 
-    f4 = braid_space.tree_transform()
-    checks.append(Check("tree-transform-unitarity", unitarity_defect(f4), 1e-12))
+    def gap(a, b) -> float:
+        return float(np.abs(a - b).max())
 
-    s12, s23 = braid_space.sigma(12), braid_space.sigma(23)
-    checks.append(Check("sigma12-oracle", float(np.abs(s12 - _sigma_oracle(12)).max()), 1e-12))
-    checks.append(Check("sigma23-oracle", float(np.abs(s23 - _sigma_oracle(23)).max()), 1e-12))
+    def yang_baxter():
+        s12, s23 = bs.sigma(12), bs.sigma(23)
+        return gap(s12 @ s23 @ s12, s23 @ s12 @ s23)
 
-    b1, b2 = braid_space.tree_generator(12), braid_space.tree_generator(23)
-    checks.append(Check("tree-conjugate-b1", float(np.abs(braid_space.tree_conjugate(s12) - b1).max()), 1e-10))
-    checks.append(Check("tree-conjugate-b2", float(np.abs(braid_space.tree_conjugate(s23) - b2).max()), 1e-10))
+    def logical_restriction(index):
+        logical, leak = bs.logical_restrict(bs.sigma(index))
+        return max(gap(logical, _logical_oracle(index)), leak)
 
-    checks.append(Check("yang-baxter", float(np.abs(s12 @ s23 @ s12 - s23 @ s12 @ s23).max()), 1e-12))
-    checks.append(Check(
-        "generator-order-ten",
-        float(np.abs(np.linalg.matrix_power(s12, 10) - np.eye(4)).max()),
-        1e-12,
-    ))
+    def extended_braid_relations():
+        g = [bs.build_generator(5, p) for p in range(1, 5)]
+        return max(0.0, *(gap(g[a] @ g[a + 1] @ g[a], g[a + 1] @ g[a] @ g[a + 1]) for a in range(3)),
+                   *(gap(g[a] @ g[b], g[b] @ g[a]) for a, b in ((0, 2), (0, 3), (1, 3))))
 
-    r_vac = np.exp(-4j * np.pi / 5)
-    r_tau = np.exp(3j * np.pi / 5)
-    logical12, leak12 = braid_space.logical_restrict(s12)
-    checks.append(Check(
-        "logical-restriction-12",
-        max(float(np.abs(logical12 - np.diag([r_vac, r_tau])).max()), leak12),
-        1e-12,
-    ))
-    logical23, leak23 = braid_space.logical_restrict(s23)
-    oracle23 = np.array([
-        [np.exp(4j * np.pi / 5) / phi, np.exp(7j * np.pi / 5) / np.sqrt(phi)],
-        [np.exp(7j * np.pi / 5) / np.sqrt(phi), -1 / phi],
-    ])
-    checks.append(Check(
-        "logical-restriction-23",
-        max(float(np.abs(logical23 - oracle23).max()), leak23),
-        1e-12,
-    ))
+    def extended_restriction():
+        from .robustness_lab import ENV_PAIR_INDEX
 
-    checks.append(Check("random-word-leakage", _random_word_leakage(seed, leakage_words, s12, s23), 1e-10))
+        sector = np.ix_(*2 * [[ENV_PAIR_INDEX * 4 + t for t in range(4)]])
+        return max(gap(bs.build_generator(5, 3)[sector], bs.sigma(12)),
+                   gap(bs.build_generator(5, 4)[sector], bs.sigma(23)))
 
-    gens5 = [braid_space.build_generator(5, p) for p in range(1, 5)]
-    worst = 0.0
-    for a in range(3):
-        lhs = gens5[a] @ gens5[a + 1] @ gens5[a]
-        rhs = gens5[a + 1] @ gens5[a] @ gens5[a + 1]
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    for a, b in ((0, 2), (0, 3), (1, 3)):
-        worst = max(worst, float(np.abs(gens5[a] @ gens5[b] - gens5[b] @ gens5[a]).max()))
-    checks.append(Check("extended-braid-relations", worst, 1e-12))
+    def robustness(q):
+        from .robustness_lab import extract_M
 
-    sector = [robustness_lab.ENV_PAIR_INDEX * 4 + t for t in range(4)]
-    restr = max(
-        float(np.abs(gens5[2][np.ix_(sector, sector)] - s12).max()),
-        float(np.abs(gens5[3][np.ix_(sector, sector)] - s23).max()),
+        return extract_M(q).proportionality_deviation
+
+    def circuit_decompositions():
+        from .noise_engine import decompose_braiding
+
+        return max(0.0, *(phase_aligned_defect(decompose_braiding(gen, power).compose(),
+                                               bc.letter_matrix("physical4", gen, power))
+                          for gen in (12, 23) for power in (2, -2)))
+
+    return (
+        ("pentagon", 1e-12, lambda: am.verify_pentagon(tables()[1]).max_residual),
+        ("hexagon", 1e-12, lambda: am.verify_hexagon(*tables()[1:]).max_residual),
+        ("f-unitarity", 1e-12, lambda: am.verify_f_unitarity(tables()[1]).max_residual),
+        ("qdim-consistency", 1e-12, qdim),
+        ("tree-transform-unitarity", 1e-12, lambda: unitarity_defect(bs.tree_transform())),
+        ("sigma12-oracle", 1e-12, lambda: gap(bs.sigma(12), _sigma_oracle(12))),
+        ("sigma23-oracle", 1e-12, lambda: gap(bs.sigma(23), _sigma_oracle(23))),
+        ("tree-conjugate-b1", 1e-10, lambda: gap(bs.tree_conjugate(bs.sigma(12)), bs.tree_generator(12))),
+        ("tree-conjugate-b2", 1e-10, lambda: gap(bs.tree_conjugate(bs.sigma(23)), bs.tree_generator(23))),
+        ("yang-baxter", 1e-12, yang_baxter),
+        ("generator-order-ten", 1e-12, lambda: gap(np.linalg.matrix_power(bs.sigma(12), 10), np.eye(4))),
+        ("logical-restriction-12", 1e-12, lambda: logical_restriction(12)),
+        ("logical-restriction-23", 1e-12, lambda: logical_restriction(23)),
+        ("random-word-leakage", 1e-10,
+         lambda: _random_word_leakage(seed, leakage_words, bs.sigma(12), bs.sigma(23))),
+        ("extended-braid-relations", 1e-12, extended_braid_relations),
+        ("extended-restriction", 1e-12, extended_restriction),
+        ("hadamard-distance-regression", 1e-8, lambda: abs(bc.distance_up_to_phase(
+            bc.evaluate(bc.hadamard_word(), "logical2"), bc.hadamard_gate()) - bc.HADAMARD_WORD_DISTANCE)),
+        ("robustness-m1", 1e-10, lambda: robustness(1)),
+        ("robustness-m2", 1e-10, lambda: robustness(2)),
+        ("circuit-decompositions", 1e-10, circuit_decompositions),
     )
-    checks.append(Check("extended-restriction", restr, 1e-12))
 
-    word = braid_compiler.hadamard_word()
-    delta = braid_compiler.distance_up_to_phase(
-        braid_compiler.evaluate(word, "logical2"), braid_compiler.hadamard_gate()
-    )
-    checks.append(Check(
-        "hadamard-distance-regression",
-        abs(delta - braid_compiler.HADAMARD_WORD_DISTANCE),
-        1e-8,
-    ))
 
-    for q in robustness_lab.SCENARIOS:
-        result = robustness_lab.extract_M(q)
-        checks.append(Check(f"robustness-m{q}", result.proportionality_deviation, 1e-10))
-
-    worst = 0.0
-    for gen in (12, 23):
-        for power in (2, -2):
-            circuit = noise_engine.decompose_braiding(gen, power)
-            target = braid_compiler.letter_matrix("physical4", gen, power)
-            worst = max(worst, phase_aligned_defect(circuit.compose(), target))
-    checks.append(Check("circuit-decompositions", worst, 1e-10))
-
-    if tolerance_scale != 1.0:
-        checks = [Check(c.name, c.residual, c.tolerance * tolerance_scale) for c in checks]
-    return checks
+def run_verification_checks(leakage_words: int = 100, seed: int = DEFAULT_SEED,
+                            tolerance_scale: float = 1.0) -> list[Check]:
+    """The full invariant suite of :func:`_verification_checks`, in its order,
+    every tolerance multiplied by ``tolerance_scale``."""
+    return [Check(name, residual(), tolerance * tolerance_scale)
+            for name, tolerance, residual in _verification_checks(leakage_words, seed)]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.list:
-        for name in VERIFICATION_CHECK_NAMES:
-            print(name)
+        print("\n".join(name for name, _, _ in _verification_checks(args.leakage_words, args.seed)))
         return 0
     checks = run_verification_checks(
         leakage_words=args.leakage_words,
         seed=args.seed,
         tolerance_scale=args.tolerance,
     )
-    failures = []
     for check in checks:
-        status = "PASS" if check.passed else "FAIL"
-        print(f"{status}  {check.name}: residual={check.residual:.3e} tolerance={check.tolerance:.0e}")
-        if not check.passed:
-            failures.append(check.name)
+        print(f"{'PASS' if check.passed else 'FAIL'}  {check.name}: "
+              f"residual={check.residual:.3e} tolerance={check.tolerance:.0e}")
+    failures = [check.name for check in checks if not check.passed]
     if args.json:
         _write_json(Path(args.json), {
-            "checks": [
-                {"name": c.name, "residual": c.residual, "tolerance": c.tolerance, "passed": c.passed}
-                for c in checks
-            ],
+            "checks": [{**c._asdict(), "passed": c.passed} for c in checks],
             "passed": not failures,
         })
     if failures:
@@ -324,19 +290,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # compile
 # ---------------------------------------------------------------------------
 
-NAMED_GATES = ("identity", "hadamard", "sigma12", "sigma23")
+_NAMED_GATES = {
+    "identity": lambda: np.eye(2, dtype=complex),
+    "hadamard": braid_compiler.hadamard_gate,
+    "sigma12": lambda: braid_space.sigma_logical(12),
+    "sigma23": lambda: braid_space.sigma_logical(23),
+}
+"""The ``compile --named`` targets: each name's 2x2 logical gate builder."""
 
-
-def _named_gate(name: str) -> np.ndarray:
-    if name == "identity":
-        return np.eye(2, dtype=complex)
-    if name == "hadamard":
-        return braid_compiler.hadamard_gate()
-    if name == "sigma12":
-        return braid_space.sigma_logical(12)
-    if name == "sigma23":
-        return braid_space.sigma_logical(23)
-    raise KeyError(name)
+NAMED_GATES = tuple(_NAMED_GATES)
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
@@ -384,11 +346,10 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         return 0
 
     if args.named:
-        try:
-            target = _named_gate(args.named)
-        except KeyError:
+        if args.named not in _NAMED_GATES:
             print(f"unknown named gate {args.named!r}; choices: {NAMED_GATES}", file=sys.stderr)
             return 2
+        target = _NAMED_GATES[args.named]()
     else:
         try:
             target = _parse_matrix_json(Path(args.target))

@@ -68,16 +68,14 @@ def b2_printed() -> np.ndarray:
 
 @pytest.fixture(scope="session")
 def logical12_printed() -> np.ndarray:
-    """The 2x2 logical-qubit block of ``sigma12``, in closed form."""
-    return np.diag([np.exp(-4j * np.pi / 5), np.exp(3j * np.pi / 5)])
+    """The 2x2 logical-qubit block of ``sigma12``, in closed form (the oracle
+    that ``fibanyon verify`` also checks)."""
+    return cli._logical_oracle(12)
 
 
 @pytest.fixture(scope="session")
 def logical23_printed() -> np.ndarray:
-    return np.array([
-        [np.exp(4j * np.pi / 5) / PHI, np.exp(7j * np.pi / 5) / math.sqrt(PHI)],
-        [np.exp(7j * np.pi / 5) / math.sqrt(PHI), -1 / PHI],
-    ])
+    return cli._logical_oracle(23)
 
 
 @pytest.fixture(scope="session")

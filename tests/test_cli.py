@@ -36,9 +36,13 @@ class TestVerify:
         assert "pentagon" in out
         assert "PASS" not in out
 
-    def test_listed_names_match_executed_checks(self):
-        checks = cli.run_verification_checks(leakage_words=2)
-        assert tuple(c.name for c in checks) == cli.VERIFICATION_CHECK_NAMES
+    def test_listed_names_match_executed_checks(self, tmp_path, capsys):
+        assert run(["verify", "--list"]) == 0
+        listed = capsys.readouterr().out.splitlines()
+        report = tmp_path / "report.json"
+        assert run(["verify", "--leakage-words", "2", "--json", str(report)]) == 0
+        capsys.readouterr()
+        assert listed == [c["name"] for c in json.loads(report.read_text())["checks"]]
 
     def test_injected_f_error_fails_naming_pentagon(self, capsys, monkeypatch):
         fibonacci = am.FSymbolTable.fibonacci
@@ -165,10 +169,24 @@ class TestCompile:
         assert run(["compile", "--target", str(bad)]) == 2
         assert "not unitary" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_integer_beyond_float_range_rejected(self, tmp_path, capsys):
+        # JSON integers are read as floats, so a 400-digit integer is infinite and the target not unitary
+        bad = tmp_path / "bad.json"
+        bad.write_text(f"[[[1{'0' * 400}, 0], [0, 0]], [[0, 0], [1, 0]]]")
+        assert run(["compile", "--target", str(bad)]) == 2
+        assert "not unitary" in capsys.readouterr().err
+
     @pytest.mark.parametrize("content,message", [
         (None, "No such file"),
         ("{not json", "Expecting property name"),
         ("[[1, 0]]", "[re, im] pairs"),
+        ("[[[true, false], [false, false]], [[false, false], [true, false]]]", "[re, im] pairs"),
+        ('[[["1", "0"], [0, 0]], [[0, 0], [1, 0]]]', "[re, im] pairs"),
+        ('[[[1, 0], {"re": 0, "im": 0}], [[0, 0], [1, 0]]]', "[re, im] pairs"),
+        ("[[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]]", "[re, im] pairs"),
+        ('"[[1, 0]]"', "[re, im] pairs"),
+        ("7", "[re, im] pairs"),
     ])
     def test_unreadable_target_exits_2(self, tmp_path, capsys, content, message):
         target = tmp_path / "target.json"

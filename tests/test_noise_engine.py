@@ -478,7 +478,8 @@ class TestCalibration:
     @pytest.mark.parametrize("command", [
         ["compile", "--hadamard"], ["compile", "--word", "s12^4 s23^-2"],
         ["compile", "--named", "sigma12", "--max-letters", "2"], ["dump-matrices", "--out", "{out}"],
-        ["dump-matrices", "--out", "{out}", "--format", "csv"], ["robustness", "--q", "1"]], ids=" ".join)
+        ["dump-matrices", "--out", "{out}", "--format", "csv"], ["robustness", "--q", "1"],
+        ["verify", "--list"]], ids=" ".join)
     def test_command_loads_neither_simulator_nor_protocols(self, tmp_path, command):
         # cli imports benchmark_suite and noise_engine only in the commands that use
         # them; one fresh process per command
@@ -486,6 +487,8 @@ class TestCalibration:
         (loaded,) = modules_after_each([f"assert cli.main({argv!r}) == 0"], "fibanyon")
         assert "fibanyon.braid_space" in loaded
         assert not {"fibanyon.benchmark_suite", "fibanyon.noise_engine"} & set(loaded)
+        if command[0] != "robustness":
+            assert "fibanyon.robustness_lab" not in loaded
 
 
 def cli_commands(tmp_path):
