@@ -29,7 +29,8 @@ def unitarity_defect(u: np.ndarray) -> float:
     """Max-entry deviation of ``u u†`` from the identity; infinite when an
     entry of ``u`` is not finite, so that every tolerance rejects it."""
     u = np.asarray(u)
-    defect = float(np.abs(u @ dagger(u) - np.eye(u.shape[0])).max())
+    with np.errstate(invalid="ignore", over="ignore"):
+        defect = float(np.abs(u @ dagger(u) - np.eye(u.shape[0])).max())
     return math.inf if math.isnan(defect) else defect
 
 

@@ -19,12 +19,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import braid_compiler, braid_space
 from ._linalg import active_counts, check_unitary, dagger, longest_first_products, pairwise_product, phase_distances
+from ._philox import draw, lanes
 
 PAULI_1Q = (
     np.eye(2, dtype=complex),
@@ -48,7 +49,7 @@ MiB (:func:`_recoveries`)."""
 MAX_LENGTH = 4096
 """Longest sequence: one block's Clifford indices are ``MAX_LENGTH *
 _SEQUENCE_BLOCK`` uint8 draws, 16 MiB, and drawing them peaks a few MiB above
-that (:data:`_PHILOX_LANES`)."""
+that (:data:`fibanyon._philox._PHILOX_LANES`)."""
 
 Channel = Callable[[np.ndarray], np.ndarray]
 
@@ -368,149 +369,6 @@ def physical_gateset(
     return _gateset(group, group.physical_ptms, zero_l, noise)
 
 
-def rng_for(seed: int, task_index: int) -> np.random.Generator:
-    """Counter-based generator stream for task ``task_index`` of a master
-    seed; identical whether tasks run serially or in parallel.
-
-    This is the definition of a stream: the protocols draw the same values
-    through :func:`_draw` and :class:`PhiloxStream`, which compute Philox in
-    numpy and so never import ``numpy.random``."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, task_index], dtype=np.uint64)))
-
-
-_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)
-_PHILOX_BUMP = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)  # key step per round
-_LOW32 = np.uint64(0xFFFFFFFF)
-_32 = np.uint64(32)
-_PHILOX_LANES = 8192
-"""Counter blocks computed together: bounds a draw's working memory to a
-few MiB beside its output."""
-
-
-def philox_halves(seed: int, streams: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Philox4x64-10 in numpy (Salmon, Moraes, Dror & Shaw, SC'11): row i
-    holds the 32-bit halves, low half first, of the four 64-bit words that
-    ``numpy.random.Philox(key=[seed, streams[i]])`` outputs for its counter
-    block ``[counters[i], 0, 0, 0]``.  A fresh stream's first block has
-    counter 1, and numpy's 32-bit draws consume the halves in this order.
-
-    Blocks are columns of ``(2, n)`` arrays holding counter words 0 and 2, the
-    pair a round multiplies; each 64x64 -> 128-bit product is assembled from
-    32-bit halves, none of whose partial sums overflows 64 bits."""
-    n = len(counters)
-    full = lambda c: np.repeat(c[:, None], n, axis=1)  # same-shape operands skip broadcasting
-    m, m_lo, m_hi = full(_PHILOX_M), full(_PHILOX_M & _LOW32), full(_PHILOX_M >> _32)
-    key = np.empty((2, n), dtype=np.uint64)
-    key[0], key[1] = seed, streams
-    round_keys = key + np.arange(10, dtype=np.uint64)[:, None, None] * _PHILOX_BUMP[:, None]  # wrapping
-    x = np.zeros((2, n), dtype=np.uint64)  # counter words 0 and 2
-    x[0] = counters
-    y = np.zeros((2, n), dtype=np.uint64)  # counter words 1 and 3
-    x_lo, x_hi, t, u, v = (np.empty((2, n), dtype=np.uint64) for _ in range(5))
-    for round_key in round_keys:
-        np.bitwise_and(x, _LOW32, out=x_lo)
-        np.right_shift(x, _32, out=x_hi)
-        np.multiply(x_lo, m_lo, out=t)
-        t >>= _32
-        np.multiply(x_hi, m_lo, out=u)
-        u += t
-        np.bitwise_and(u, _LOW32, out=t)
-        np.multiply(x_lo, m_hi, out=v)
-        v += t
-        u >>= _32
-        v >>= _32
-        np.multiply(x_hi, m_hi, out=t)
-        t += u
-        t += v  # the high 64 bits of x * m
-        low = x * m  # wraps to the low 64 bits
-        # words (0, 1, 2, 3) become (hi_1 ^ w1 ^ k0, lo_1, hi_0 ^ w3 ^ k1, lo_0)
-        np.bitwise_xor(t[::-1], y, out=x)
-        x ^= round_key
-        y = low[::-1]
-    # little-endian words split into their halves low first
-    words = np.stack([x[0], y[0], x[1], y[1]], axis=1).astype("<u8", copy=False)
-    return words.view("<u4").astype(np.uint64)
-
-
-def _bounded(halves: np.ndarray, high: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's bounded draw on 32-bit halves: each maps to ``(u * high) >>
-    32`` and is rejected where the low 32 bits of that product fall below
-    ``2**32 % high``.  Returns the draws and the acceptance mask."""
-    scaled = halves * np.uint64(high)
-    return (scaled >> _32).astype(np.int64), (scaled & _LOW32) >= np.uint64(2**32 % high)
-
-
-class PhiloxStream:
-    """Bounded draws read in order from the stream ``(seed, stream)`` without
-    ``numpy.random``: successive ``integers(high, n)`` calls return what
-    successive ``rng_for(seed, stream).integers(0, high, size=n)`` calls on
-    one generator return, for ``1 < high < 2**32``.  Each draw consumes the
-    next 32-bit half of the stream (:func:`philox_halves`), and the halves are
-    computed ``BLOCKS`` counter blocks at a time."""
-
-    BLOCKS = 256
-
-    def __init__(self, seed: int, stream: int) -> None:
-        self.seed, self.stream = seed, stream
-        self.halves = np.empty(0, dtype=np.uint64)  # computed and not yet consumed
-        self.next_block = 1
-
-    def integers(self, high: int, n: int) -> np.ndarray:
-        draws = np.empty(0, dtype=np.int64)
-        while len(draws) < n:
-            values, accepted = _bounded(self._take(n - len(draws)), high)
-            draws = np.concatenate([draws, values[accepted]])
-        return draws
-
-    def _take(self, n: int) -> np.ndarray:
-        while len(self.halves) < n:
-            counters = np.arange(self.next_block, self.next_block + self.BLOCKS)
-            fresh = philox_halves(self.seed, np.full(self.BLOCKS, self.stream, dtype=np.uint64), counters)
-            self.halves = np.concatenate([self.halves, fresh.ravel()])
-            self.next_block += self.BLOCKS
-        taken, self.halves = self.halves[:n], self.halves[n:]
-        return taken
-
-
-def _lanes(sizes: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Read-only chunks of at most :data:`_PHILOX_LANES` Philox lanes of
-    streams drawing ``sizes`` values, one at a time: each lane's counter
-    block from 0 and its stream's column, in the smallest unsigned dtypes."""
-    blocks = -(-sizes // 8)
-    ends = np.cumsum(blocks)
-    starts = ends - blocks
-    block_type, column_type = np.min_scalar_type(blocks.max()), np.min_scalar_type(len(sizes) - 1)
-    for lo in range(0, int(ends[-1]), _PHILOX_LANES):
-        lanes = np.arange(lo, min(lo + _PHILOX_LANES, int(ends[-1])))
-        columns = np.searchsorted(ends, lanes, side="right")
-        chunk = (lanes - starts[columns]).astype(block_type), columns.astype(column_type)
-        chunk[0].flags.writeable = chunk[1].flags.writeable = False
-        yield chunk
-
-
-def _draw(seed: int, streams: np.ndarray, high: int, sizes: np.ndarray,
-          lanes: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Column ``i`` begins with ``rng_for(seed, streams[i]).integers(0, high,
-    size=sizes[i])`` for the uint64 ``streams``, ``0 < high < 2**32`` and the
-    :func:`_lanes` of ``sizes``; entries past ``sizes[i]`` are unspecified.  The
-    array is step-major, ``(max(sizes), len(streams))``, in the smallest
-    unsigned dtype that holds ``high - 1``.  The draws are :func:`philox_halves`
-    over each lane chunk, eight a lane; a stream with a rejected draw among its
-    first ``sizes[i]`` (probability 16/2**32 a draw at 24) is read again in
-    order through :class:`PhiloxStream`."""
-    out = np.empty((-(-int(sizes.max()) // 8) * 8, len(streams)), dtype=np.min_scalar_type(high - 1))
-    short = np.zeros(len(streams), dtype=bool)
-    for block, columns in lanes:
-        draws, accepted = _bounded(philox_halves(seed, streams[columns], block + 1), high)
-        out.reshape(-1, 8, len(streams))[block, :, columns] = draws
-        if not accepted.all():
-            needed = 8 * block[:, None].astype(np.int64) + np.arange(8) < sizes[columns, None]
-            short[columns[(needed & ~accepted).any(axis=1)]] = True
-    for column in np.flatnonzero(short):
-        out[:sizes[column], column] = PhiloxStream(seed, int(streams[column])).integers(high, int(sizes[column]))
-    return out[:sizes.max()]
-
-
 FLAT_SPREAD = 1e-9
 """Spread of the per-length means below which :func:`fit_decay` does not fit."""
 
@@ -632,7 +490,7 @@ class _Plan(NamedTuple):
     lengths: np.ndarray  # read-only
     streams: np.ndarray  # read-only uint64
     blocks: tuple[tuple[slice, tuple[int, ...]], ...]
-    lanes: tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]  # per block, its _lanes
+    lanes: tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]  # per block, its lanes
 
 
 @functools.lru_cache(maxsize=1)
@@ -648,7 +506,7 @@ def _plan(m_values: tuple[int, ...], k: int, block: int) -> _Plan:
     order.flags.writeable = lengths.flags.writeable = streams.flags.writeable = False
     blocks = tuple((part, tuple(active_counts(lengths[part])))
                    for part in (slice(lo, lo + block) for lo in range(0, len(lengths), block)))
-    return _Plan(order, lengths, streams, blocks, tuple(tuple(_lanes(lengths[part])) for part, _ in blocks))
+    return _Plan(order, lengths, streams, blocks, tuple(tuple(lanes(lengths[part])) for part, _ in blocks))
 
 
 def _run_sequences(
@@ -671,11 +529,11 @@ def _run_sequences(
     ``UNITARY_TOL`` (a leaking target has no logical frame).
 
     Sequence ``ki`` of the ``mi``-th length draws its Clifford indices from
-    the stream ``rng_for(seed, mi * MAX_SEQUENCES + ki)``.  All k sequences of
-    every length run together, longest first, in blocks of at most
-    ``_SEQUENCE_BLOCK``: :func:`_recoveries` from a block's indices alone,
-    then :func:`_advance`.  All that depends only on the grid comes from the
-    cached :func:`_plan`."""
+    the stream ``_philox.rng_for(seed, mi * MAX_SEQUENCES + ki)``, read by
+    :func:`~fibanyon._philox.draw`.  All k sequences of every length run
+    together, longest first, in blocks of at most ``_SEQUENCE_BLOCK``:
+    :func:`_recoveries` from a block's indices alone, then :func:`_advance`.
+    All that depends only on the grid comes from the cached :func:`_plan`."""
     if k < 2:
         raise ValueError(f"need at least 2 sequences per length, got {k}")
     if k > MAX_SEQUENCES:
@@ -694,8 +552,8 @@ def _run_sequences(
         check_unitary(target, what="the interleaved target's logical block")
     plan = _plan(tuple(m_values), k, _SEQUENCE_BLOCK)
     values = []
-    for (block, active), lanes in zip(plan.blocks, plan.lanes):
-        indices = _draw(seed, plan.streams[block], len(gateset.group), plan.lengths[block], lanes)
+    for (block, active), chunks in zip(plan.blocks, plan.lanes):
+        indices = draw(seed, plan.streams[block], len(gateset.group), plan.lengths[block], chunks)
         recoveries = _recoveries(gateset.group, indices, active, target) if recovery else None
         values.append(_advance(gateset, indices, active, interleave, recoveries))
     values = (values[0] if len(values) == 1 else np.concatenate(values)).reshape(len(plan.order), k)

@@ -133,42 +133,28 @@ _MAX_WORD_LETTERS = 50  # longest random word of the leakage check
 _WORD_BATCH = 1024  # random words multiplied as one stack
 
 
-def _random_words(seed: int, count: int):
-    """Yield batches of at most ``_WORD_BATCH`` random words as ``(lengths,
-    letters)``, the letters of all words of a batch concatenated in
-    application order.
-
-    The draws are those of a scalar loop on ``rng_for(seed, 0)``, read in the
-    same order from :class:`fibanyon.benchmark_suite.PhiloxStream`: per word
-    the length from ``integers(1, _MAX_WORD_LETTERS + 1)``, then per letter
-    ``integers(2)`` for the generator (1: sigma12, 0: sigma23) and
-    ``integers(2)`` for the power (1: +1, 0: -1).  A letter is ``2 *
-    generator + power``."""
-    from .benchmark_suite import PhiloxStream
-
-    stream = PhiloxStream(seed, 0)
-    for lo in range(0, count, _WORD_BATCH):
-        lengths, letters = [], []
-        for _ in range(min(_WORD_BATCH, count - lo)):
-            lengths.append(1 + int(stream.integers(_MAX_WORD_LETTERS, 1)[0]))
-            bits = stream.integers(2, 2 * lengths[-1])
-            letters.append(2 * bits[0::2] + bits[1::2])
-        yield np.array(lengths), np.concatenate(letters)
-
-
-def _random_word_leakage(seed: int, count: int, s12: np.ndarray, s23: np.ndarray) -> float:
+def _random_word_leakage(seed: int, count: int) -> float:
     """Largest ``||(1 - P_L) U P_L||_2`` over ``count`` random words U of
-    sigma12, sigma23 and their inverses (:func:`_random_words`), a batch's
-    words multiplied by :func:`~fibanyon._linalg.longest_first_products`."""
-    generators = np.array([s23.conj().T, s23, s12.conj().T, s12])  # by letter
+    sigma12, sigma23 and their inverses, drawn as RB sequences are: word i is
+    ``1 + draw`` below ``_MAX_WORD_LETTERS`` of the stream ``(seed, 2i)``
+    letters long, and its letters are the draws below 4 of the stream
+    ``(seed, 2i + 1)``, indexing sigma23^-1, sigma23, sigma12^-1 and sigma12
+    (:func:`~fibanyon.braid_compiler.letter_matrix`).  Batches of at most
+    ``_WORD_BATCH`` words, drawn longest first, are multiplied by
+    :func:`~fibanyon._linalg.longest_first_products`."""
+    from ._philox import draw, lanes
+
+    generators = np.array([braid_compiler.letter_matrix("physical4", g, p) for g in (23, 12) for p in (-1, 1)])
     p_l = braid_space.logical_projector()
     worst = 0.0
-    for lengths, letters in _random_words(seed, count):
-        index = np.zeros((len(lengths), lengths.max()), dtype=np.intp)
-        index[np.arange(lengths.max()) < lengths[:, None]] = letters
+    for lo in range(0, count, _WORD_BATCH):
+        streams = 2 * np.arange(lo, min(lo + _WORD_BATCH, count), dtype=np.uint64)
+        ones = np.ones(len(streams), dtype=np.int64)
+        lengths = 1 + draw(seed, streams, _MAX_WORD_LETTERS, ones, lanes(ones))[0].astype(np.int64)
         order = np.argsort(-lengths, kind="stable")
-        index, lengths = index[order], lengths[order]
-        u = longest_first_products(generators, index.T, active_counts(lengths), np.eye(4, dtype=complex))
+        lengths = lengths[order]
+        letters = draw(seed, streams[order] + np.uint64(1), 4, lengths, lanes(lengths))
+        u = longest_first_products(generators, letters, active_counts(lengths), np.eye(4, dtype=complex))
         leak = np.linalg.norm((np.eye(4) - p_l) @ u @ p_l, 2, axis=(1, 2))
         worst = max(worst, float(leak.max()))
     return worst
@@ -241,8 +227,7 @@ def _verification_checks(leakage_words: int, seed: int) -> tuple:
         ("generator-order-ten", 1e-12, lambda: gap(np.linalg.matrix_power(bs.sigma(12), 10), np.eye(4))),
         ("logical-restriction-12", 1e-12, lambda: logical_restriction(12)),
         ("logical-restriction-23", 1e-12, lambda: logical_restriction(23)),
-        ("random-word-leakage", 1e-10,
-         lambda: _random_word_leakage(seed, leakage_words, bs.sigma(12), bs.sigma(23))),
+        ("random-word-leakage", 1e-10, lambda: _random_word_leakage(seed, leakage_words)),
         ("extended-braid-relations", 1e-12, extended_braid_relations),
         ("extended-restriction", 1e-12, extended_restriction),
         ("hadamard-distance-regression", 1e-8, lambda: abs(bc.distance_up_to_phase(
@@ -575,8 +560,9 @@ def _positive_float(text: str) -> float:
 
 
 _VERIFY_SEED = _int_at_least(0, 2**64 - 1)
-"""argparse type of ``verify --seed``: verify draws only the stream
-``(seed, 0)``, so the seed may be any uint64 generator key."""
+"""argparse type of ``verify --seed``: verify draws only the streams
+``(seed, 2i)`` and ``(seed, 2i + 1)`` of its random words i, so the seed may
+be any uint64 generator key."""
 
 
 class _SequenceLengths(argparse.Action):

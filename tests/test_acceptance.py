@@ -18,6 +18,7 @@ from fibanyon import braid_space as bs
 from fibanyon import noise_engine as ne
 from fibanyon import robustness_lab as rob
 from fibanyon._linalg import dagger, phase_aligned_defect, unitarity_defect
+from fibanyon._philox import rng_for
 
 
 def report(number: int, name: str, passed: bool, detail: str) -> None:
@@ -59,7 +60,7 @@ def test_criterion_03_braid_group_laws():
 
 
 def test_criterion_04_logical_protection(logical12_printed, logical23_printed):
-    rng = bench.rng_for(424242, 0)
+    rng = rng_for(424242, 0)
     gens = [bs.sigma(12), bs.sigma(23), dagger(bs.sigma(12)), dagger(bs.sigma(23))]
     p_l = bs.logical_projector()
     worst_leak = 0.0
@@ -133,7 +134,7 @@ def test_criterion_06_robustness_condition():
     start = time.perf_counter()
     results = [rob.extract_M(q) for q in (1, 2)]
     devs = [r.proportionality_deviation for r in results]
-    sweeps = [global_phase_sweep(r.matrix, 20, bench.rng_for(7, r.q)) for r in results]
+    sweeps = [global_phase_sweep(r.matrix, 20, rng_for(7, r.q)) for r in results]
     elapsed = time.perf_counter() - start
     sweep_err = max(max(worst, spread) for worst, spread, _ in sweeps)
     passed = max(devs) < 1e-10 and sweep_err < 1e-9 and elapsed < 1.0
@@ -231,7 +232,7 @@ def test_criterion_08_fidelity_formula_cross_check():
     # seed (deterministic per the package's reproducibility contract); the
     # exact 2-design state average backs it up at full precision
     master = 20
-    rng = bench.rng_for(master, 0)
+    rng = rng_for(master, 0)
     worst_mc = 0.0
     worst_frame = 0.0
     for index in range(20):
@@ -245,9 +246,9 @@ def test_criterion_08_fidelity_formula_cross_check():
             return sum(k @ rho @ dagger(k) for k in kraus)
 
         closed = bench.average_gate_fidelity(bench.qpt(channel, 2), ideal)
-        mc = _monte_carlo_fidelity(kraus, ideal, 100_000, bench.rng_for(master, 100 + index))
+        mc = _monte_carlo_fidelity(kraus, ideal, 100_000, rng_for(master, 100 + index))
         worst_mc = max(worst_mc, abs(closed - mc))
-        frame = _octahedral_frame_fidelity(kraus, ideal, haar_unitary(2, bench.rng_for(master, 200 + index)))
+        frame = _octahedral_frame_fidelity(kraus, ideal, haar_unitary(2, rng_for(master, 200 + index)))
         worst_frame = max(worst_frame, abs(closed - frame))
     passed = worst_mc < 1e-3 and worst_frame < 1e-12
     report(8, "fidelity formula cross-check", passed,

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary
-from fibanyon import _trf
+from fibanyon import _philox, _trf
 from fibanyon import benchmark_suite as bench
 from fibanyon import braid_compiler as bc
 from fibanyon import braid_space as bs
@@ -122,13 +122,13 @@ class TestPauliBasisVectorization:
     @given(st.integers(0, 2**32 - 1), st.sampled_from((2, 4)))
     @settings(max_examples=25, deadline=None)
     def test_ptm_of_unitary_matches_trace_loop(self, seed, dim):
-        u = haar_unitary(dim, bench.rng_for(seed, 1))
+        u = haar_unitary(dim, _philox.rng_for(seed, 1))
         np.testing.assert_allclose(bench.ptm_of_unitary(u).matrix, ptm_trace_loop(u), atol=1e-14)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from((2, 4)))
     @settings(max_examples=25, deadline=None)
     def test_coefficients_match_trace_loop_and_round_trip(self, seed, dim):
-        rng = bench.rng_for(seed, 2)
+        rng = _philox.rng_for(seed, 2)
         rho = random_state(dim, rng)
         basis = kron_basis(int(math.log2(dim)))
         coeffs = bench.state_coefficients(rho)
@@ -324,7 +324,7 @@ class TestCliffordGroup:
         stack = []
         for ki in range(k):
             ideal = np.eye(2, dtype=complex)
-            for idx in bench.rng_for(seed, m * 10 + ki).integers(0, len(group), size=m):
+            for idx in _philox.rng_for(seed, m * 10 + ki).integers(0, len(group), size=m):
                 ideal = hadamard @ group.elements[idx] @ ideal
             stack.append(dagger(ideal))
         expected = [int(np.argmin([bc.distance_up_to_phase(u, v) for v in group.elements]))
@@ -857,7 +857,7 @@ def _sequences_one_by_one(gateset, m_values, k, seed, interleave, recovery):
     for mi, m in enumerate(m_values):
         values = []
         for ki in range(k):
-            indices = bench.rng_for(seed, mi * 100_000 + ki).integers(0, len(group), size=m)
+            indices = _philox.rng_for(seed, mi * 100_000 + ki).integers(0, len(group), size=m)
             coeffs = gateset.prep.copy()
             ideal = np.eye(2, dtype=complex)
             for idx in indices:
@@ -894,7 +894,7 @@ def _sequences_per_length(gateset, m_values, k, seed, interleave, recovery):
     step_frames = group.elements if target is None else target @ group.elements
     means, stds = [], []
     for mi, m in enumerate(m_values):
-        indices = np.array([bench.rng_for(seed, mi * 100_000 + ki).integers(0, len(group), size=m)
+        indices = np.array([_philox.rng_for(seed, mi * 100_000 + ki).integers(0, len(group), size=m)
                             for ki in range(k)])
         coeffs = np.tile(gateset.prep, (k, 1))[..., None]
         ideal = np.tile(np.eye(2, dtype=complex), (k, 1, 1))
@@ -955,7 +955,7 @@ def _table_recoveries(group, indices, active):
 def _drawn_indices(lengths, seed):
     """Step-major uint8 Clifford indices for the longest-first ``lengths``,
     with values up to 255 past each sequence's end, where the draws of
-    ``_draw`` are unspecified."""
+    ``_philox.draw`` are unspecified."""
     rng = np.random.default_rng(seed)
     indices = rng.integers(0, 256, size=(lengths[0], len(lengths)), dtype=np.uint8)
     for i, m in enumerate(lengths):
@@ -1109,7 +1109,7 @@ class TestBatchedSequences:
         make = bench.physical_gateset if space == "ps" else bench.logical_gateset
         gateset = make(noise=ne.clifford_noise_ptm(model, dim), group=group)
         lengths = np.array(sorted(lengths, reverse=True))
-        indices = bench.rng_for(seed, 0).integers(0, len(group), size=(lengths[0], len(lengths)))
+        indices = _philox.rng_for(seed, 0).integers(0, len(group), size=(lengths[0], len(lengths)))
         active = active_counts(lengths)
         recoveries = bench._recoveries(group, indices, active, None)
         got = bench._advance(gateset, indices, active, None, recoveries)
@@ -1232,20 +1232,20 @@ class TestPlan:
                 array[0] = 0
 
     @pytest.mark.parametrize("m_values, k, block, lanes_per_chunk", [
-        (bench.DEFAULT_M_GRID, 30, bench._SEQUENCE_BLOCK, bench._PHILOX_LANES),
+        (bench.DEFAULT_M_GRID, 30, bench._SEQUENCE_BLOCK, _philox._PHILOX_LANES),
         ((16, 130, 1, 65, 2), 5, 7, 3),
-        ((1, 2, bench.MAX_LENGTH), 512, bench._SEQUENCE_BLOCK, bench._PHILOX_LANES),
+        ((1, 2, bench.MAX_LENGTH), 512, bench._SEQUENCE_BLOCK, _philox._PHILOX_LANES),
     ])
     def test_lanes_are_read_only_and_built_per_call(self, m_values, k, block, lanes_per_chunk):
         # each stream's lanes are its counter blocks from 0 in its own column, in chunks
         # of at most _PHILOX_LANES, in the smallest unsigned dtypes: 4 bytes a lane here
         bench._plan.cache_clear()  # a cached plan was chunked at the default _PHILOX_LANES
-        with mock.patch.object(bench, "_PHILOX_LANES", lanes_per_chunk):
+        with mock.patch.object(_philox, "_PHILOX_LANES", lanes_per_chunk):
             plan = bench._plan(m_values, k, block)
             assert len(plan.lanes) == len(plan.blocks)
             for (part, _), lanes in zip(plan.blocks, plan.lanes):
                 sizes = plan.lengths[part]
-                per_call = tuple(bench._lanes(sizes))
+                per_call = tuple(_philox.lanes(sizes))
                 assert len(lanes) == len(per_call) == -(-int((-(-sizes // 8)).sum()) // lanes_per_chunk)
                 for (blocks, columns), (want_blocks, want_columns) in zip(lanes, per_call):
                     assert blocks.dtype == want_blocks.dtype and columns.dtype == want_columns.dtype
@@ -1265,7 +1265,7 @@ class TestPlan:
     streams=st.lists(st.tuples(st.integers(0, 2**40), st.integers(1, 130)), min_size=1, max_size=6),
     # at 24 a redraw has probability 16 / 2**32 per draw; at 2**31 + 1 about
     # half and at 3 * 2**30 a quarter of the draws are redrawn, so those
-    # streams are read through rng_for
+    # streams are read again
     high=st.sampled_from((24, 2**31 + 1, 3 * 2**30)),
 )
 @example(2**64 - 4, [(6 * 100_000 + 29, 64), (0, 1), (6 * 100_000 + 29, 7)], 24)
@@ -1273,11 +1273,30 @@ class TestPlan:
 @settings(max_examples=40, deadline=None)
 def test_stream_integers_match_rng_for(seed, streams, high):
     ids, sizes = (np.array(column) for column in zip(*streams))
-    draws = bench._draw(seed, ids.astype(np.uint64), high, sizes, bench._lanes(sizes))
+    draws = _philox.draw(seed, ids.astype(np.uint64), high, sizes, _philox.lanes(sizes))
     # a stream may repeat after others: a reset must not carry state over
     for column, (stream, m) in enumerate(streams):
         np.testing.assert_array_equal(draws[:m, column],
-                                      bench.rng_for(seed, stream).integers(0, high, size=m))
+                                      _philox.rng_for(seed, stream).integers(0, high, size=m))
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    streams=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(1, 130)), min_size=1, max_size=6),
+    # at 2**31 + 1 about half the draws are redrawn, so most streams are read
+    # again, and a stream's lanes straddle chunks of 3
+    high=st.sampled_from((24, 2**31 + 1)),
+)
+@example(2**64 - 1, [(2**64 - 1, 130), (0, 1), (5, 17)], 2**31 + 1)
+@settings(max_examples=40, deadline=None)
+def test_draws_match_rng_for_across_lane_chunks(seed, streams, high):
+    ids, sizes = np.array([s for s, _ in streams], dtype=np.uint64), np.array([m for _, m in streams])
+    with mock.patch.object(_philox, "_PHILOX_LANES", 3):
+        chunks = tuple(_philox.lanes(sizes))
+        draws = _philox.draw(seed, ids, high, sizes, chunks)
+    assert max(len(block) for block, _ in chunks) <= 3
+    for column, (stream, m) in enumerate(streams):
+        np.testing.assert_array_equal(draws[:m, column], _philox.rng_for(seed, stream).integers(0, high, size=m))
 
 
 @given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**64 - 1), n=st.integers(1, 2048))
@@ -1286,26 +1305,11 @@ def test_stream_integers_match_rng_for(seed, streams, high):
 @settings(max_examples=60, deadline=None)
 def test_philox_halves_match_numpy_philox(seed, stream, n):
     blocks = -(-n // 4)
-    halves = bench.philox_halves(seed, np.full(blocks, stream, dtype=np.uint64),
-                                 np.arange(1, blocks + 1))
+    halves = _philox.philox_halves(seed, np.full(blocks, stream, dtype=np.uint64),
+                                   np.arange(1, blocks + 1))
     words = halves[:, 0::2] | (halves[:, 1::2] << np.uint64(32))
     raw = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)).random_raw(n)
     assert np.array_equal(words.ravel()[:n], raw)
-
-
-@given(
-    seed=st.integers(0, 2**64 - 1),
-    stream=st.integers(0, 2**64 - 1),
-    # successive calls share one generator; 2**31 + 1 and 3 * 2**30 reject
-    # about half and a quarter of the halves
-    calls=st.lists(st.tuples(st.sampled_from((2, 24, 50, 2**31 + 1, 3 * 2**30, 2**32 - 1)),
-                             st.integers(0, 700)), max_size=8),
-)
-@settings(max_examples=40, deadline=None)
-def test_philox_stream_matches_successive_integers(seed, stream, calls):
-    ours, theirs = bench.PhiloxStream(seed, stream), bench.rng_for(seed, stream)
-    for high, n in calls:
-        np.testing.assert_array_equal(ours.integers(high, n), theirs.integers(0, high, size=n))
 
 
 def traced_peak(call):
@@ -1322,9 +1326,9 @@ def test_stream_integers_memory_bounded():
     # 2 MiB of uint8 output and a few MiB of Philox lanes; int64 draws alone
     # would take 16 MiB
     sizes = np.full(512, bench.MAX_LENGTH)
-    bench._draw(1, np.zeros(1, dtype=np.uint64), 24, sizes[:1], bench._lanes(sizes[:1]))
+    _philox.draw(1, np.zeros(1, dtype=np.uint64), 24, sizes[:1], _philox.lanes(sizes[:1]))
     streams = np.arange(512, dtype=np.uint64)
-    peak = traced_peak(lambda: bench._draw(20230517, streams, 24, sizes, bench._lanes(sizes)))
+    peak = traced_peak(lambda: _philox.draw(20230517, streams, 24, sizes, _philox.lanes(sizes)))
     assert peak < 8 * 2**20
 
 
@@ -1349,8 +1353,8 @@ def test_longest_run_memory_bounded(group, make, space, interleaved):
 
 
 def test_rng_streams_deterministic_and_independent():
-    a1 = bench.rng_for(99, 0).integers(0, 1000, size=5)
-    a2 = bench.rng_for(99, 0).integers(0, 1000, size=5)
-    b = bench.rng_for(99, 1).integers(0, 1000, size=5)
+    a1 = _philox.rng_for(99, 0).integers(0, 1000, size=5)
+    a2 = _philox.rng_for(99, 0).integers(0, 1000, size=5)
+    b = _philox.rng_for(99, 1).integers(0, 1000, size=5)
     np.testing.assert_array_equal(a1, a2)
     assert not np.array_equal(a1, b)

@@ -18,6 +18,7 @@ from fibanyon import braid_space as bs
 from fibanyon import cli
 from fibanyon import noise_engine as ne
 from fibanyon import robustness_lab as rob
+from fibanyon._philox import rng_for
 
 
 def run(argv):
@@ -89,17 +90,18 @@ class TestVerify:
 
 def scalar_word_leakage(seed, count):
     """The random-word-leakage check as a scalar loop of numpy generator
-    draws: the oracle for the stacked products of the CLI."""
-    s12, s23 = bs.sigma(12), bs.sigma(23)
-    rng = bench.rng_for(seed, 0)
+    draws: word i is 1 + rng_for(seed, 2i).integers(0, 50) letters long, and
+    rng_for(seed, 2i + 1).integers(0, 4) picks each letter from sigma23^-1,
+    sigma23, sigma12^-1 and sigma12.  The oracle for the stacked products of
+    the CLI."""
+    letters = [bc.letter_matrix("physical4", g, p) for g in (23, 12) for p in (-1, 1)]
     worst_leak = 0.0
     p_l = bs.logical_projector()
-    for _ in range(count):
-        length = int(rng.integers(1, 51))
+    for i in range(count):
+        length = 1 + int(rng_for(seed, 2 * i).integers(0, 50))
         u = np.eye(4, dtype=complex)
-        for _ in range(length):
-            gen = s12 if rng.integers(2) else s23
-            u = (gen if rng.integers(2) else gen.conj().T) @ u
+        for letter in rng_for(seed, 2 * i + 1).integers(0, 4, size=length):
+            u = letters[letter] @ u
         worst_leak = max(worst_leak, float(np.linalg.norm((np.eye(4) - p_l) @ u @ p_l, 2)))
     return worst_leak
 
@@ -109,13 +111,13 @@ class TestRandomWordLeakage:
                                       12345678901234567, 2**63, 2**64 - 2, 2**64 - 1,
                                       cli.DEFAULT_SEED, cli.DEFAULT_SEED + 1])
     def test_matches_scalar_loop(self, seed):
-        got = cli._random_word_leakage(seed, 100, bs.sigma(12), bs.sigma(23))
+        got = cli._random_word_leakage(seed, 100)
         assert got == scalar_word_leakage(seed, 100)
 
     @pytest.mark.parametrize("count", [0, 1, 7, 20])
     def test_batches_match_scalar_loop(self, count, monkeypatch):
         monkeypatch.setattr(cli, "_WORD_BATCH", 3)
-        got = cli._random_word_leakage(99, count, bs.sigma(12), bs.sigma(23))
+        got = cli._random_word_leakage(99, count)
         assert got == scalar_word_leakage(99, count)
 
 
@@ -169,13 +171,15 @@ class TestCompile:
         assert run(["compile", "--target", str(bad)]) == 2
         assert "not unitary" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # a numpy warning would print two more stderr lines
     def test_integer_beyond_float_range_rejected(self, tmp_path, capsys):
-        # JSON integers are read as floats, so a 400-digit integer is infinite and the target not unitary
+        # JSON integers are read as floats, so a 400-digit integer is infinite, as 1e999 is, and the
+        # target not unitary
         bad = tmp_path / "bad.json"
-        bad.write_text(f"[[[1{'0' * 400}, 0], [0, 0]], [[0, 0], [1, 0]]]")
-        assert run(["compile", "--target", str(bad)]) == 2
-        assert "not unitary" in capsys.readouterr().err
+        for entry in (f"1{'0' * 400}", "1e999"):
+            bad.write_text(f"[[[{entry}, 0], [0, 0]], [[0, 0], [1, 0]]]")
+            assert run(["compile", "--target", str(bad)]) == 2
+            assert capsys.readouterr().err == "target matrix is not unitary\n"
 
     @pytest.mark.parametrize("content,message", [
         (None, "No such file"),

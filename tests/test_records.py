@@ -44,7 +44,8 @@ builds ``SearchResult`` and ``NoisyGate`` positionally."""
 VALIDATING = {am.FusionData, bench.PauliTransferMap, bc.BraidWord, ne.NoiseModel, ne.CalibrationResult}
 """The dataclasses kept: the first four validate in ``__post_init__``, which
 ``dataclasses.replace`` runs too; ``CalibrationResult`` is updated with
-``dataclasses.replace`` by perfbench."""
+``dataclasses.replace`` by perfbench's harness test
+``test_altered_calibration_counts_as_failed_task``, which a NamedTuple fails."""
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)

@@ -8,7 +8,8 @@ default 30 sequences per length, in the logical (LS) and the physical (PS)
 space.  Each phase is a module-level function of ``benchmark_suite``, timed
 by a wrapper put in its place:
 
-* draw: ``_draw``, the Philox draws of the Clifford indices;
+* draw: ``draw``, the Philox draws of the Clifford indices (imported from
+  ``_philox``);
 * recoveries: ``_recoveries``, the RB recovery gates;
 * advance: ``_advance``, the transfer-map steps;
 * fits: ``fit_decay``, the four decay fits;
@@ -28,7 +29,7 @@ import time
 from fibanyon import benchmark_suite as bench
 from fibanyon import noise_engine as ne
 
-PHASES = {"draw": "_draw", "recoveries": "_recoveries", "advance": "_advance", "fits": "fit_decay"}
+PHASES = {"draw": "draw", "recoveries": "_recoveries", "advance": "_advance", "fits": "fit_decay"}
 NOISE = ne.NoiseModel(t2=(0.43, 0.9), depolarizing_prob=0.02)
 
 
