@@ -7,7 +7,7 @@ computes its bounded draws for many streams at once without importing
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import functools
 
 import numpy as np
 
@@ -27,7 +27,7 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _32 = np.uint64(32)
 _PHILOX_LANES = 8192
 """Counter blocks computed together: bounds a draw's working memory to a
-few MiB beside its output."""
+few MiB beside its output and its lanes, 4 bytes per 8 draws at most."""
 
 
 def philox_halves(seed: int, streams: np.ndarray, counters: np.ndarray) -> np.ndarray:
@@ -83,36 +83,38 @@ def _bounded(halves: np.ndarray, high: int) -> tuple[np.ndarray, np.ndarray]:
     return (scaled >> _32).astype(np.int64), (scaled & _LOW32) >= np.uint64(2**32 % high)
 
 
-def lanes(sizes: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Read-only chunks of at most :data:`_PHILOX_LANES` Philox lanes of
-    streams drawing ``sizes`` values, one at a time: each lane's counter
+@functools.lru_cache(maxsize=1)
+def _lanes(sizes: bytes, per_chunk: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Read-only chunks of at most ``per_chunk`` Philox lanes of streams drawing
+    the int64 ``sizes`` bytes, kept for the last ``sizes``: each lane's counter
     block from 0 and its stream's column, in the smallest unsigned dtypes."""
-    blocks = -(-sizes // 8)
+    blocks = -(-np.frombuffer(sizes, dtype=np.int64) // 8)
     ends = np.cumsum(blocks)
     starts = ends - blocks
-    block_type, column_type = np.min_scalar_type(blocks.max()), np.min_scalar_type(len(sizes) - 1)
-    for lo in range(0, int(ends[-1]), _PHILOX_LANES):
-        lanes = np.arange(lo, min(lo + _PHILOX_LANES, int(ends[-1])))
+    block_type, column_type = np.min_scalar_type(blocks.max()), np.min_scalar_type(len(blocks) - 1)
+    chunks = []
+    for lo in range(0, int(ends[-1]), per_chunk):
+        lanes = np.arange(lo, min(lo + per_chunk, int(ends[-1])))
         columns = np.searchsorted(ends, lanes, side="right")
         chunk = (lanes - starts[columns]).astype(block_type), columns.astype(column_type)
         chunk[0].flags.writeable = chunk[1].flags.writeable = False
-        yield chunk
+        chunks.append(chunk)
+    return tuple(chunks)
 
 
-def draw(seed: int, streams: np.ndarray, high: int, sizes: np.ndarray,
-         chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+def draw(seed: int, streams: np.ndarray, high: int, sizes: np.ndarray) -> np.ndarray:
     """Column ``i`` begins with ``rng_for(seed, streams[i]).integers(0, high,
-    size=sizes[i])`` for the uint64 ``streams``, ``0 < high < 2**32`` and
-    ``chunks``, the :func:`lanes` of ``sizes``; entries past ``sizes[i]`` are
-    unspecified.  The array is step-major, ``(max(sizes), len(streams))``, in
-    the smallest unsigned dtype that holds ``high - 1``.  The draws are
-    :func:`philox_halves` over each lane chunk, eight a lane.  A stream with a
-    rejected draw among its first ``sizes[i]`` (probability 16/2**32 a draw at
-    24) is read again: the accepted draws of its counter blocks 1..B, in
-    order, B doubling until they are enough."""
+    size=sizes[i])`` for the uint64 ``streams`` and ``0 < high < 2**32``;
+    entries past ``sizes[i]`` are unspecified.  The array is step-major,
+    ``(max(sizes), len(streams))``, in the smallest unsigned dtype that holds
+    ``high - 1``.  The draws are :func:`philox_halves` over each lane chunk of
+    :func:`_lanes`, eight a lane.  A stream with a rejected draw among its
+    first ``sizes[i]`` (probability 16/2**32 a draw at 24) is read again: the
+    accepted draws of its counter blocks 1..B, in order, B doubling until they
+    are enough."""
     out = np.empty((-(-int(sizes.max()) // 8) * 8, len(streams)), dtype=np.min_scalar_type(high - 1))
     short = np.zeros(len(streams), dtype=bool)
-    for block, columns in chunks:
+    for block, columns in _lanes(np.asarray(sizes, dtype=np.int64).tobytes(), _PHILOX_LANES):
         draws, accepted = _bounded(philox_halves(seed, streams[columns], block + 1), high)
         out.reshape(-1, 8, len(streams))[block, :, columns] = draws
         if not accepted.all():

@@ -1,7 +1,8 @@
 """Bounded trust-region-reflective least squares for the RB/PB decay fit.
 
-A numpy port of the path that ``scipy.optimize.curve_fit`` takes for
-:func:`fibanyon.benchmark_suite.fit_decay`: trust-region-reflective
+A numpy port, :func:`fit`, of the path that ``scipy.optimize.curve_fit``
+takes for :func:`fibanyon.benchmark_suite.fit_decay` from np.polyfit's
+log-linear start (:func:`_initial_guess`): trust-region-reflective
 iterations (Branch, Coleman & Li, SIAM J. Sci. Comput. 21, 1 (1999)) with a
 forward-difference Jacobian, Coleman-Li scaling and Moré's SVD solution of
 the trust-region subproblem (Moré, Lecture Notes in Mathematics 630 (1977)),
@@ -31,16 +32,17 @@ singular value (:func:`_svd`).
 
 from __future__ import annotations
 
+import functools
 from math import copysign, inf, isfinite, isnan, nextafter, sqrt
 from typing import Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
-try:  # lstsq: numpy.linalg.lstsq's gufunc, for the initial guess of benchmark_suite.fit_decay
-    from numpy.linalg._umath_linalg import lstsq, svd_s as _svd_gufunc
+try:  # the gufuncs under numpy.linalg.lstsq and numpy.linalg.svd
+    from numpy.linalg._umath_linalg import lstsq as _lstsq, svd_s as _svd_gufunc
 except ImportError:  # numpy 1.24-1.26 names them by the shorter side
-    from numpy.linalg._umath_linalg import lstsq_n as lstsq, svd_n_s as _svd_gufunc
+    from numpy.linalg._umath_linalg import lstsq_n as _lstsq, svd_n_s as _svd_gufunc
 
 LOWER = (-1.0, -2.0, 1e-9)
 UPPER = (1.0, 2.0, 1.0)
@@ -71,6 +73,38 @@ def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if any(map(isnan, s.tolist())):
         raise LinAlgError("SVD did not converge")
     return u, s, vt
+
+
+def fit(exponent: np.ndarray, y: np.ndarray) -> tuple[tuple[float, float, float], np.ndarray]:
+    """``curve_fit``'s fit of ``A + B r^exponent`` to ``y``, from :func:`_initial_guess`."""
+    return least_squares(exponent, y, _initial_guess(exponent, y))
+
+
+def _initial_guess(exponent: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``(A, B, r) = (0.5, 0.5, r)`` with r from a log-linear regression of
+    ``y - 0.5``, clipped to ``[1e-4, 1 - 1e-9]``."""
+    a_guess, b_guess = 0.5, 0.5
+    shifted = np.maximum(y - a_guess, 1e-6)  # what np.clip(..., 1e-6, None) calls
+    # np.polyfit(exponent, log(shifted), 1) without its argument checks: the same
+    # column-scaled Vandermonde least squares by numpy.linalg.lstsq's gufunc, so the same bits
+    lhs, scale = _scaled_vandermonde(np.asarray(exponent, dtype=float).tobytes())
+    coef = _lstsq(lhs, np.log(shifted)[:, None], len(exponent) * np.finfo(float).eps)[0]
+    if np.isnan(coef).any():  # where numpy.linalg.lstsq raises
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    slope = coef[0, 0] / scale
+    r_guess = min(max(float(np.exp(slope)), 1e-4), 1.0 - 1e-9)
+    return np.array([a_guess, b_guess, r_guess])
+
+
+@functools.lru_cache(maxsize=4)
+def _scaled_vandermonde(exponent: bytes) -> tuple[np.ndarray, np.float64]:
+    """np.polyfit's degree-1 Vandermonde of the float64 ``exponent`` bytes,
+    read-only with unit-norm columns, and its first column's scale."""
+    lhs = np.stack([np.frombuffer(exponent), np.ones(len(exponent) // 8)], axis=1)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    lhs.flags.writeable = False
+    return lhs, scale[0]
 
 
 def least_squares(exponent: np.ndarray, y: np.ndarray,

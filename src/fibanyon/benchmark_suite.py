@@ -25,7 +25,7 @@ import numpy as np
 
 from . import braid_compiler, braid_space
 from ._linalg import active_counts, check_unitary, dagger, longest_first_products, pairwise_product, phase_distances
-from ._philox import draw, lanes
+from ._philox import draw
 
 PAULI_1Q = (
     np.eye(2, dtype=complex),
@@ -49,7 +49,7 @@ MiB (:func:`_recoveries`)."""
 MAX_LENGTH = 4096
 """Longest sequence: one block's Clifford indices are ``MAX_LENGTH *
 _SEQUENCE_BLOCK`` uint8 draws, 16 MiB, and drawing them peaks a few MiB above
-that (:data:`fibanyon._philox._PHILOX_LANES`)."""
+that, with 8 MiB of Philox lanes (:data:`fibanyon._philox._PHILOX_LANES`)."""
 
 Channel = Callable[[np.ndarray], np.ndarray]
 
@@ -205,7 +205,6 @@ def project_to_logical(ptm_ps: PauliTransferMap) -> PauliTransferMap:
     coords = _logical_pauli_coords()
     mat = np.real(2.0 * coords.conj() @ ptm_ps.matrix @ coords.T)
     return PauliTransferMap(mat, 2)
-
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +436,7 @@ def fit_decay(
                         tuple(values), tuple(float(v) for v in stddevs), _spread(y), model)
 
     try:
-        (a, b, rate), f = _trf.least_squares(exponent, y, _initial_guess(exponent, y))
+        (a, b, rate), f = _trf.fit(exponent, y)
     except (RuntimeError, ValueError) as exc:
         raise FitDivergenceError(f"decay fit failed to converge: {exc}", _spread(y)) from exc
 
@@ -451,35 +450,6 @@ def _spread(y: np.ndarray) -> float:
     return float(np.sqrt(np.mean((y - y.mean()) ** 2)))
 
 
-def _initial_guess(exponent: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``(A, B, r) = (0.5, 0.5, r)`` with r from a log-linear regression of
-    ``y - 0.5``, clipped to ``[1e-4, 1 - 1e-9]``."""
-    a_guess, b_guess = 0.5, 0.5
-    shifted = np.maximum(y - a_guess, 1e-6)  # what np.clip(..., 1e-6, None) calls
-    # np.polyfit(exponent, log(shifted), 1) without its argument checks: the same
-    # column-scaled Vandermonde least squares by numpy.linalg.lstsq's gufunc, so the same bits
-    from ._trf import lstsq
-
-    lhs, scale = _scaled_vandermonde(np.asarray(exponent, dtype=float).tobytes())
-    coef = lstsq(lhs, np.log(shifted)[:, None], len(exponent) * np.finfo(float).eps)[0]
-    if np.isnan(coef).any():  # where numpy.linalg.lstsq raises
-        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-    slope = coef[0, 0] / scale
-    r_guess = min(max(float(np.exp(slope)), 1e-4), 1.0 - 1e-9)
-    return np.array([a_guess, b_guess, r_guess])
-
-
-@functools.lru_cache(maxsize=4)
-def _scaled_vandermonde(exponent: bytes) -> tuple[np.ndarray, np.float64]:
-    """np.polyfit's degree-1 Vandermonde of the float64 ``exponent`` bytes,
-    read-only with unit-norm columns, and its first column's scale."""
-    lhs = np.stack([np.frombuffer(exponent), np.ones(len(exponent) // 8)], axis=1)
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
-    lhs.flags.writeable = False
-    return lhs, scale[0]
-
-
 class _Plan(NamedTuple):
     """The part of an RB/PB run that depends only on its grid: the length
     indices longest first, and in that order each sequence's length and
@@ -490,15 +460,11 @@ class _Plan(NamedTuple):
     lengths: np.ndarray  # read-only
     streams: np.ndarray  # read-only uint64
     blocks: tuple[tuple[slice, tuple[int, ...]], ...]
-    lanes: tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]  # per block, its lanes
 
 
 @functools.lru_cache(maxsize=1)
 def _plan(m_values: tuple[int, ...], k: int, block: int) -> _Plan:
-    """The plan of a valid grid in blocks of ``block`` sequences, kept for the
-    last grid: the four runs of one benchmark share it.  Its lanes hold 4 bytes
-    per 8 draws: 1 MiB at 512 x (1, 2, MAX_LENGTH), 8 MiB a block at MAX_LENGTH,
-    391 GiB for the largest valid grid, MAX_SEQUENCES x every length to MAX_LENGTH."""
+    """A valid grid's plan in blocks of ``block`` sequences, kept for the last grid: a benchmark's runs share it."""
     order = sorted(range(len(m_values)), key=lambda mi: -m_values[mi])
     lengths = np.repeat([m_values[mi] for mi in order], k)
     streams = np.array([mi * MAX_SEQUENCES + ki for mi in order for ki in range(k)], dtype=np.uint64)
@@ -506,7 +472,7 @@ def _plan(m_values: tuple[int, ...], k: int, block: int) -> _Plan:
     order.flags.writeable = lengths.flags.writeable = streams.flags.writeable = False
     blocks = tuple((part, tuple(active_counts(lengths[part])))
                    for part in (slice(lo, lo + block) for lo in range(0, len(lengths), block)))
-    return _Plan(order, lengths, streams, blocks, tuple(tuple(lanes(lengths[part])) for part, _ in blocks))
+    return _Plan(order, lengths, streams, blocks)
 
 
 def _run_sequences(
@@ -552,8 +518,8 @@ def _run_sequences(
         check_unitary(target, what="the interleaved target's logical block")
     plan = _plan(tuple(m_values), k, _SEQUENCE_BLOCK)
     values = []
-    for (block, active), chunks in zip(plan.blocks, plan.lanes):
-        indices = draw(seed, plan.streams[block], len(gateset.group), plan.lengths[block], chunks)
+    for block, active in plan.blocks:
+        indices = draw(seed, plan.streams[block], len(gateset.group), plan.lengths[block])
         recoveries = _recoveries(gateset.group, indices, active, target) if recovery else None
         values.append(_advance(gateset, indices, active, interleave, recoveries))
     values = (values[0] if len(values) == 1 else np.concatenate(values)).reshape(len(plan.order), k)

@@ -3,9 +3,8 @@
 Subcommands: ``verify``, ``compile``, ``benchmark``, ``robustness``,
 ``dump-matrices``, ``calibrate``.  Exit codes: 0 on success, 1 when a
 verification check fails, 2 on usage errors, including an output path that
-cannot be written.  All randomness flows from
-``--seed`` through counter-based generator streams, so identical invocations
-produce identical output bytes.
+cannot be written.  All randomness flows from ``--seed`` through counter-based
+generator streams, so identical invocations produce identical output bytes.
 """
 
 from __future__ import annotations
@@ -142,18 +141,17 @@ def _random_word_leakage(seed: int, count: int) -> float:
     (:func:`~fibanyon.braid_compiler.letter_matrix`).  Batches of at most
     ``_WORD_BATCH`` words, drawn longest first, are multiplied by
     :func:`~fibanyon._linalg.longest_first_products`."""
-    from ._philox import draw, lanes
+    from ._philox import draw
 
     generators = np.array([braid_compiler.letter_matrix("physical4", g, p) for g in (23, 12) for p in (-1, 1)])
     p_l = braid_space.logical_projector()
     worst = 0.0
     for lo in range(0, count, _WORD_BATCH):
         streams = 2 * np.arange(lo, min(lo + _WORD_BATCH, count), dtype=np.uint64)
-        ones = np.ones(len(streams), dtype=np.int64)
-        lengths = 1 + draw(seed, streams, _MAX_WORD_LETTERS, ones, lanes(ones))[0].astype(np.int64)
+        lengths = 1 + draw(seed, streams, _MAX_WORD_LETTERS, np.ones(len(streams), np.int64))[0].astype(np.int64)
         order = np.argsort(-lengths, kind="stable")
         lengths = lengths[order]
-        letters = draw(seed, streams[order] + np.uint64(1), 4, lengths, lanes(lengths))
+        letters = draw(seed, streams[order] + np.uint64(1), 4, lengths)
         u = longest_first_products(generators, letters, active_counts(lengths), np.eye(4, dtype=complex))
         leak = np.linalg.norm((np.eye(4) - p_l) @ u @ p_l, 2, axis=(1, 2))
         worst = max(worst, float(leak.max()))

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary
+from oracles import write_back_products
 from fibanyon import _philox, _trf
 from fibanyon import benchmark_suite as bench
 from fibanyon import braid_compiler as bc
@@ -483,7 +484,7 @@ class TestDecayFit:
         for model, means in _decay_corpus():
             exponent = m if model == "rb" else m - 1.0
             want, _ = curve_fit(lambda x, a, b, r: a + b * np.power(r, x), exponent, means,
-                                p0=bench._initial_guess(exponent, means),
+                                p0=_trf._initial_guess(exponent, means),
                                 bounds=([-1.0, -2.0, 1e-9], [1.0, 2.0, 1.0]), maxfev=20000)
             fit = bench.fit_decay(m, means, np.zeros_like(means), model)
             assert (fit.a, fit.b, fit.rate) == tuple(want), (model, means)
@@ -514,7 +515,7 @@ class TestDecayFit:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(trf, "svd", np.linalg.svd)
             want, _ = curve_fit(lambda x, a, b, r: a + b * np.power(r, x), exponent, means,
-                                p0=bench._initial_guess(exponent, means),
+                                p0=_trf._initial_guess(exponent, means),
                                 bounds=([-1.0, -2.0, 1e-9], [1.0, 2.0, 1.0]), maxfev=20000)
         fit = bench.fit_decay(m, means, np.zeros_like(means), model)
         assert (fit.a, fit.b, fit.rate) == tuple(want)
@@ -535,7 +536,7 @@ class TestDecayFit:
         with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore"):
             patch.setattr(trf, "svd", np.linalg.svd)
             want, _ = curve_fit(lambda x, a, b, r: a + b * np.power(r, x), exponent, means,
-                                p0=bench._initial_guess(exponent, means),
+                                p0=_trf._initial_guess(exponent, means),
                                 bounds=([-1.0, -2.0, 1e-9], [1.0, 2.0, 1.0]), maxfev=20000)
         with np.errstate(over="ignore"):
             fit = bench.fit_decay(m, means, np.zeros_like(means), model)
@@ -577,7 +578,7 @@ class TestDecayFit:
             exponent = m if model == "rb" else m - 1.0
             slope = np.polyfit(exponent, np.log(np.clip(means - 0.5, 1e-6, None)), 1)[0]
             want = [0.5, 0.5, float(np.clip(np.exp(slope), 1e-4, 1.0 - 1e-9))]
-            assert bench._initial_guess(exponent, means).tolist() == want, (model, means)
+            assert _trf._initial_guess(exponent, means).tolist() == want, (model, means)
 
     @given(grid=st.lists(st.integers(0, bench.MAX_LENGTH), min_size=2, max_size=12, unique=True),
            y=st.lists(st.floats(-1.0, 2.0), min_size=12, max_size=12),
@@ -588,7 +589,7 @@ class TestDecayFit:
         # each reads the cached Vandermonde: an integer grid must not key another grid's
         y = np.array(y[:len(grid)])
         for exponent in (np.array(grid) - offset, np.array(grid, dtype=float) - offset) * 2:
-            assert np.array_equal(bench._initial_guess(exponent, y), _lstsq_initial_guess(exponent, y))
+            assert np.array_equal(_trf._initial_guess(exponent, y), _lstsq_initial_guess(exponent, y))
 
 
 def _lstsq_initial_guess(exponent, y):
@@ -964,14 +965,12 @@ def _drawn_indices(lengths, seed):
 
 
 def _write_back_advance(gateset, indices, active, interleave, recoveries):
-    """Oracle for ``_advance``: the step loop that writes each step's product
-    back into the leading rows of one coefficient array, so the sequences
-    that end are left behind in place."""
+    """Oracle for ``_advance``: the prepared state's write-back products
+    (:func:`oracles.write_back_products`), then the recovery survival or the
+    rescaled purity."""
     ptms, d = gateset.ptms, gateset.dim
     steps = ptms if interleave is None else interleave.ptm.matrix @ ptms
-    coeffs = (steps @ gateset.prep[:, None]).take(indices[0], axis=0)
-    for a, idx in zip(active[1:], indices[1:]):
-        coeffs[:a] = steps.take(idx[:a], axis=0) @ coeffs[:a]
+    coeffs = write_back_products(steps, indices, active, gateset.prep[:, None])
     if recoveries is not None:
         coeffs = ptms[recoveries] @ coeffs
         return (gateset.prep @ coeffs)[:, 0] / d
@@ -1231,25 +1230,31 @@ class TestPlan:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
+    def test_plan_holds_only_grid_facts(self):
+        assert bench._Plan._fields == ("order", "lengths", "streams", "blocks")
+
     @pytest.mark.parametrize("m_values, k, block, lanes_per_chunk", [
         (bench.DEFAULT_M_GRID, 30, bench._SEQUENCE_BLOCK, _philox._PHILOX_LANES),
         ((16, 130, 1, 65, 2), 5, 7, 3),
         ((1, 2, bench.MAX_LENGTH), 512, bench._SEQUENCE_BLOCK, _philox._PHILOX_LANES),
     ])
     def test_lanes_are_read_only_and_built_per_call(self, m_values, k, block, lanes_per_chunk):
-        # each stream's lanes are its counter blocks from 0 in its own column, in chunks
-        # of at most _PHILOX_LANES, in the smallest unsigned dtypes: 4 bytes a lane here
-        bench._plan.cache_clear()  # a cached plan was chunked at the default _PHILOX_LANES
+        # each block's draw builds its own lanes and keeps them in _philox's cache: each
+        # stream's counter blocks from 0 in its own column, in chunks of at most _PHILOX_LANES,
+        # in the smallest unsigned dtypes, 4 bytes a lane here
+        plan = bench._plan(m_values, k, block)
         with mock.patch.object(_philox, "_PHILOX_LANES", lanes_per_chunk):
-            plan = bench._plan(m_values, k, block)
-            assert len(plan.lanes) == len(plan.blocks)
-            for (part, _), lanes in zip(plan.blocks, plan.lanes):
+            for part, _ in plan.blocks:
                 sizes = plan.lengths[part]
-                per_call = tuple(_philox.lanes(sizes))
-                assert len(lanes) == len(per_call) == -(-int((-(-sizes // 8)).sum()) // lanes_per_chunk)
-                for (blocks, columns), (want_blocks, want_columns) in zip(lanes, per_call):
-                    assert blocks.dtype == want_blocks.dtype and columns.dtype == want_columns.dtype
-                    assert np.array_equal(blocks, want_blocks) and np.array_equal(columns, want_columns)
+                _philox.draw(0, plan.streams[part], 24, sizes)
+                misses = _philox._lanes.cache_info().misses
+                lanes = _philox._lanes(sizes.tobytes(), lanes_per_chunk)
+                assert _philox._lanes.cache_info().misses == misses  # the chunks that draw read
+                assert len(lanes) == -(-int((-(-sizes // 8)).sum()) // lanes_per_chunk)
+                for blocks, columns in lanes:
+                    assert len(blocks) == len(columns) <= lanes_per_chunk
+                    assert blocks.dtype == np.min_scalar_type(-(-int(sizes.max()) // 8))
+                    assert columns.dtype == np.min_scalar_type(len(sizes) - 1)
                     assert blocks.dtype.itemsize + columns.dtype.itemsize <= 4
                     for array in (blocks, columns):
                         with pytest.raises(ValueError, match="read-only"):
@@ -1257,7 +1262,25 @@ class TestPlan:
                 blocks, columns = (np.concatenate(parts) for parts in zip(*lanes))
                 assert np.array_equal(columns, np.repeat(np.arange(len(sizes)), -(-sizes // 8)))
                 assert np.array_equal(blocks, np.concatenate([np.arange(-(-m // 8)) for m in sizes]))
-        bench._plan.cache_clear()
+
+
+def test_lane_cache_is_keyed_by_chunk_size():
+    # the same sizes drawn again at another _PHILOX_LANES must not reuse the cached chunks
+    seed, ids, sizes = 7, np.array([3, 100_000, 5, 2**40], dtype=np.uint64), np.array([130, 1, 64, 17])
+    _philox.draw(seed, ids, 24, sizes)
+    counters = []
+    philox_halves = _philox.philox_halves
+
+    def recorded(seed, streams, blocks):
+        counters.append(len(blocks))
+        return philox_halves(seed, streams, blocks)
+
+    with mock.patch.object(_philox, "_PHILOX_LANES", 3), mock.patch.object(_philox, "philox_halves", recorded):
+        draws = _philox.draw(seed, ids, 24, sizes)
+    lanes = int((-(-sizes // 8)).sum())
+    assert counters == [3] * (lanes // 3) + [lanes % 3] * (lanes % 3 > 0)
+    for column, (stream, m) in enumerate(zip(ids.tolist(), sizes.tolist())):
+        np.testing.assert_array_equal(draws[:m, column], _philox.rng_for(seed, stream).integers(0, 24, size=m))
 
 
 @given(
@@ -1273,7 +1296,7 @@ class TestPlan:
 @settings(max_examples=40, deadline=None)
 def test_stream_integers_match_rng_for(seed, streams, high):
     ids, sizes = (np.array(column) for column in zip(*streams))
-    draws = _philox.draw(seed, ids.astype(np.uint64), high, sizes, _philox.lanes(sizes))
+    draws = _philox.draw(seed, ids.astype(np.uint64), high, sizes)
     # a stream may repeat after others: a reset must not carry state over
     for column, (stream, m) in enumerate(streams):
         np.testing.assert_array_equal(draws[:m, column],
@@ -1292,9 +1315,8 @@ def test_stream_integers_match_rng_for(seed, streams, high):
 def test_draws_match_rng_for_across_lane_chunks(seed, streams, high):
     ids, sizes = np.array([s for s, _ in streams], dtype=np.uint64), np.array([m for _, m in streams])
     with mock.patch.object(_philox, "_PHILOX_LANES", 3):
-        chunks = tuple(_philox.lanes(sizes))
-        draws = _philox.draw(seed, ids, high, sizes, chunks)
-    assert max(len(block) for block, _ in chunks) <= 3
+        draws = _philox.draw(seed, ids, high, sizes)
+    assert max(len(block) for block, _ in _philox._lanes(sizes.tobytes(), 3)) <= 3
     for column, (stream, m) in enumerate(streams):
         np.testing.assert_array_equal(draws[:m, column], _philox.rng_for(seed, stream).integers(0, high, size=m))
 
@@ -1323,12 +1345,12 @@ def traced_peak(call):
 
 
 def test_stream_integers_memory_bounded():
-    # 2 MiB of uint8 output and a few MiB of Philox lanes; int64 draws alone
-    # would take 16 MiB
+    # 2 MiB of uint8 output, 1 MiB of cached Philox lanes and a few MiB of
+    # working memory; int64 draws alone would take 16 MiB
     sizes = np.full(512, bench.MAX_LENGTH)
-    _philox.draw(1, np.zeros(1, dtype=np.uint64), 24, sizes[:1], _philox.lanes(sizes[:1]))
+    _philox.draw(1, np.zeros(1, dtype=np.uint64), 24, sizes[:1])
     streams = np.arange(512, dtype=np.uint64)
-    peak = traced_peak(lambda: _philox.draw(20230517, streams, 24, sizes, _philox.lanes(sizes)))
+    peak = traced_peak(lambda: _philox.draw(20230517, streams, 24, sizes))
     assert peak < 8 * 2**20
 
 

@@ -2,20 +2,11 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import write_back_products
 from fibanyon import benchmark_suite as bench
 from fibanyon._linalg import active_counts, longest_first_products, pairwise_product
 
 GROUP = bench.CliffordGroup()
-
-
-def write_back_products(table, indices, active, start):
-    """Oracle for ``longest_first_products``: the step loop that writes each
-    step's product back into the leading rows of one array, so the sequences
-    that end are left behind in place."""
-    products = (table @ start).take(indices[0], axis=0)
-    for a, idx in zip(active[1:], indices[1:]):
-        products[:a] = table.take(idx[:a], axis=0) @ products[:a]
-    return products
 
 
 def pairwise_compose(stack):
