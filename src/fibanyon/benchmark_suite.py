@@ -450,31 +450,6 @@ def _spread(y: np.ndarray) -> float:
     return float(np.sqrt(np.mean((y - y.mean()) ** 2)))
 
 
-class _Plan(NamedTuple):
-    """The part of an RB/PB run that depends only on its grid: the length
-    indices longest first, and in that order each sequence's length and
-    stream id; each block of at most ``_SEQUENCE_BLOCK`` sequences as its
-    slice and, per step t, how many of its sequences are longer than t."""
-
-    order: np.ndarray  # read-only
-    lengths: np.ndarray  # read-only
-    streams: np.ndarray  # read-only uint64
-    blocks: tuple[tuple[slice, tuple[int, ...]], ...]
-
-
-@functools.lru_cache(maxsize=1)
-def _plan(m_values: tuple[int, ...], k: int, block: int) -> _Plan:
-    """A valid grid's plan in blocks of ``block`` sequences, kept for the last grid: a benchmark's runs share it."""
-    order = sorted(range(len(m_values)), key=lambda mi: -m_values[mi])
-    lengths = np.repeat([m_values[mi] for mi in order], k)
-    streams = np.array([mi * MAX_SEQUENCES + ki for mi in order for ki in range(k)], dtype=np.uint64)
-    order = np.array(order)
-    order.flags.writeable = lengths.flags.writeable = streams.flags.writeable = False
-    blocks = tuple((part, tuple(active_counts(lengths[part])))
-                   for part in (slice(lo, lo + block) for lo in range(0, len(lengths), block)))
-    return _Plan(order, lengths, streams, blocks)
-
-
 def _run_sequences(
     gateset: GateSet,
     m_values: Sequence[int],
@@ -499,7 +474,7 @@ def _run_sequences(
     :func:`~fibanyon._philox.draw`.  All k sequences of every length run
     together, longest first, in blocks of at most ``_SEQUENCE_BLOCK``:
     :func:`_recoveries` from a block's indices alone, then :func:`_advance`.
-    All that depends only on the grid comes from the cached :func:`_plan`."""
+    Each block works out its own lengths, stream ids and step counts."""
     if k < 2:
         raise ValueError(f"need at least 2 sequences per length, got {k}")
     if k > MAX_SEQUENCES:
@@ -516,15 +491,19 @@ def _run_sequences(
             iso = braid_space.logical_encoding()
             target = dagger(iso) @ target @ iso
         check_unitary(target, what="the interleaved target's logical block")
-    plan = _plan(tuple(m_values), k, _SEQUENCE_BLOCK)
-    values = []
-    for block, active in plan.blocks:
-        indices = draw(seed, plan.streams[block], len(gateset.group), plan.lengths[block])
+    m, values = np.asarray(m_values), []
+    order = np.argsort(np.negative(m), kind="stable")
+    for lo in range(0, m.size * k, _SEQUENCE_BLOCK):
+        rows = np.arange(lo, min(lo + _SEQUENCE_BLOCK, m.size * k))
+        mi = order[rows // k]
+        lengths, streams = m[mi], (mi * MAX_SEQUENCES + rows % k).astype(np.uint64)
+        active = active_counts(lengths)
+        indices = draw(seed, streams, len(gateset.group), lengths)
         recoveries = _recoveries(gateset.group, indices, active, target) if recovery else None
         values.append(_advance(gateset, indices, active, interleave, recoveries))
-    values = (values[0] if len(values) == 1 else np.concatenate(values)).reshape(len(plan.order), k)
-    means, stds = np.empty(len(plan.order)), np.empty(len(plan.order))
-    means[plan.order], stds[plan.order] = values.mean(axis=1), values.std(axis=1, ddof=1)
+    values = (values[0] if len(values) == 1 else np.concatenate(values)).reshape(len(order), k)
+    means, stds = np.empty(len(order)), np.empty(len(order))
+    means[order], stds[order] = values.mean(axis=1), values.std(axis=1, ddof=1)
     return means, stds
 
 
@@ -533,7 +512,7 @@ def _advance(gateset: GateSet, indices: np.ndarray, active: Sequence[int],
     """Per-sequence survival after the recovery gates ``recoveries`` (RB), or
     rescaled purity when they are None (PB), from the prepared state's
     :func:`~fibanyon._linalg.longest_first_products` over the 24 maps (the
-    interleaved target folded in once), the draws ``indices`` and the plan's ``active``."""
+    interleaved target folded in once), the draws ``indices`` and the step counts ``active``."""
     ptms, d = gateset.ptms, gateset.dim
     steps = ptms if interleave is None else interleave.ptm.matrix @ ptms
     coeffs = longest_first_products(steps, indices, active, gateset.prep[:, None])

@@ -1189,79 +1189,68 @@ class TestBatchedSequences:
 
 
 class TestPlan:
-    @pytest.mark.parametrize("space", ["ls", "ps"])
-    def test_warm_plan_runs_equal_cold_plan_runs(self, group, space):
-        # two grids in turn, so every run either reuses the cached plan or replaces it
-        model = ne.NoiseModel(t2=(0.43, 0.9), depolarizing_prob=0.02, over_rotation_angle=0.05)
-        gateset = ne.clifford_gateset(model, space, group)
-        target = ne.hadamard_target(model, space)
-        runs = [(grid, k, seed, interleave, recovery)
-                for grid, k in ((bench.DEFAULT_M_GRID, 6), ((3, 1, 130, 17), 4))
-                for seed, interleave in ((5, None), (6, target))
-                for recovery in (True, False)]
-        warm = [bench._run_sequences(gateset, *run) for run in runs + runs]
-        for run, (means, stds) in zip(runs + runs, warm):
-            bench._plan.cache_clear()
-            cold_means, cold_stds = bench._run_sequences(gateset, *run)
-            assert means.tobytes() == cold_means.tobytes() and stds.tobytes() == cold_stds.tobytes()
-
     def test_patched_block_splits_the_plan(self, group):
-        # test_all_lengths_match_per_length patches _SEQUENCE_BLOCK to split lengths across blocks
+        # test_all_lengths_match_per_length patches _SEQUENCE_BLOCK to split lengths across
+        # blocks; each block works out its own lengths, stream ids and step counts
         m_values, k = (16, 130, 1, 65, 2), 5
-        with mock.patch.object(bench, "_SEQUENCE_BLOCK", 7):
-            bench._run_sequences(bench.logical_gateset(group=group), m_values, k, 0, None, True)
-        hits = bench._plan.cache_info().hits
-        plan = bench._plan(m_values, k, 7)
-        assert bench._plan.cache_info().hits == hits + 1  # the plan that run used
-        assert len(plan.blocks) == -(-len(m_values) * k // 7)
-        assert [part.stop - part.start for part, _ in plan.blocks[:-1]] == [7] * (len(plan.blocks) - 1)
-        for part, active in plan.blocks:
-            lengths = plan.lengths[part]
-            assert active == tuple(int(np.count_nonzero(lengths > t)) for t in range(lengths[0]))
-        assert len(bench._plan(m_values, k, bench._SEQUENCE_BLOCK).blocks) == 1
-
-    def test_arrays_are_read_only(self):
-        plan = bench._plan(bench.DEFAULT_M_GRID, 30, bench._SEQUENCE_BLOCK)
-        assert plan.order.tolist() == [6, 5, 4, 3, 2, 1, 0]
-        assert plan.streams.dtype == np.uint64
-        assert plan.streams[:31].tolist() == [6 * bench.MAX_SEQUENCES + ki for ki in range(30)] + [
-            5 * bench.MAX_SEQUENCES]
-        for array in (plan.order, plan.lengths, plan.streams):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
-
-    def test_plan_holds_only_grid_facts(self):
-        assert bench._Plan._fields == ("order", "lengths", "streams", "blocks")
+        gateset = bench.logical_gateset(group=group)
+        with mock.patch.object(bench, "_SEQUENCE_BLOCK", 7), \
+                mock.patch.object(bench, "draw", wraps=bench.draw) as drawn, \
+                mock.patch.object(bench, "_advance", wraps=bench._advance) as advanced:
+            bench._run_sequences(gateset, m_values, k, 0, None, True)
+        assert drawn.call_count == advanced.call_count == -(-len(m_values) * k // 7)
+        streams = []
+        for drawn_call, advanced_call in zip(drawn.call_args_list, advanced.call_args_list):
+            _, ids, _, sizes = drawn_call.args
+            assert ids.dtype == np.uint64 and len(ids) == len(sizes) <= 7
+            assert np.all(np.diff(sizes) <= 0)  # longest first
+            # each stream mi * MAX_SEQUENCES + ki draws the mi-th length
+            assert np.array_equal(sizes, np.array(m_values)[ids // bench.MAX_SEQUENCES])
+            active = advanced_call.args[2]
+            assert list(active) == [int(np.count_nonzero(sizes > t)) for t in range(sizes[0])]
+            streams.extend(ids.tolist())
+        assert sorted(streams) == [mi * bench.MAX_SEQUENCES + ki for mi in range(len(m_values)) for ki in range(k)]
+        with mock.patch.object(bench, "draw", wraps=bench.draw) as drawn:
+            bench._run_sequences(gateset, m_values, k, 0, None, True)
+        assert drawn.call_count == 1
 
     @pytest.mark.parametrize("m_values, k, block, lanes_per_chunk", [
         (bench.DEFAULT_M_GRID, 30, bench._SEQUENCE_BLOCK, _philox._PHILOX_LANES),
         ((16, 130, 1, 65, 2), 5, 7, 3),
         ((1, 2, bench.MAX_LENGTH), 512, bench._SEQUENCE_BLOCK, _philox._PHILOX_LANES),
     ])
-    def test_lanes_are_read_only_and_built_per_call(self, m_values, k, block, lanes_per_chunk):
+    def test_lanes_are_read_only_and_built_per_call(self, group, m_values, k, block, lanes_per_chunk):
         # each block's draw builds its own lanes and keeps them in _philox's cache: each
         # stream's counter blocks from 0 in its own column, in chunks of at most _PHILOX_LANES,
         # in the smallest unsigned dtypes, 4 bytes a lane here
-        plan = bench._plan(m_values, k, block)
-        with mock.patch.object(_philox, "_PHILOX_LANES", lanes_per_chunk):
-            for part, _ in plan.blocks:
-                sizes = plan.lengths[part]
-                _philox.draw(0, plan.streams[part], 24, sizes)
-                misses = _philox._lanes.cache_info().misses
-                lanes = _philox._lanes(sizes.tobytes(), lanes_per_chunk)
-                assert _philox._lanes.cache_info().misses == misses  # the chunks that draw read
-                assert len(lanes) == -(-int((-(-sizes // 8)).sum()) // lanes_per_chunk)
-                for blocks, columns in lanes:
-                    assert len(blocks) == len(columns) <= lanes_per_chunk
-                    assert blocks.dtype == np.min_scalar_type(-(-int(sizes.max()) // 8))
-                    assert columns.dtype == np.min_scalar_type(len(sizes) - 1)
-                    assert blocks.dtype.itemsize + columns.dtype.itemsize <= 4
-                    for array in (blocks, columns):
-                        with pytest.raises(ValueError, match="read-only"):
-                            array[0] = 0
-                blocks, columns = (np.concatenate(parts) for parts in zip(*lanes))
-                assert np.array_equal(columns, np.repeat(np.arange(len(sizes)), -(-sizes // 8)))
-                assert np.array_equal(blocks, np.concatenate([np.arange(-(-m // 8)) for m in sizes]))
+        drawn = []
+
+        def spy(seed, streams, high, sizes):
+            draws = _philox.draw(seed, streams, high, sizes)
+            misses = _philox._lanes.cache_info().misses
+            lanes = _philox._lanes(np.asarray(sizes, dtype=np.int64).tobytes(), lanes_per_chunk)
+            drawn.append((sizes, lanes, _philox._lanes.cache_info().misses == misses))
+            return draws
+
+        with mock.patch.object(bench, "_SEQUENCE_BLOCK", block), \
+                mock.patch.object(_philox, "_PHILOX_LANES", lanes_per_chunk), \
+                mock.patch.object(bench, "draw", spy):
+            bench._run_sequences(bench.logical_gateset(group=group), m_values, k, 0, None, False)
+        assert len(drawn) == -(-len(m_values) * k // block)
+        for sizes, lanes, hit in drawn:
+            assert hit  # the chunks that draw read
+            assert len(lanes) == -(-int((-(-sizes // 8)).sum()) // lanes_per_chunk)
+            for blocks, columns in lanes:
+                assert len(blocks) == len(columns) <= lanes_per_chunk
+                assert blocks.dtype == np.min_scalar_type(-(-int(sizes.max()) // 8))
+                assert columns.dtype == np.min_scalar_type(len(sizes) - 1)
+                assert blocks.dtype.itemsize + columns.dtype.itemsize <= 4
+                for array in (blocks, columns):
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[0] = 0
+            blocks, columns = (np.concatenate(parts) for parts in zip(*lanes))
+            assert np.array_equal(columns, np.repeat(np.arange(len(sizes)), -(-sizes // 8)))
+            assert np.array_equal(blocks, np.concatenate([np.arange(-(-m // 8)) for m in sizes]))
 
 
 def test_lane_cache_is_keyed_by_chunk_size():

@@ -15,7 +15,7 @@ by a wrapper put in its place:
 * fits: ``fit_decay``, the four decay fits;
 * rest: the run's wall time less the four phases.
 
-Prints, per space, the median over ``N`` warm runs (default 200) of each
+Prints, per space, the median over ``N`` warm runs (default 200, at least 1) of each
 phase in microseconds per run.  The numbers are as noisy as the machine, so
 nothing should gate on them.
 """
@@ -27,6 +27,7 @@ import statistics
 import time
 
 from fibanyon import benchmark_suite as bench
+from fibanyon import cli
 from fibanyon import noise_engine as ne
 
 PHASES = {"draw": "draw", "recoveries": "_recoveries", "advance": "_advance", "fits": "fit_decay"}
@@ -70,7 +71,7 @@ def phase_times(space: str, runs: int) -> dict[str, float]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=200)
+    parser.add_argument("--runs", type=cli._int_at_least(1), default=200)
     args = parser.parse_args()
     for space in ("ls", "ps"):
         times = phase_times(space, args.runs)
