@@ -1,5 +1,5 @@
-"""Small dense complex-matrix helpers shared across the package, and its two
-stacked-product rules.
+"""Small dense complex-matrix helpers shared across the package, its one-qubit
+Paulis and rotations, and its two stacked-product rules.
 
 Everything here operates on plain ``numpy.ndarray`` values.  Matrices that
 carry a unitarity contract are validated with :func:`check_unitary` at the
@@ -19,6 +19,21 @@ from typing import Callable, Sequence
 import numpy as np
 
 UNITARY_TOL = 1e-10
+
+PAULI_1Q = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+PAULI_AXES = dict(zip("xyz", PAULI_1Q[1:]))
+"""The Pauli matrix of each rotation axis."""
+
+
+def rotation(axis: str, angle: float) -> np.ndarray:
+    """Single-qubit rotation exp(-i angle sigma_axis / 2) about an axis of
+    :data:`PAULI_AXES`."""
+    return math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * PAULI_AXES[axis]
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

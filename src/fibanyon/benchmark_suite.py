@@ -24,15 +24,10 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import braid_compiler, braid_space
-from ._linalg import active_counts, check_unitary, dagger, longest_first_products, pairwise_product, phase_distances
+from ._linalg import (PAULI_1Q, active_counts, check_unitary, dagger, longest_first_products, pairwise_product,
+                      phase_distances)
 from ._philox import draw
 
-PAULI_1Q = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 PAULI_LABELS_1Q = ("I", "X", "Y", "Z")
 
 DEFAULT_M_GRID = (1, 2, 4, 8, 16, 32, 64)

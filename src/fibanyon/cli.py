@@ -162,9 +162,10 @@ def _verification_checks(leakage_words: int, seed: int) -> tuple:
     """The invariant suite as ``(name, tolerance, residual)`` rows, in the
     order they run.  A residual takes no argument and builds what it checks
     only when called, so the rows list the suite without running a check or
-    importing noise_engine, robustness_lab or benchmark_suite.  The F and R
-    tables come from ``FusionData.fibonacci`` and ``FSymbolTable.fibonacci``
-    at the first call, not from the tables braid_space caches."""
+    importing robustness_lab; no check loads noise_engine or benchmark_suite.
+    The F and R tables come from ``FusionData.fibonacci`` and
+    ``FSymbolTable.fibonacci`` at the first call, not from the tables
+    braid_space caches."""
     am, bs, bc = anyon_model, braid_space, braid_compiler
 
     @functools.cache
@@ -205,9 +206,7 @@ def _verification_checks(leakage_words: int, seed: int) -> tuple:
         return extract_M(q).proportionality_deviation
 
     def circuit_decompositions():
-        from .noise_engine import decompose_braiding
-
-        return max(0.0, *(phase_aligned_defect(decompose_braiding(gen, power).compose(),
+        return max(0.0, *(phase_aligned_defect(bc.decompose_braiding(gen, power).compose(),
                                                bc.letter_matrix("physical4", gen, power))
                           for gen in (12, 23) for power in (2, -2)))
 
@@ -236,23 +235,13 @@ def _verification_checks(leakage_words: int, seed: int) -> tuple:
     )
 
 
-def run_verification_checks(leakage_words: int = 100, seed: int = DEFAULT_SEED,
-                            tolerance_scale: float = 1.0) -> list[Check]:
-    """The full invariant suite of :func:`_verification_checks`, in its order,
-    every tolerance multiplied by ``tolerance_scale``."""
-    return [Check(name, residual(), tolerance * tolerance_scale)
-            for name, tolerance, residual in _verification_checks(leakage_words, seed)]
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
+    rows = _verification_checks(args.leakage_words, args.seed)
     if args.list:
-        print("\n".join(name for name, _, _ in _verification_checks(args.leakage_words, args.seed)))
+        print("\n".join(name for name, _, _ in rows))
         return 0
-    checks = run_verification_checks(
-        leakage_words=args.leakage_words,
-        seed=args.seed,
-        tolerance_scale=args.tolerance,
-    )
+    # every tolerance scaled by --tolerance
+    checks = [Check(name, residual(), tolerance * args.tolerance) for name, tolerance, residual in rows]
     for check in checks:
         print(f"{'PASS' if check.passed else 'FAIL'}  {check.name}: "
               f"residual={check.residual:.3e} tolerance={check.tolerance:.0e}")

@@ -35,12 +35,13 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import benchmark_suite, braid_compiler, braid_space
-from ._linalg import dagger, pairwise_product, phase_aligned_defect
+# over_rotation_unitary(axis, angle): the systematic-error unitary exp(-i angle sigma_axis / 2)
+from ._linalg import PAULI_AXES, dagger, pairwise_product, rotation as over_rotation_unitary
 from .braid_compiler import BraidWord
 
 BRAIDING_STEP_SECONDS = 2e-3
@@ -48,8 +49,6 @@ BRAIDING_STEP_SECONDS = 2e-3
 
 CLIFFORD_SECONDS = 5e-3
 """Control time of one logical Clifford pulse."""
-
-_AXES = dict(zip("xyz", benchmark_suite.PAULI_1Q[1:]))
 
 
 class DensityMatrix:
@@ -106,7 +105,7 @@ class NoiseModel:
             raise ValueError(f"over-rotation angle must be a finite number, got {self.over_rotation_angle!r}")
         if not _is_real(self.depolarizing_prob) or not 0.0 <= self.depolarizing_prob <= 1.0:
             raise ValueError(f"depolarizing probability must be a number in [0, 1], got {self.depolarizing_prob!r}")
-        if not isinstance(self.over_rotation_axis, str) or self.over_rotation_axis not in _AXES:
+        if not isinstance(self.over_rotation_axis, str) or self.over_rotation_axis not in PAULI_AXES:
             raise ValueError(f"over-rotation axis must be one of x, y, z, got {self.over_rotation_axis!r}")
 
     def rates(self) -> tuple[float, ...]:
@@ -166,12 +165,6 @@ def apply_dephasing(rho: DensityMatrix, rates: Sequence[float], dt: float) -> De
     if 2 ** len(rates) != rho.dim:
         raise ValueError("one dephasing rate per qubit is required")
     return DensityMatrix(rho.matrix * dephasing_factors(rates, dt))
-
-
-def over_rotation_unitary(axis: str, angle: float) -> np.ndarray:
-    """Single-qubit systematic-error unitary exp(-i angle sigma_axis / 2)."""
-    sigma = _AXES[axis]
-    return math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * sigma
 
 
 # ---------------------------------------------------------------------------
@@ -543,110 +536,3 @@ def calibrate_t2(word: BraidWord, target_fidelity: float) -> CalibrationResult:
         raise _unbracketed(target_fidelity)
     log_t2 = _brent_root(residual, a, b, residual(a), residual(b))
     return CalibrationResult(t2=math.exp(log_t2), fidelity=evaluated[log_t2][0], target=target_fidelity)
-
-
-# ---------------------------------------------------------------------------
-# Two-CNOT circuit decomposition of squared-generator braiding operations
-# ---------------------------------------------------------------------------
-
-class CNOT(NamedTuple):
-    control: int
-    target: int
-
-    def matrix(self) -> np.ndarray:
-        u = np.zeros((4, 4), dtype=complex)
-        for a in (0, 1):
-            for b in (0, 1):
-                bits = [a, b]
-                if bits[self.control]:
-                    bits[self.target] ^= 1
-                u[(bits[0] << 1) | bits[1], (a << 1) | b] = 1.0
-        return u
-
-
-class Rotation(NamedTuple):
-    qubit: int
-    axis: str
-    angle: float
-
-    def matrix(self) -> np.ndarray:
-        single = over_rotation_unitary(self.axis, self.angle)
-        eye = np.eye(2)
-        return np.kron(single, eye) if self.qubit == 0 else np.kron(eye, single)
-
-
-Gate = CNOT | Rotation
-
-
-class CircuitDecomposition(NamedTuple):
-    """Two-CNOT circuit equal to a squared-generator braiding operation up to
-    a global phase.  Gates are listed in application order."""
-
-    operation: tuple[int, int]          # (generator index, power)
-    gates: tuple[Gate, ...]
-
-    def compose(self) -> np.ndarray:
-        u = np.eye(4, dtype=complex)
-        for gate in self.gates:
-            u = gate.matrix() @ u
-        return u
-
-
-def _zyz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
-    """u = e^{i alpha} Rz(b) Ry(c) Rz(d)."""
-    alpha = 0.5 * np.angle(np.linalg.det(u))
-    su = u * np.exp(-1j * alpha)
-    c = 2.0 * math.atan2(abs(su[1, 0]), abs(su[0, 0]))
-    sum_bd = 2.0 * np.angle(su[1, 1]) if abs(su[1, 1]) > 1e-12 else 0.0
-    diff_bd = 2.0 * np.angle(su[1, 0]) if abs(su[1, 0]) > 1e-12 else 0.0
-    b = (sum_bd + diff_bd) / 2.0
-    d = (sum_bd - diff_bd) / 2.0
-    return alpha, b, c, d
-
-
-def decompose_braiding(generator: int, power: int) -> CircuitDecomposition:
-    """Decompose ``sigma_generator^power`` (power in {+2, -2}) into two
-    controlled-NOT gates and single-qubit rotations.
-
-    The squared generators are controlled single-qubit gates: ``sigma12^2``
-    acts on the first edge qubit controlled by the second, ``sigma23^2`` the
-    same circuit with the qubit roles swapped.  The controlled part uses the
-    standard two-CNOT similarity decomposition of a controlled unitary.
-    """
-    if generator not in braid_space.GENERATOR_INDICES or power not in (2, -2):
-        raise ValueError("supported operations are sigma12/sigma23 to the powers +2 or -2")
-    u = braid_compiler.letter_matrix("physical4", generator, power)
-    if generator == 12:
-        control, target = 1, 0
-    else:
-        control, target = 0, 1
-
-    def block(ctrl_value: int) -> np.ndarray:
-        idx = [(j << 1) | ctrl_value if control == 1 else (ctrl_value << 1) | j for j in (0, 1)]
-        return u[np.ix_(idx, idx)]
-
-    a0 = block(0)
-    w = dagger(a0) @ block(1)
-    alpha0, b0, c0, d0 = _zyz_angles(a0)
-    alpha, b, c, d = _zyz_angles(w)
-
-    gates: list[Gate] = [
-        # phase of the controlled-W, absorbed into a control-qubit z rotation
-        Rotation(control, "z", alpha),
-        Rotation(target, "z", (d - b) / 2.0),
-        CNOT(control, target),
-        Rotation(target, "z", -(d + b) / 2.0),
-        Rotation(target, "y", -c / 2.0),
-        CNOT(control, target),
-        Rotation(target, "y", c / 2.0),
-        Rotation(target, "z", b),
-        # the unconditional branch acting on the target qubit
-        Rotation(target, "z", d0),
-        Rotation(target, "y", c0),
-        Rotation(target, "z", b0),
-    ]
-    circuit = CircuitDecomposition(operation=(generator, power), gates=tuple(gates))
-    residual = phase_aligned_defect(circuit.compose(), u)
-    if residual > 1e-10:
-        raise AssertionError(f"decomposition failed to reproduce the braiding operation ({residual:.2e})")
-    return circuit

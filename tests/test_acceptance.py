@@ -298,15 +298,15 @@ def test_criterion_11_circuit_decomposition():
     worst = 0.0
     for generator in (12, 23):
         for power in (2, -2):
-            circuit = ne.decompose_braiding(generator, power)
+            circuit = bc.decompose_braiding(generator, power)
             target = np.linalg.matrix_power(bs.sigma(generator), power)
             worst = max(worst, phase_aligned_defect(circuit.compose(), target))
 
     swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
     swap_dev = 0.0
     for power in (2, -2):
-        c12 = ne.decompose_braiding(12, power).compose()
-        c23 = ne.decompose_braiding(23, power).compose()
+        c12 = bc.decompose_braiding(12, power).compose()
+        c23 = bc.decompose_braiding(23, power).compose()
         swap_dev = max(swap_dev, float(np.abs(swap @ c12 @ swap - c23).max()))
 
     passed = worst < 1e-10 and swap_dev < 1e-10

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 from conftest import haar_unitary
 from fibanyon import braid_compiler as bc
 from fibanyon import braid_space as bs
-from fibanyon._linalg import phase_distances
+from fibanyon._linalg import phase_aligned_defect, phase_distances
+
+SWAP = np.array([
+    [1, 0, 0, 0],
+    [0, 0, 1, 0],
+    [0, 1, 0, 0],
+    [0, 0, 0, 1],
+], dtype=complex)
+
 
 letters_strategy = st.lists(
     st.tuples(st.sampled_from([12, 23]), st.integers(-4, 4).filter(lambda p: p != 0)),
@@ -142,6 +150,45 @@ class TestLetterMatrix:
         for generator in (12, 23):
             u = bc.letter_matrix(space, generator, power)
             np.testing.assert_array_equal(u, np.eye(len(u)))
+
+
+class TestCircuitDecomposition:
+    @pytest.mark.parametrize("generator,power", [(12, 2), (12, -2), (23, 2), (23, -2)])
+    def test_reproduces_braiding_operation(self, generator, power):
+        circuit = bc.decompose_braiding(generator, power)
+        target = np.linalg.matrix_power(bs.sigma(generator), power)
+        assert phase_aligned_defect(circuit.compose(), target) < 1e-10
+
+    @pytest.mark.parametrize("generator,power", [(12, 2), (12, -2), (23, 2), (23, -2)])
+    def test_two_cnots_and_rotations_only(self, generator, power):
+        circuit = bc.decompose_braiding(generator, power)
+        assert sum(isinstance(g, bc.CNOT) for g in circuit.gates) == 2
+        assert all(isinstance(g, (bc.CNOT, bc.Rotation)) for g in circuit.gates)
+
+    def test_sigma23_is_qubit_swapped_sigma12(self):
+        c12 = bc.decompose_braiding(12, 2)
+        c23 = bc.decompose_braiding(23, 2)
+        for g12, g23 in zip(c12.gates, c23.gates):
+            if isinstance(g12, bc.CNOT):
+                assert g23 == bc.CNOT(control=1 - g12.control, target=1 - g12.target)
+            else:
+                assert (g23.qubit, g23.axis) == (1 - g12.qubit, g12.axis)
+                assert abs(g23.angle - g12.angle) < 1e-12
+        # equivalently: conjugation by SWAP maps one composition to the other
+        np.testing.assert_allclose(
+            SWAP @ c12.compose() @ SWAP, c23.compose(), atol=1e-12
+        )
+
+    def test_inverse_pair_composes_to_identity(self):
+        forward = bc.decompose_braiding(12, 2).compose()
+        backward = bc.decompose_braiding(12, -2).compose()
+        assert phase_aligned_defect(backward @ forward, np.eye(4)) < 1e-10
+
+    def test_unsupported_operation_rejected(self):
+        with pytest.raises(ValueError):
+            bc.decompose_braiding(12, 3)
+        with pytest.raises(ValueError):
+            bc.decompose_braiding(14, 2)
 
 
 class TestCanonicalize:

@@ -11,11 +11,13 @@ formula must fail the same oracle.
 | ``leakage`` | ``compile --word``: stdout and the ``--out`` JSON | spectral norm of ``(1 - P_L) U iso``: the largest amplitude a logical state sends out of the logical space | amplitude |
 | ``fidelity`` | ``calibrate``: stdout and the ``--out`` JSON | average of ``<psi| U† E(psi) U |psi>`` over a two-qubit state 2-design, E the Hadamard word under the returned common T2 | fidelity |
 | ``average_gate_fidelity`` | ``benchmark --protocol qpt --space ps``: ``fidelity.json`` | the same average, E the Hadamard word under the ``--noise`` model's T2 times | fidelity |
+| ``channel_oracle_fidelity`` | ``benchmark --protocol rb --interleave-hadamard --space ps``: ``rb_fit.json``'s ``interleaved`` | the same average, E the Hadamard word under the ``--noise`` model's T2 times | fidelity |
 
-Both fidelity oracles step E letter by letter as a density matrix: the
+The fidelity oracles step E letter by letter as a density matrix: the
 letter's unitary, then the Schur-product dephasing that ``noise_engine``'s
-module docstring defines.  The logical-space ``average_gate_fidelity`` has no
-row: its map leaks, and the formula it uses assumes a trace-preserving map.
+module docstring defines.  The logical-space ``average_gate_fidelity`` and
+``channel_oracle_fidelity`` have no row: their map leaks, and the formula they
+use assumes a trace-preserving map.
 """
 
 import functools
@@ -207,8 +209,13 @@ class TestAverageGateFidelity:
         noise = tmp_path / "noise.json"
         noise.write_text(json.dumps({"t2": list(t2)}))
         run_cli(["benchmark", "--protocol", "qpt", "--space", "ps", "--noise", str(noise), "--out", str(tmp_path)])
-        got = json.loads((tmp_path / "fidelity.json").read_text())["average_gate_fidelity"]
-        assert abs(got - stepped_fidelity(bc.hadamard_word(), t2)) <= TOL
+        run_cli(["benchmark", "--protocol", "rb", "--interleave-hadamard", "--space", "ps", "--k", "2",
+                 "--m-grid", "1", "2", "3", "--noise", str(noise), "--out", str(tmp_path)])
+        want = stepped_fidelity(bc.hadamard_word(), t2)
+        qpt = json.loads((tmp_path / "fidelity.json").read_text())["average_gate_fidelity"]
+        rb = json.loads((tmp_path / "rb_fit.json").read_text())["interleaved"]["channel_oracle_fidelity"]
+        assert abs(qpt - want) <= TOL
+        assert abs(rb - want) <= TOL
 
     @given(letters=WORDS, t2=T2S)
     @settings(max_examples=20, deadline=None)

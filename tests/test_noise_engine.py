@@ -16,14 +16,6 @@ from fibanyon import benchmark_suite as bench
 from fibanyon import braid_compiler as bc
 from fibanyon import braid_space as bs
 from fibanyon import noise_engine as ne
-from fibanyon._linalg import phase_aligned_defect
-
-SWAP = np.array([
-    [1, 0, 0, 0],
-    [0, 0, 1, 0],
-    [0, 1, 0, 0],
-    [0, 0, 0, 1],
-], dtype=complex)
 
 
 def pure_state(vector) -> ne.DensityMatrix:
@@ -295,45 +287,6 @@ class TestNoiseModelSerialization:
             ne.NoiseModel.from_json(path)
 
 
-class TestCircuitDecomposition:
-    @pytest.mark.parametrize("generator,power", [(12, 2), (12, -2), (23, 2), (23, -2)])
-    def test_reproduces_braiding_operation(self, generator, power):
-        circuit = ne.decompose_braiding(generator, power)
-        target = np.linalg.matrix_power(bs.sigma(generator), power)
-        assert phase_aligned_defect(circuit.compose(), target) < 1e-10
-
-    @pytest.mark.parametrize("generator,power", [(12, 2), (12, -2), (23, 2), (23, -2)])
-    def test_two_cnots_and_rotations_only(self, generator, power):
-        circuit = ne.decompose_braiding(generator, power)
-        assert sum(isinstance(g, ne.CNOT) for g in circuit.gates) == 2
-        assert all(isinstance(g, (ne.CNOT, ne.Rotation)) for g in circuit.gates)
-
-    def test_sigma23_is_qubit_swapped_sigma12(self):
-        c12 = ne.decompose_braiding(12, 2)
-        c23 = ne.decompose_braiding(23, 2)
-        for g12, g23 in zip(c12.gates, c23.gates):
-            if isinstance(g12, ne.CNOT):
-                assert g23 == ne.CNOT(control=1 - g12.control, target=1 - g12.target)
-            else:
-                assert (g23.qubit, g23.axis) == (1 - g12.qubit, g12.axis)
-                assert abs(g23.angle - g12.angle) < 1e-12
-        # equivalently: conjugation by SWAP maps one composition to the other
-        np.testing.assert_allclose(
-            SWAP @ c12.compose() @ SWAP, c23.compose(), atol=1e-12
-        )
-
-    def test_inverse_pair_composes_to_identity(self):
-        forward = ne.decompose_braiding(12, 2).compose()
-        backward = ne.decompose_braiding(12, -2).compose()
-        assert phase_aligned_defect(backward @ forward, np.eye(4)) < 1e-10
-
-    def test_unsupported_operation_rejected(self):
-        with pytest.raises(ValueError):
-            ne.decompose_braiding(12, 3)
-        with pytest.raises(ValueError):
-            ne.decompose_braiding(14, 2)
-
-
 class TestGateFidelity:
     def test_noiseless_word_has_unit_fidelity(self):
         fidelity = ne.predict_gate_fidelity(bc.hadamard_word(), ne.NoiseModel())
@@ -479,7 +432,7 @@ class TestCalibration:
         ["compile", "--hadamard"], ["compile", "--word", "s12^4 s23^-2"],
         ["compile", "--named", "sigma12", "--max-letters", "2"], ["dump-matrices", "--out", "{out}"],
         ["dump-matrices", "--out", "{out}", "--format", "csv"], ["robustness", "--q", "1"],
-        ["verify", "--list"]], ids=" ".join)
+        ["verify", "--list"], ["verify", "--leakage-words", "2"]], ids=" ".join)
     def test_command_loads_neither_simulator_nor_protocols(self, tmp_path, command):
         # cli imports benchmark_suite and noise_engine only in the commands that use
         # them; one fresh process per command
@@ -487,7 +440,8 @@ class TestCalibration:
         (loaded,) = modules_after_each([f"assert cli.main({argv!r}) == 0"], "fibanyon")
         assert "fibanyon.braid_space" in loaded
         assert not {"fibanyon.benchmark_suite", "fibanyon.noise_engine"} & set(loaded)
-        if command[0] != "robustness":
+        # robustness and verify's robustness-m1/m2 checks run robustness_lab; the others never load it
+        if command not in (["robustness", "--q", "1"], ["verify", "--leakage-words", "2"]):
             assert "fibanyon.robustness_lab" not in loaded
 
 

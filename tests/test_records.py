@@ -32,9 +32,9 @@ RECORDS = {
                           "budget")), "warnings": ()},
     ),
     bc.SearchResult: (("word", "distance", "evaluated", "budget_exhausted"), {}),
-    ne.CNOT: (("control", "target"), {}),
-    ne.Rotation: (("qubit", "axis", "angle"), {}),
-    ne.CircuitDecomposition: (("operation", "gates"), {}),
+    bc.CNOT: (("control", "target"), {}),
+    bc.Rotation: (("qubit", "axis", "angle"), {}),
+    bc.CircuitDecomposition: (("operation", "gates"), {}),
     rob.ScenarioResult: (("q", "matrix", "proportionality_deviation", "theta", "modulus"), {}),
     cli.Check: (("name", "residual", "tolerance"), {}),
 }
