@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import braid_space
-from ._linalg import dagger, phase_aligned_defect, phase_distances, rotation, unitarity_defect
+from ._linalg import dagger, phase_distances, rotation, unitarity_defect
 
 SPACES = ("physical4", "logical2")
 
@@ -266,8 +266,8 @@ def decompose_braiding(generator: int, power: int) -> CircuitDecomposition:
     acts on the first edge qubit controlled by the second, ``sigma23^2`` the
     same circuit with the qubit roles swapped.  The controlled part uses the
     standard two-CNOT similarity decomposition of a controlled unitary
-    (Barenco et al., PRA 52, 3457 (1995)); the circuit is checked against
-    :func:`letter_matrix`, the matrix of the braid letter it realizes.
+    (Barenco et al., PRA 52, 3457 (1995)); verify's ``circuit-decompositions``
+    row and the tests check it against :func:`letter_matrix`.
     """
     if generator not in braid_space.GENERATOR_INDICES or power not in (2, -2):
         raise ValueError("supported operations are sigma12/sigma23 to the powers +2 or -2")
@@ -301,11 +301,7 @@ def decompose_braiding(generator: int, power: int) -> CircuitDecomposition:
         Rotation(target, "y", c0),
         Rotation(target, "z", b0),
     ]
-    circuit = CircuitDecomposition(operation=(generator, power), gates=tuple(gates))
-    residual = phase_aligned_defect(circuit.compose(), u)
-    if residual > 1e-10:
-        raise AssertionError(f"decomposition failed to reproduce the braiding operation ({residual:.2e})")
-    return circuit
+    return CircuitDecomposition(operation=(generator, power), gates=tuple(gates))
 
 
 # ---------------------------------------------------------------------------

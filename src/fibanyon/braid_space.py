@@ -137,8 +137,9 @@ def chain_generator(n_anyons: int, position: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _tree_transform() -> np.ndarray:
-    """The 4x4 transform [F] with rows (m,n) and columns (j,k).
+def tree_transform() -> np.ndarray:
+    """Read-only unitary mapping edge-basis components to tree-basis
+    components: the 4x4 transform [F] with rows (m,n) and columns (j,k).
 
     Its entries on admissible cells are the composed F symbols
     ``F^{11j}_{1km} F^{11k}_{m1n}``; the inert all-vacuum state maps to
@@ -155,12 +156,8 @@ def _tree_transform() -> np.ndarray:
     for idx in range(4):
         if not np.any(f[:, idx]):
             f[idx, idx] = 1.0
-    return check_unitary(f, tol=1e-12, what="tree transform")
-
-
-def tree_transform() -> np.ndarray:
-    """Unitary mapping edge-basis components to tree-basis components."""
-    return _tree_transform().copy()
+    f.flags.writeable = False
+    return f
 
 
 def tree_conjugate(u: np.ndarray) -> np.ndarray:
@@ -172,7 +169,7 @@ def tree_conjugate(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u.shape}")
-    f = _tree_transform()
+    f = tree_transform()
     return f @ u @ dagger(f)
 
 
@@ -182,38 +179,37 @@ def tree_conjugate(u: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _edge_generator(n_anyons: int, position: int) -> np.ndarray:
-    chain = chain_generator(n_anyons, position)
-    f = _tree_transform()
-    if n_anyons == 3:
-        return dagger(f) @ chain @ f
-    # five anyons: environment labels relabel as (i1, i2) = (1 - y1, 1 - y2)
-    flip = np.zeros((4, 4))
-    for y1 in (0, 1):
-        for y2 in (0, 1):
-            flip[basis_index((1 - y1, 1 - y2)), basis_index((y1, y2))] = 1.0
-    dictionary = np.kron(flip, dagger(f))
-    return dictionary @ chain @ dagger(dictionary)
-
-
 def build_generator(n_anyons: int, position: int) -> np.ndarray:
-    """Edge-basis braid generator for ``n_anyons`` in {3, 5}.
+    """Read-only edge-basis braid generator for ``n_anyons`` in {3, 5}.
 
     Built by F moves into the pair's fusion channel, an R-symbol exchange and
-    the transform back; for ``n_anyons=3`` this reproduces :func:`sigma`
-    exactly.  An anyon count other than 3 or 5, or a position outside
-    ``1 .. n_anyons - 1``, raises ``ValueError``.
+    the transform back; for ``n_anyons=3`` this is :func:`sigma`.  An anyon
+    count other than 3 or 5, or a position outside ``1 .. n_anyons - 1``,
+    raises ``ValueError``.
     """
     if n_anyons not in (3, 5):
         raise ValueError(f"unsupported anyon count {n_anyons} (must be 3 or 5)")
-    return _edge_generator(n_anyons, position).copy()
+    chain = chain_generator(n_anyons, position)
+    f = tree_transform()
+    if n_anyons == 3:
+        u = dagger(f) @ chain @ f
+    else:
+        # five anyons: environment labels relabel as (i1, i2) = (1 - y1, 1 - y2)
+        flip = np.zeros((4, 4))
+        for y1 in (0, 1):
+            for y2 in (0, 1):
+                flip[basis_index((1 - y1, 1 - y2)), basis_index((y1, y2))] = 1.0
+        dictionary = np.kron(flip, dagger(f))
+        u = dictionary @ chain @ dagger(dictionary)
+    u.flags.writeable = False
+    return u
 
 
 def sigma(index: int) -> np.ndarray:
-    """The 4x4 braid generator ``sigma12`` or ``sigma23`` in the edge basis."""
+    """The read-only 4x4 braid generator ``sigma12`` or ``sigma23``, edge basis."""
     if index not in GENERATOR_INDICES:
         raise ValueError(f"generator index must be one of {GENERATOR_INDICES}, got {index}")
-    return _edge_generator(3, 1 if index == 12 else 2).copy()
+    return build_generator(3, 1 if index == 12 else 2)
 
 
 def tree_generator(index: int) -> np.ndarray:
@@ -229,7 +225,8 @@ def tree_generator(index: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _logical_encoding() -> np.ndarray:
+def logical_encoding() -> np.ndarray:
+    """Read-only 4x2 isometry: columns ``|0_L>`` and ``|1_L>`` in the edge basis."""
     iso = np.zeros((4, 2), dtype=complex)
     iso[basis_index((0, 1)), 0] = 1.0 / PHI
     iso[basis_index((1, 1)), 0] = 1.0 / math.sqrt(PHI)
@@ -239,16 +236,12 @@ def _logical_encoding() -> np.ndarray:
     gram = dagger(iso) @ iso
     if np.abs(gram - np.eye(2)).max() > 1e-12:
         raise AssertionError("logical encoding is not an isometry")
+    iso.flags.writeable = False
     return iso
 
 
-def logical_encoding() -> np.ndarray:
-    """4x2 isometry whose columns are ``|0_L>`` and ``|1_L>`` in the edge basis."""
-    return _logical_encoding().copy()
-
-
 def logical_projector() -> np.ndarray:
-    iso = _logical_encoding()
+    iso = logical_encoding()
     return iso @ dagger(iso)
 
 
@@ -262,7 +255,7 @@ def logical_restrict(u: np.ndarray) -> tuple[np.ndarray, float]:
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u.shape}")
-    iso = _logical_encoding()
+    iso = logical_encoding()
     logical = dagger(iso) @ u @ iso
     leak = np.linalg.norm((np.eye(4) - iso @ dagger(iso)) @ u @ iso, 2)
     return logical, float(leak)
@@ -272,16 +265,13 @@ def logical_extension(u: np.ndarray) -> np.ndarray:
     """Inverse of :func:`logical_restrict`: the 4x4 edge-basis operator
     acting as the 2x2 ``u`` on the logical subspace and as the identity on
     its complement."""
-    iso = _logical_encoding()
+    iso = logical_encoding()
     return iso @ u @ dagger(iso) + (np.eye(4) - iso @ dagger(iso))
 
 
 def sigma_logical(index: int) -> np.ndarray:
-    """Logical-space representation of a braid generator."""
-    logical, leak = logical_restrict(sigma(index))
-    if leak > 1e-12:
-        raise AssertionError(f"generator {index} leaks out of the logical space")
-    return logical
+    """Logical block ``iso† sigma iso`` of a generator; verify checks its leakage."""
+    return logical_restrict(sigma(index))[0]
 
 
 def dump_matrices() -> dict[str, np.ndarray]:

@@ -79,7 +79,8 @@ def _result_from_matrix(q: int, m: np.ndarray) -> ScenarioResult:
 def extract_M(q: int) -> ScenarioResult:
     """The logical block of the scenario operator with the environment
     projected onto the created-pair state on both sides."""
-    m = dagger(_sector()) @ build_scenario_operator(q) @ _sector()
+    sector = _sector()
+    m = dagger(sector) @ build_scenario_operator(q) @ sector
     return _result_from_matrix(q, m)
 
 

@@ -242,7 +242,8 @@ def test_dump_matrices_contents(sigma12_printed, b1_printed, f_printed):
     np.testing.assert_allclose(mats["f_transform"], f_printed, atol=1e-12)
 
 
-def test_returned_matrices_are_fresh_copies():
-    a = bs.sigma(12)
-    a[0, 0] = 99.0
+def test_returned_matrices_are_read_only():
+    for matrix in (bs.sigma(12), bs.build_generator(5, 2), bs.tree_transform(), bs.logical_encoding()):
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 99.0
     assert abs(bs.sigma(12)[0, 0] - 1.0) < 1e-15

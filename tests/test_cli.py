@@ -74,6 +74,22 @@ class TestVerify:
         assert "FAIL  qdim-consistency" in out
         assert out.split("FAILED:")[1].split() == ["qdim-consistency"]
 
+    def test_broken_circuit_fails_its_row_and_writes_report(self, tmp_path, capsys, monkeypatch):
+        zyz_angles = bc._zyz_angles
+
+        def shifted(u):
+            alpha, b, c, d = zyz_angles(u)
+            return alpha, b + 1e-9, c, d
+
+        monkeypatch.setattr(bc, "_zyz_angles", shifted)
+        report = tmp_path / "report.json"
+        assert run(["verify", "--leakage-words", "2", "--json", str(report)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  circuit-decompositions" in out
+        assert out.split("FAILED:")[1].split() == ["circuit-decompositions"]
+        checks = json.loads(report.read_text())["checks"]
+        assert {c["name"] for c in checks if not c["passed"]} == {"circuit-decompositions"}
+
     def test_json_report(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         assert run(["verify", "--leakage-words", "5", "--json", str(report)]) == 0
